@@ -148,12 +148,9 @@ def _lbprobe(args, parser) -> int:
     detail = args.samples <= LBPROBE_DETAIL_LIMIT
     placed = None
     if detail:
-        boxes = []
-        for blk in struct.blocks.values():
-            for r in range(len(blk)):
-                if blk.counts[r] >= 1:
-                    boxes.append(Box(tuple(blk.box_lo[r]), tuple(blk.box_hi[r])))
-        placed = place_sums(boxes, trees)
+        sums = struct.sums
+        rows = np.nonzero(sums.counts >= 1)[0]
+        placed = place_sums([Box(tuple(sums.box_lo[r]), tuple(sums.box_hi[r])) for r in rows], trees)
     writer = csv.writer(sys.stdout)
     writer.writerow(LBPROBE_COLUMNS)
     ones = tuple([1] * (args.d - 1))

@@ -30,8 +30,9 @@ class GridIndex:
         self.sorted_flat = flat[self.order]
 
     def _cell_range(self, lo: float, hi: float) -> tuple[int, int]:
-        c0 = 0 if lo == -np.inf else min(self.g - 1, max(0, int(np.floor(lo * self.g))))
-        c1 = min(self.g - 1, max(0, int(np.floor(hi * self.g))))
+        # clip before int conversion: infinite bounds land in the edge cells
+        c0 = int(np.clip(np.floor(lo * self.g), 0, self.g - 1))
+        c1 = int(np.clip(np.floor(hi * self.g), 0, self.g - 1))
         return c0, c1
 
     def candidates_in_box(self, lo, hi) -> np.ndarray:

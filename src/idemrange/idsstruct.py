@@ -10,6 +10,12 @@ piece is tiled by balanced-prefix-cover intervals, candidate boxes are
 picked per cover pair, and the last d-k dimensions reduce to a dominance
 cover whose leftovers are singletons.
 
+All stored sums live in one flat index, ``_SumIndex``.  Its one primitive,
+``inside``, finds the sums inside a box for the candidates of a cover pair,
+for the sums that absorb leftovers, and for the exact-cover oracle: one
+``searchsorted`` on dim 0, a vectorized mask, and row ids in block order,
+so ties break as a per-block scan would break them.
+
 Every candidate passes an explicit box-within-query filter before use.  The
 construction almost guarantees containment, but a candidate whose tree node
 is leftmost inside the piece's subtree can anchor one slab too far left;
@@ -63,19 +69,76 @@ class IdsConfig:
         return IdsConfig(n=n, d=d, k=k, h=h, N=max(1, n // h**k))
 
 
+class _SumIndex:
+    """Every stored sum in one structure of arrays.
+
+    Rows are in block order: ``IdsStructure.blocks`` order (orientation, then
+    family index), then the dim-0 point coordinate.  ``bounds`` holds each
+    box as one row [lo | hi]; ``box_lo`` and ``box_hi`` are views of its
+    halves.  ``by_x0[o]`` is (rows, keys): the rows of orientation o, or of
+    all orientations for None, sorted by their dim-0 point coordinate.
+    """
+
+    def __init__(self, k: int, parts: list):
+        # parts: (orientation, index, coords, box_lo, box_hi, counts, values) per non-empty block
+        sizes = [len(p[2]) for p in parts]
+        ends = np.cumsum([0] + sizes).tolist()
+        self.block_ranges = [((p[0], p[1]), a, b) for p, a, b in zip(parts, ends, ends[1:])]
+        self.coords, box_lo, box_hi, self.counts, self.values = (np.concatenate(c) for c in list(zip(*parts))[2:])
+        d = self.coords.shape[1]
+        self.bounds = np.hstack((box_lo, box_hi))
+        self.box_lo, self.box_hi = self.bounds[:, :d], self.bounds[:, d:]
+        self.depth = np.repeat(np.asarray([p[1] for p in parts]).reshape(-1, k), sizes, axis=0)
+        x0 = self.coords[:, 0]
+        self.by_x0 = {}
+        for o in [None, *itertools.product((_R, _L), repeat=k)]:
+            blocks = [np.arange(a, b) for (orient, _), a, b in self.block_ranges if o in (None, orient)]
+            rows = np.concatenate([np.empty(0, dtype=np.int64), *blocks])
+            rows = rows[np.argsort(x0[rows], kind="stable")]
+            self.by_x0[o] = rows, x0[rows]
+
+    def inside(self, qlo, qhi, min_count: int, *, orient=None, depths=None, spans=None, reach=None) -> np.ndarray:
+        """Row ids, in block order, of the sums with at least ``min_count``
+        members whose box sits inside the closed box [qlo, qhi].
+
+        Optional filters: ``orient`` keeps one orientation; ``depths`` =
+        (lo, hi) keeps family indices within [lo, hi] in the two-sided dims;
+        ``spans`` = (a, b), which needs ``orient``, keeps boxes with lo <= a
+        and hi >= b there; ``reach`` = (lmin, lmax) keeps boxes meeting it.
+        """
+        # every filter is a range on the [lo | hi] row, floor <= row <= ceil;
+        # as lo <= hi, a box inside the query has both ends in [qlo, qhi]
+        d = len(qlo)
+        floor, ceil = np.concatenate((qlo, qlo)), np.concatenate((qhi, qhi))
+        if spans is not None:
+            k = len(spans[0])
+            ceil[:k] = np.minimum(ceil[:k], spans[0])
+            floor[d : d + k] = np.maximum(floor[d : d + k], spans[1])
+        if reach is not None:
+            floor[d:] = np.maximum(floor[d:], reach[0])
+            ceil[:d] = np.minimum(ceil[:d], reach[1])
+        # the sort key, a row's dim-0 point coordinate, is its box's hi end (R) or lo end (L)
+        order, x0 = self.by_x0[orient]
+        ends = [0, d] if orient is None else [d if orient[0] == _R else 0]
+        rows = order[np.searchsorted(x0, floor[ends].min()) : np.searchsorted(x0, ceil[ends].max(), side="right")]
+        if rows.size == 0:
+            return rows
+        b = self.bounds[rows]
+        ok = ((b >= floor) & (b <= ceil)).all(axis=1) & (self.counts[rows] >= min_count)
+        if depths is not None:
+            dep = self.depth[rows]
+            ok &= ((dep >= depths[0]) & (dep <= depths[1])).all(axis=1)
+        return np.sort(rows[ok])
+
+
 class _Block:
-    """Stored sums for one (orientation, family index): rows sorted by dim 0."""
+    """One (orientation, family index) block: views into the flat index."""
 
-    __slots__ = ("coords", "box_lo", "box_hi", "counts", "values", "x0")
+    __slots__ = ("coords", "box_lo", "box_hi", "counts", "values")
 
-    def __init__(self, coords, box_lo, box_hi, counts, values):
-        order = np.argsort(coords[:, 0], kind="stable")
-        self.coords = coords[order]
-        self.box_lo = box_lo[order]
-        self.box_hi = box_hi[order]
-        self.counts = counts[order]
-        self.values = values[order] if isinstance(values, np.ndarray) else [values[i] for i in order]
-        self.x0 = self.coords[:, 0]
+    def __init__(self, sums: _SumIndex, start: int, stop: int):
+        for name in self.__slots__:
+            setattr(self, name, getattr(sums, name)[start:stop])
 
     def __len__(self):
         return len(self.counts)
@@ -114,8 +177,6 @@ class IdsStructure:
         self.trees = [build_dyadic_tree(0.0, 1.0, config.h) for _ in range(config.k)]
         self.family: CwdFamily = build_cwd_family(config.N, config.h, config.k, config.d)
         self.grid = GridIndex(points.coords)
-        self.blocks: dict = {}
-        self.num_boxes = 0
         self._build_blocks()
 
     # -- construction -----------------------------------------------------
@@ -125,12 +186,15 @@ class IdsStructure:
         coords = self.points.coords
         sorted_order = [np.argsort(coords[:, j], kind="stable") for j in range(cfg.k)]
         sorted_vals = [coords[sorted_order[j], j] for j in range(cfg.k)]
+        parts = []
         for orient in itertools.product((_R, _L), repeat=cfg.k):
             for index, ps in self.family.sets.items():
-                blk = self._build_one_block(orient, index, ps, sorted_order, sorted_vals)
-                if blk is not None and len(blk):
-                    self.blocks[(orient, index)] = blk
-                    self.num_boxes += len(blk)
+                part = self._build_one_block(orient, index, ps, sorted_order, sorted_vals)
+                if part is not None:
+                    parts.append(part)
+        self.sums = _SumIndex(cfg.k, parts)
+        self.blocks = {key: _Block(self.sums, start, stop) for key, start, stop in self.sums.block_ranges}
+        self.num_boxes = len(self.sums.counts)
 
     def _build_one_block(self, orient, index, ps: WeightedPointSet, sorted_order, sorted_vals):
         if len(ps) == 0:
@@ -151,39 +215,28 @@ class IdsStructure:
         pts = pts[defined]
         ranks = ranks[defined]
         m = len(pts)
-        anchor = np.empty((m, k))
         cell_lo = np.empty((m, k))
         cell_hi = np.empty((m, k))
+        box_lo = np.full((m, d), NEG_INF)
+        box_hi = pts.copy()
+        sgn = np.ones(d)  # member sign trick: every per-row constraint is sgn*coord <= sgn*x
         for j in range(k):
             w = 1.0 / spans[j]
             if orient[j] == _R:
-                anchor[:, j] = (ranks[:, j] - 1) * w
-                cell_lo[:, j] = anchor[:, j]
+                box_lo[:, j] = cell_lo[:, j] = (ranks[:, j] - 1) * w  # anchor
                 cell_hi[:, j] = (ranks[:, j] + 1) * w
             else:
-                anchor[:, j] = (ranks[:, j] + 2) * w
-                cell_lo[:, j] = ranks[:, j] * w
-                cell_hi[:, j] = anchor[:, j]
-        box_lo = np.full((m, d), NEG_INF)
-        box_hi = pts.copy()
-        for j in range(k):
-            if orient[j] == _R:
-                box_lo[:, j] = anchor[:, j]
-            else:
                 box_lo[:, j] = pts[:, j]
-                box_hi[:, j] = anchor[:, j]
+                box_hi[:, j] = cell_hi[:, j] = (ranks[:, j] + 2) * w  # anchor
+                cell_lo[:, j] = ranks[:, j] * w
+                sgn[j] = -1.0
         counts = np.zeros(m, dtype=np.int64)
         if self.sg.name == "max":
             values = np.full(m, np.nan)
         elif self.sg.name == "or":
             values = np.zeros(m, dtype=np.uint64)
         else:
-            values = [None] * m
-        # member sign trick: every per-row constraint is sgn*coord <= sgn*x
-        sgn = np.ones(d)
-        for j in range(k):
-            if orient[j] == _L:
-                sgn[j] = -1.0
+            values = np.empty(m, dtype=object)
         coords = self.points.coords
         coords_s = coords * sgn
         w_all = self._w
@@ -224,18 +277,15 @@ class IdsStructure:
                     for t, r in enumerate(sub):
                         if counts[r]:
                             values[r] = np.sort(w_cand[mask[t]]).astype(np.int64)
-        return _Block(pts, box_lo, box_hi, counts, values)
+        order = np.argsort(pts[:, 0], kind="stable")
+        return orient, index, pts[order], box_lo[order], box_hi[order], counts[order], values[order]
 
     # -- reporting ---------------------------------------------------------
 
     @property
     def s_plus(self) -> int:
         """Storage: materialized sums with at least two member points."""
-        return int(sum(np.sum(b.counts >= 2) for b in self.blocks.values()))
-
-    @property
-    def num_nonempty_boxes(self) -> int:
-        return int(sum(np.sum(b.counts >= 1) for b in self.blocks.values()))
+        return int(np.sum(self.sums.counts >= 2))
 
     def query(self, q: Box, return_audit: bool = False):
         return query(self, q, return_audit=return_audit)
@@ -265,6 +315,8 @@ def _validate_query(struct: IdsStructure, q: Box):
     cfg = struct.config
     if q.dims != cfg.d:
         raise MalformedQuery(f"query has {q.dims} dims, structure has {cfg.d}")
+    if any(math.isnan(v) for v in q.lo + q.hi):
+        raise MalformedQuery("query bounds must not be NaN")
     for i in range(cfg.k):
         if q.lo[i] == NEG_INF:
             raise MalformedQuery(f"dimension {i} must be two-sided")
@@ -329,9 +381,7 @@ def _inside_any(pts: np.ndarray, lo_arr: np.ndarray, hi_arr: np.ndarray) -> np.n
     """(boxes, points) closed-containment matrix."""
     inside = np.ones((len(lo_arr), len(pts)), dtype=bool)
     for j in range(pts.shape[1]):
-        inside &= (pts[:, j][None, :] >= lo_arr[:, j][:, None]) & (
-            pts[:, j][None, :] <= hi_arr[:, j][:, None]
-        )
+        inside &= (pts[:, j] >= lo_arr[:, j, None]) & (pts[:, j] <= hi_arr[:, j, None])
     return inside
 
 
@@ -359,73 +409,42 @@ def _piece_segments(struct: IdsStructure, piece: AnchoredPiece, i: int):
 
 
 def _gather_candidates(struct: IdsStructure, piece: AnchoredPiece, chosen_pairs, qlo, qhi):
-    """Usable stored sums for one cover-pair tuple.
+    """Usable stored sums for one cover-pair tuple: (their points, row ids).
 
     A sum works for the tuple iff its box spans the tuple's interval in
     every two-sided dimension and sits inside the containment box (the full
     query, or just the piece when answering a piece standalone); coverage of
     a target then reduces to dominance in the remaining dimensions.  Family
     indices deeper than depth(u_i)+1 cannot span an interval of u_i's width,
-    so only those levels are scanned.
+    so only those levels are kept.
     """
-    cfg = struct.config
-    spans = []
-    zranges = []
-    for i, pair in enumerate(chosen_pairs):
-        tree = struct.trees[i]
-        spans.append(tree.interval(pair.u))
-        zranges.append(range(piece.vnodes[i].depth, min(cfg.h, pair.u.depth + 1) + 1))
-    rows_coords = []
-    rows_refs = []
-    for index in itertools.product(*zranges):
-        blk = struct.blocks.get((piece.orientation, index))
-        if blk is None:
-            continue
-        a0, b0 = spans[0]
-        # dim-0 point coordinate is the box end away from the anchor
-        if piece.orientation[0] == _R:
-            lo = np.searchsorted(blk.x0, b0, side="left")
-            hi = np.searchsorted(blk.x0, qhi[0], side="right")
-        else:
-            lo = np.searchsorted(blk.x0, qlo[0], side="left")
-            hi = np.searchsorted(blk.x0, a0, side="right")
-        if hi <= lo:
-            continue
-        sel = np.arange(lo, hi)
-        mask = blk.counts[sel] >= 1
-        for i in range(cfg.k):
-            ai, bi = spans[i]
-            mask &= (blk.box_lo[sel, i] <= ai) & (blk.box_hi[sel, i] >= bi)
-        mask &= np.all(blk.box_lo[sel] >= qlo, axis=1) & np.all(blk.box_hi[sel] <= qhi, axis=1)
-        sel = sel[mask]
-        if sel.size:
-            rows_coords.append(blk.coords[sel])
-            rows_refs.extend((blk, int(r)) for r in sel)
-    if not rows_coords:
-        return np.empty((0, cfg.d)), []
-    return np.concatenate(rows_coords), rows_refs
+    h = struct.config.h
+    ab = np.asarray([struct.trees[i].interval(pair.u) for i, pair in enumerate(chosen_pairs)])
+    depths = np.asarray([v.depth for v in piece.vnodes]), np.asarray([min(h, p.u.depth + 1) for p in chosen_pairs])
+    rows = struct.sums.inside(qlo, qhi, 1, orient=piece.orientation, depths=depths, spans=(ab[:, 0], ab[:, 1]))
+    return struct.sums.coords[rows], rows
 
 
 class _CoverState:
-    """Accumulates one query's cover: sum values, their boxes, leftovers."""
+    """Accumulates one query's cover: used sum rows, their values, leftovers."""
 
-    def __init__(self, qlo, qhi, audit):
+    def __init__(self, sums: _SumIndex, qlo, qhi, audit):
+        self.sums = sums
         self.qlo = np.asarray(qlo)
         self.qhi = np.asarray(qhi)
         self.audit = audit
         self.parts: list = []
-        self.used_lo: list = []
-        self.used_hi: list = []
+        self.used: list[int] = []
         self.leftover: list = []
 
-    def take(self, blk: _Block, r: int) -> None:
+    def take(self, r: int) -> None:
+        lo, hi = self.sums.box_lo[r], self.sums.box_hi[r]
         if self.audit is not None:
-            self.audit.append(Box(tuple(blk.box_lo[r]), tuple(blk.box_hi[r])))
-        if np.any(blk.box_lo[r] < self.qlo) or np.any(blk.box_hi[r] > self.qhi):
+            self.audit.append(Box(tuple(lo), tuple(hi)))
+        if np.any(lo < self.qlo) or np.any(hi > self.qhi):
             raise AssertionError("used sum escapes the query box")
-        self.parts.append(blk.values[r])
-        self.used_lo.append(blk.box_lo[r])
-        self.used_hi.append(blk.box_hi[r])
+        self.parts.append(self.sums.values[r])
+        self.used.append(r)
 
 
 def _process_piece(struct: IdsStructure, piece: AnchoredPiece, state: _CoverState) -> None:
@@ -448,116 +467,105 @@ def _process_piece(struct: IdsStructure, piece: AnchoredPiece, state: _CoverStat
     glabels = dim_labels[~singles]
     if not grouped.size:
         return
-    stride = max(len(p) for p in dim_pairs) + 1
-    keys = np.zeros(grouped.size, dtype=np.int64)
-    for i in range(k):
-        keys = keys * stride + glabels[:, i]
+    dims = tuple(len(p) for p in dim_pairs)
+    keys = np.ravel_multi_index(tuple(glabels.T), dims)  # lexicographic in the label tuple
     for key in np.unique(keys):
         rows = np.nonzero(keys == key)[0]
-        chosen = []
-        kk = int(key)
-        for i in range(k - 1, -1, -1):
-            chosen.append(dim_pairs[i][kk % stride])
-            kk //= stride
-        chosen.reverse()
-        cand_coords, refs = _gather_candidates(struct, piece, chosen, state.qlo, state.qhi)
+        chosen = [pairs[i] for pairs, i in zip(dim_pairs, np.unravel_index(key, dims))]
+        cand_coords, cand_rows = _gather_candidates(struct, piece, chosen, state.qlo, state.qhi)
         tproj = struct.points.coords[grouped[rows]][:, k:]
         m_idx, covered, used = dominance_cover(cand_coords[:, k:], tproj)
-        for mi, u in zip(m_idx, used):
-            if u:
-                state.take(*refs[mi])
+        for mi in m_idx[used]:
+            state.take(int(cand_rows[mi]))
         state.leftover.append(grouped[rows[~covered]])
+
+
+# containment cells evaluated at once while _greedy_cover prunes its rows
+_CHUNK_CELLS = 10**6
+
+
+def _pack_rows(mask: np.ndarray) -> np.ndarray:
+    """Boolean rows as rows of uint64 bit words, zero-padded to a word."""
+    pad = -mask.shape[1] % 64
+    return np.packbits(np.pad(mask, ((0, 0), (0, pad))), axis=1, bitorder="little").view(np.uint64)
+
+
+def _greedy_cover(pts: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray, chunk_cells: int = _CHUNK_CELLS):
+    """Greedy cover of ``pts`` by boxes: while some box holds two or more
+    uncovered points, take the first box holding the most.  Returns (picked
+    box rows in pick order, per-point uncovered mask).
+
+    Exact and incremental.  Containment is computed ``chunk_cells`` cells at
+    a time, and boxes holding fewer than two points are dropped: gains only
+    fall, so they are never picked.  The rest stay bit-packed, and a pick
+    subtracts from each gain just the popcount of the points it newly covers.
+    """
+    m = len(pts)
+    rows, bits, gains = [], [], []
+    step = max(1, chunk_cells // max(m, 1))
+    for s0 in range(0, len(box_lo), step):
+        inside = _inside_any(pts, box_lo[s0 : s0 + step], box_hi[s0 : s0 + step])
+        cnt = inside.sum(axis=1)
+        keep = np.nonzero(cnt >= 2)[0]
+        rows.append(s0 + keep)
+        bits.append(_pack_rows(inside[keep]))
+        gains.append(cnt[keep])
+    rows, bits, gains = np.concatenate(rows), np.concatenate(bits), np.concatenate(gains)
+    alive = _pack_rows(np.ones((1, m), dtype=bool))[0]
+    picks: list[int] = []
+    while gains.size:
+        best = int(np.argmax(gains))
+        if gains[best] < 2:
+            break
+        picks.append(int(rows[best]))
+        newly = bits[best] & alive
+        alive ^= newly
+        w = np.nonzero(newly)[0]
+        gains -= np.bitwise_count(bits[:, w] & newly[w]).sum(axis=1, dtype=np.int64)
+    uncovered = np.unpackbits(alive.view(np.uint8), count=m, bitorder="little").astype(bool)
+    return picks, uncovered
 
 
 def _compress(struct: IdsStructure, state: _CoverState) -> np.ndarray:
     """Resolve leftovers: reuse any stored sum inside the query that absorbs
-    two or more of them (greedy), then fall back to singletons.
+    two or more of them (``_greedy_cover``), then fall back to singletons.
 
-    Strictly reduces cost; exactness and containment are unaffected because
-    absorption is a full-coordinate box test against sums already known to
-    sit inside the query.
+    The pool is one flat-index lookup: sums with two or more members inside
+    the query that meet the leftovers' bounding box.  Strictly reduces cost;
+    exactness and containment are unaffected because absorption is a
+    full-coordinate box test against sums already known to sit inside the
+    query.
     """
-    if not state.leftover:
-        return np.empty(0, dtype=np.int64)
-    leftover_idx = np.concatenate(state.leftover)
-    if leftover_idx.size == 0:
-        return leftover_idx
-    if state.used_lo:
-        covered = _inside_any(
-            struct.points.coords[leftover_idx], np.asarray(state.used_lo), np.asarray(state.used_hi)
-        ).any(axis=0)
+    leftover_idx = np.concatenate([np.empty(0, dtype=np.int64), *state.leftover])
+    sums = struct.sums
+    if state.used:
+        used = np.asarray(state.used)
+        covered = _inside_any(struct.points.coords[leftover_idx], sums.box_lo[used], sums.box_hi[used]).any(axis=0)
         leftover_idx = leftover_idx[~covered]
     if leftover_idx.size < 2:
         return leftover_idx
     pts = struct.points.coords[leftover_idx]
-    lmin = pts.min(axis=0)
-    lmax = pts.max(axis=0)
-    refs: list = []
-    lo_rows: list = []
-    hi_rows: list = []
-    for blk in struct.blocks.values():
-        lo = np.searchsorted(blk.x0, state.qlo[0], side="left")
-        hi = np.searchsorted(blk.x0, state.qhi[0], side="right")
-        if hi <= lo:
-            continue
-        sel = np.arange(lo, hi)
-        ok = blk.counts[sel] >= 2
-        ok &= np.all(blk.box_lo[sel] >= state.qlo, axis=1) & np.all(blk.box_hi[sel] <= state.qhi, axis=1)
-        # must be able to reach some leftover point
-        ok &= np.all(blk.box_hi[sel] >= lmin, axis=1) & np.all(blk.box_lo[sel] <= lmax, axis=1)
-        sel = sel[ok]
-        if sel.size:
-            refs.extend((blk, int(r)) for r in sel)
-            lo_rows.append(blk.box_lo[sel])
-            hi_rows.append(blk.box_hi[sel])
-    if refs:
-        all_lo = np.concatenate(lo_rows)
-        all_hi = np.concatenate(hi_rows)
-        alive = np.ones(leftover_idx.size, dtype=bool)
-        if len(refs) * leftover_idx.size <= 2 * 10**7:
-            inside = _inside_any(pts, all_lo, all_hi)
-            while True:
-                gains = (inside & alive[None, :]).sum(axis=1)
-                best = int(np.argmax(gains))
-                if gains[best] < 2:
-                    break
-                state.take(*refs[best])
-                alive &= ~inside[best]
-        else:
-            # too many rows for one matrix: re-scan per pick in chunks
-            chunk = max(1, int(4 * 10**6 // max(1, leftover_idx.size)))
-            while True:
-                best, best_gain, best_cover = -1, 1, None
-                live_pts = pts[alive]
-                for s0 in range(0, len(refs), chunk):
-                    ins = _inside_any(live_pts, all_lo[s0 : s0 + chunk], all_hi[s0 : s0 + chunk])
-                    cnt = ins.sum(axis=1)
-                    t = int(np.argmax(cnt))
-                    if cnt[t] > best_gain:
-                        best, best_gain = s0 + t, int(cnt[t])
-                        cover = np.zeros(leftover_idx.size, dtype=bool)
-                        cover[alive] = ins[t]
-                        best_cover = cover
-                if best < 0:
-                    break
-                state.take(*refs[best])
-                alive &= ~best_cover
-        leftover_idx = leftover_idx[alive]
-    return leftover_idx
+    rows = sums.inside(state.qlo, state.qhi, 2, reach=(pts.min(axis=0), pts.max(axis=0)))
+    if rows.size == 0:
+        return leftover_idx
+    picks, uncovered = _greedy_cover(pts, sums.box_lo[rows], sums.box_hi[rows])
+    for p in picks:
+        state.take(int(rows[p]))
+    return leftover_idx[uncovered]
 
 
 def _finish(struct: IdsStructure, state: _CoverState) -> QueryAnswer:
     leftover_idx = _compress(struct, state)
     state.parts.extend(singleton_value(struct.sg, int(i), struct._w) for i in leftover_idx)
     value = fold_values(state.parts, struct.sg) if state.parts else None
-    return QueryAnswer(value, sums_used=len(state.used_lo), singletons_used=int(leftover_idx.size))
+    return QueryAnswer(value, sums_used=len(state.used), singletons_used=int(leftover_idx.size))
 
 
 def answer_anchored(struct: IdsStructure, piece: AnchoredPiece, audit: list | None = None) -> QueryAnswer:
     """Standalone piece answer: covers exactly the piece's points, so the
     containment box is the piece itself (inside query() the shared pass uses
     the whole query box instead, letting sums straddle the split)."""
-    state = _CoverState(piece.lo, piece.hi, audit)
+    state = _CoverState(struct.sums, piece.lo, piece.hi, audit)
     _process_piece(struct, piece, state)
     return _finish(struct, state)
 
@@ -565,8 +573,6 @@ def answer_anchored(struct: IdsStructure, piece: AnchoredPiece, audit: list | No
 def _singleton_only_answer(struct: IdsStructure, q: Box) -> QueryAnswer:
     lo = [max(l, 0.0) if i < struct.config.k else l for i, l in enumerate(q.lo)]
     hi = [min(h, 1.0) for h in q.hi]
-    if any(l > h for l, h in zip(lo, hi)):
-        return QueryAnswer(None, 0, 0)
     idx = struct.grid.points_in_box(lo, hi)
     if idx.size == 0:
         return QueryAnswer(None, 0, 0)
@@ -580,20 +586,9 @@ def usable_sums(struct: IdsStructure, q: Box, min_members: int = 2):
     The exact-cover oracle takes these as its available sums; sums covering
     fewer than ``min_members`` points never beat singletons.
     """
-    qlo = np.asarray(q.lo)
-    qhi = np.asarray(q.hi)
-    out = []
-    for blk in struct.blocks.values():
-        lo = np.searchsorted(blk.x0, qlo[0], side="left")
-        hi = np.searchsorted(blk.x0, qhi[0], side="right")
-        if hi <= lo:
-            continue
-        sel = np.arange(lo, hi)
-        ok = blk.counts[sel] >= min_members
-        ok &= np.all(blk.box_lo[sel] >= qlo, axis=1) & np.all(blk.box_hi[sel] <= qhi, axis=1)
-        for r in sel[ok]:
-            out.append((blk.values[r], Box(tuple(blk.box_lo[r]), tuple(blk.box_hi[r])), int(blk.counts[r])))
-    return out
+    sums = struct.sums
+    rows = sums.inside(np.asarray(q.lo), np.asarray(q.hi), min_members)
+    return [(sums.values[r], Box(tuple(sums.box_lo[r]), tuple(sums.box_hi[r])), int(sums.counts[r])) for r in rows]
 
 
 def query(struct: IdsStructure, q: Box, return_audit: bool = False):
@@ -604,7 +599,7 @@ def query(struct: IdsStructure, q: Box, return_audit: bool = False):
     if singleton_only:
         ans = _singleton_only_answer(struct, q)
         return (ans, audit) if return_audit else ans
-    state = _CoverState(pieces[0].query_lo, pieces[0].query_hi, audit)
+    state = _CoverState(struct.sums, pieces[0].query_lo, pieces[0].query_hi, audit)
     for piece in pieces:
         _process_piece(struct, piece, state)
     ans = _finish(struct, state)

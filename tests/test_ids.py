@@ -248,3 +248,145 @@ def test_usable_sums_helper():
         assert count >= 2 and count == len(ids)
         assert all(bl >= ql for bl, ql in zip(box.lo, q.lo))
         assert all(bh <= qh for bh, qh in zip(box.hi, q.hi))
+
+
+def _uniform_queries(rng, d, k, count):
+    out = []
+    for _ in range(count):
+        lo, hi = [], []
+        for _ in range(k):
+            a, b = sorted(rng.random(2).tolist())
+            lo.append(a)
+            hi.append(b)
+        for _ in range(d - k):
+            lo.append(NEG_INF)
+            hi.append(float(rng.random()))
+        out.append(Box(tuple(lo), tuple(hi)))
+    return out
+
+
+def test_nan_and_infinite_bounds():
+    pts = ir.uniform_random(64, 2, seed=1)
+    s = ir.build_ids(pts, 1, ir.ID_SET)
+    nan, inf = float("nan"), float("inf")
+    for q in (
+        Box((nan, NEG_INF), (0.5, 0.5)),
+        Box((0.1, NEG_INF), (nan, 0.5)),
+        Box((0.1, NEG_INF), (0.5, nan)),
+        Box((0.1, nan), (0.5, 0.5)),
+        Box((-inf, NEG_INF), (0.5, 0.5)),  # two-sided dim without a lower bound
+    ):
+        with pytest.raises(ir.MalformedQuery):
+            ir.query(s, q)
+    for q in (
+        Box((0.2, NEG_INF), (inf, inf)),
+        Box((inf, NEG_INF), (inf, 0.5)),
+        Box((0.2, NEG_INF), (0.8, -inf)),
+        Box((0.2, NEG_INF), (0.2000001, -inf)),  # singleton-only path
+    ):
+        ans = ir.query(s, q)
+        got = ans.value if ans.value is not None else np.empty(0, np.int64)
+        assert np.array_equal(got, ir.scan_ids(pts, q))
+
+
+def _greedy_reference(pts, lo, hi):
+    """Dense greedy: recount every box's uncovered points at every pick."""
+    inside = np.all((pts[None, :, :] >= lo[:, None, :]) & (pts[None, :, :] <= hi[:, None, :]), axis=2)
+    alive = np.ones(len(pts), dtype=bool)
+    picks, ties = [], 0
+    while len(lo):
+        gains = (inside & alive[None, :]).sum(axis=1)
+        best = int(np.argmax(gains))
+        if gains[best] < 2:
+            break
+        ties += int(np.sum(gains == gains[best])) - 1
+        picks.append(best)
+        alive &= ~inside[best]
+    return picks, alive, ties
+
+
+@pytest.mark.parametrize("m", [2, 5, 63, 64, 65, 129, 200])
+@pytest.mark.parametrize("d", [2, 3])
+def test_greedy_cover_matches_dense_reference(m, d):
+    rng = np.random.default_rng(1000 * d + m)
+    grid = 8  # coarse lattice: repeated boxes and points give tied gains
+    pts = rng.integers(0, grid, (m, d)) / grid
+    rows = 150
+    lo = rng.integers(0, grid, (rows, d)) / grid
+    hi = lo + rng.integers(0, 2, (rows, d)) / grid
+    lo[rng.random(rows) < 0.05, d - 1] = NEG_INF
+    lo = np.concatenate([lo, lo[:20]])  # exact duplicates tie by construction
+    hi = np.concatenate([hi, hi[:20]])
+    want_picks, want_alive, ties = _greedy_reference(pts, lo, hi)
+    if m >= 63:
+        assert len(want_picks) >= 5 and ties > 0
+    for chunk_cells in (I._CHUNK_CELLS, 7 * m, 1):  # one chunk, 7-row chunks, 1-row chunks
+        picks, alive = I._greedy_cover(pts, lo, hi, chunk_cells=chunk_cells)
+        assert picks == want_picks
+        assert np.array_equal(alive, want_alive)
+
+
+def test_sum_index_matches_block_scan():
+    pts = ir.uniform_random(256, 3, seed=22)
+    s = ir.build_ids(pts, 2, ir.ID_SET)
+    sums = s.sums
+    rng = np.random.default_rng(23)
+    for q in _uniform_queries(rng, 3, 2, 30):
+        qlo, qhi = np.asarray(q.lo), np.asarray(q.hi)
+        want, start = [], 0
+        for (orient, index), blk in s.blocks.items():
+            ok = (blk.counts >= 2) & np.all(blk.box_lo >= qlo, axis=1) & np.all(blk.box_hi <= qhi, axis=1)
+            want.extend(start + np.nonzero(ok)[0])
+            start += len(blk)
+        assert sums.inside(qlo, qhi, 2).tolist() == want
+        orient = ("R", "L")
+        depths = (np.array([2, 1]), np.array([4, 3]))
+        a, b = np.array([0.3, 0.5]), np.array([0.35, 0.55])
+        rows = sums.inside(qlo, qhi, 1, orient=orient, depths=depths, spans=(a, b))
+        keep = [
+            r
+            for (o, _), blk_start, blk_stop in sums.block_ranges
+            for r in range(blk_start, blk_stop)
+            if o == orient
+            and sums.counts[r] >= 1
+            and np.all((sums.depth[r] >= depths[0]) & (sums.depth[r] <= depths[1]))
+            and np.all(sums.box_lo[r] >= qlo) and np.all(sums.box_hi[r] <= qhi)
+            and np.all(sums.box_lo[r, :2] <= a) and np.all(sums.box_hi[r, :2] >= b)
+        ]
+        assert rows.tolist() == keep
+
+
+# Per-query (sums_used, singletons_used) of the first 40 uniform queries;
+# lookup changes must leave every one of them unchanged.
+PINNED_COSTS = {
+    (2, 1): [
+        (18, 17), (1, 7), (4, 13), (10, 9), (8, 20), (5, 9), (15, 14), (6, 3), (12, 16), (11, 13),
+        (4, 15), (14, 5), (5, 10), (7, 17), (10, 8), (13, 13), (6, 3), (11, 24), (6, 18), (5, 12),
+        (10, 7), (5, 13), (11, 20), (7, 22), (8, 9), (4, 9), (10, 10), (12, 20), (8, 16), (11, 25),
+        (5, 10), (10, 8), (8, 13), (5, 11), (0, 4), (5, 15), (9, 19), (10, 17), (14, 16), (10, 19),
+    ],
+    (3, 2): [
+        (0, 3), (0, 0), (0, 9), (0, 3), (7, 26), (0, 12), (4, 49), (1, 15), (1, 30), (1, 41),
+        (3, 50), (2, 21), (1, 6), (0, 0), (7, 27), (1, 11), (0, 7), (7, 43), (0, 26), (0, 2),
+        (1, 26), (0, 2), (0, 7), (0, 3), (1, 20), (0, 3), (0, 4), (13, 67), (0, 3), (1, 13),
+        (0, 0), (10, 45), (0, 0), (4, 43), (5, 25), (0, 2), (1, 19), (0, 0), (0, 9), (2, 17),
+    ],
+}
+
+
+@pytest.mark.parametrize("d,k,n,seed", [(2, 1, 1024, 31), (3, 2, 512, 32)])
+def test_query_costs_pinned(d, k, n, seed):
+    pts = ir.uniform_random(n, d, seed=seed)
+    s = ir.build_ids(pts, k, ir.ID_SET)
+    rng = np.random.default_rng(seed)
+    costs = []
+    for q in _uniform_queries(rng, d, k, 40):
+        ans, audit = ir.query(s, q, return_audit=True)
+        got = ans.value if ans.value is not None else np.empty(0, np.int64)
+        assert np.array_equal(got, ir.scan_ids(pts, q))
+        assert len(audit) == ans.sums_used
+        for bx in audit:
+            assert all(bl >= ql for bl, ql in zip(bx.lo, q.lo))
+            assert all(bh <= qh for bh, qh in zip(bx.hi, q.hi))
+        costs.append((ans.sums_used, ans.singletons_used))
+    assert costs == PINNED_COSTS[(d, k)]
