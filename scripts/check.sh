@@ -6,6 +6,10 @@
 # The smoke test (perfbench/test_smoke.py) lies outside the default pytest
 # testpaths.  It fails when a name the benchmark's tracer wraps in
 # idemrange.idsstruct is no longer called, so run it after any change there.
+#
+# Not run here, as it takes minutes: scripts/bench_pairs.py, which runs the
+# benchmark alternately on a base revision and the working tree and prints
+# each side's quartiles and the working tree's win count per metric.
 set -e
 cd "$(dirname "$0")/.."
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors

@@ -23,7 +23,12 @@ def scan_ids(points: WeightedPointSet, box: Box) -> np.ndarray:
 
 
 def scan_value(points: WeightedPointSet, box: Box, sg: Semigroup, weights=None):
-    """Exact semigroup value inside the box; None when empty."""
+    """Exact semigroup value inside the box; None when empty.
+
+    Folds one ``singleton_value`` per point on purpose: the structures pass
+    index arrays to ``singleton_value`` instead, and the oracle should not
+    share that path.
+    """
     w = canonical_weights(sg, points, weights)
     idx = np.nonzero(scan_mask(points.coords, box))[0]
     if idx.size == 0:

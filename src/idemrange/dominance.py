@@ -129,6 +129,7 @@ def dominance_query(ds: DominanceStructure, q) -> QueryAnswer:
     used_global = live[m_idx]
     parts = [ds.values[i] for i in used_global]
     residual = target_idx[~covered]
-    parts.extend(singleton_value(ds.sg, int(i), ds._w) for i in residual)
+    if residual.size:
+        parts.append(singleton_value(ds.sg, residual, ds._w))
     value = fold_values(parts, ds.sg)
     return QueryAnswer(value, sums_used=int(len(used_global)), singletons_used=int(residual.size))

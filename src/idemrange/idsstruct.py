@@ -16,6 +16,17 @@ for the sums that absorb leftovers, and for the exact-cover oracle: one
 ``searchsorted`` on dim 0, a vectorized mask, and row ids in block order,
 so ties break as a per-block scan would break them.
 
+The query tail works on arrays.  Leftovers that a used sum covers are
+dropped, and a greedy reuses stored sums that absorb two or more of the
+rest; both test containment through ``_pairs_inside``, which sorts the
+leftovers by dim 0 and expands only the (box, leftover) pairs inside each
+box's dim-0 window.  The final leftovers enter the fold as one batched
+``singleton_value`` (the cost still counts each of them).
+
+Query bounds may reach outside the unit cube the trees span: the split is
+found on clipped bounds, the pieces keep the raw ones, and points beyond
+the trees fall in a leaf tail and are answered as singletons.
+
 Every candidate passes an explicit box-within-query filter before use.  The
 construction almost guarantees containment, but a candidate whose tree node
 is leftmost inside the piece's subtree can anchor one slab too far left;
@@ -330,13 +341,15 @@ def decompose_query(struct: IdsStructure, q: Box):
 
     Returns (pieces, singleton_only).  When some two-sided interval contains
     no node midpoint the whole query falls back to singleton enumeration.
+    The split is searched on the bounds clipped to the trees' [0, 1]; the
+    pieces keep the raw bounds, so points outside the unit cube stay in.
     """
     _validate_query(struct, q)
     cfg = struct.config
-    lo_eff = [max(l, 0.0) if i < cfg.k else l for i, l in enumerate(q.lo)]
+    lo_eff = [max(l, 0.0) for l in q.lo[: cfg.k]]
     hi_eff = [min(h, 1.0) for h in q.hi]
     if any(lo_eff[i] > hi_eff[i] for i in range(cfg.k)) or any(h < 0.0 for h in hi_eff):
-        return [], True  # empty effective range: singleton path finds nothing
+        return [], True  # no midpoint inside: the singleton path answers
     splits: list[tuple[Node, float]] = []
     for i in range(cfg.k):
         tree = struct.trees[i]
@@ -353,7 +366,7 @@ def decompose_query(struct: IdsStructure, q: Box):
         splits.append((found, tree.m(found)))
     pieces = []
     for orient in itertools.product((_L, _R), repeat=cfg.k):
-        plo, phi, vprime, vnodes = list(lo_eff), list(hi_eff), [], []
+        plo, phi, vprime, vnodes = list(q.lo), list(q.hi), [], []
         for i, side in enumerate(orient):
             vp, mid = splits[i]
             vprime.append(vp)
@@ -370,19 +383,11 @@ def decompose_query(struct: IdsStructure, q: Box):
                 hi=tuple(phi),
                 vprime=tuple(vprime),
                 vnodes=tuple(vnodes),
-                query_lo=tuple(lo_eff),
-                query_hi=tuple(hi_eff),
+                query_lo=tuple(q.lo),
+                query_hi=tuple(q.hi),
             )
         )
     return pieces, False
-
-
-def _inside_any(pts: np.ndarray, lo_arr: np.ndarray, hi_arr: np.ndarray) -> np.ndarray:
-    """(boxes, points) closed-containment matrix."""
-    inside = np.ones((len(lo_arr), len(pts)), dtype=bool)
-    for j in range(pts.shape[1]):
-        inside &= (pts[:, j] >= lo_arr[:, j, None]) & (pts[:, j] <= hi_arr[:, j, None])
-    return inside
 
 
 def _piece_segments(struct: IdsStructure, piece: AnchoredPiece, i: int):
@@ -392,15 +397,16 @@ def _piece_segments(struct: IdsStructure, piece: AnchoredPiece, i: int):
     index, the leaf tail labelled -1; labels align with seg_lo bins.
     """
     tree = struct.trees[i]
+    # a corner beyond the tree lands in its edge leaf: points past [0, 1] are leaf-tail singletons
     if piece.orientation[i] == _R:
         corner = piece.hi[i]
-        leaf = tree.locate_leaf(corner)
+        leaf = tree.locate_leaf(min(corner, 1.0))
         pairs = balanced_prefix_cover(tree, leaf, root=piece.vnodes[i])
         seg_lo = [tree.a(p.u) for p in pairs] + [tree.a(leaf)]
         labels = list(range(len(pairs))) + [-1]
     else:
         corner = piece.lo[i]
-        leaf = tree.locate_leaf(corner)
+        leaf = tree.locate_leaf(max(corner, 0.0))
         pairs = suffix_cover(tree, leaf, root=piece.vnodes[i])
         # ascending order: tail first, then covers from deepest up
         seg_lo = [corner] + [tree.a(p.u) for p in reversed(pairs)]
@@ -480,8 +486,41 @@ def _process_piece(struct: IdsStructure, piece: AnchoredPiece, state: _CoverStat
         state.leftover.append(grouped[rows[~covered]])
 
 
-# containment cells evaluated at once while _greedy_cover prunes its rows
-_CHUNK_CELLS = 10**6
+# (box, point) pairs expanded at once while testing containment
+_CHUNK_CELLS = 1 << 16
+
+
+def _pairs_inside(pts: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray, min_count: int, chunk_cells: int):
+    """Closed containment of ``pts`` in the boxes, windowed on dim 0.
+
+    The points are sorted by dim 0 and each box's window of that order is
+    found by two ``searchsorted`` calls; only the (box, point) pairs inside
+    a window are expanded and tested on the other dimensions.  Boxes whose
+    window holds fewer than ``min_count`` points are skipped.  Yields, in
+    box order, chunks of about ``chunk_cells`` pairs and at least one box:
+    (box rows, per-pair index into them, per-pair point index), for the
+    pairs with the point inside the box.
+    """
+    order = np.argsort(pts[:, 0], kind="stable")
+    cols = pts[order].T.copy()  # sorted points, one contiguous row per dimension
+    start = np.searchsorted(cols[0], box_lo[:, 0])
+    width = np.searchsorted(cols[0], box_hi[:, 0], side="right") - start  # lo <= hi: never negative
+    boxes = np.nonzero(width >= min_count)[0]
+    ends = np.cumsum(width[boxes])
+    s0 = 0
+    while s0 < boxes.size:
+        done = ends[s0] - width[boxes[s0]]  # pairs in earlier chunks
+        s1 = max(s0 + 1, int(np.searchsorted(ends, done + chunk_cells, side="right")))
+        rows = boxes[s0:s1]
+        wid = width[rows]
+        pos = np.repeat(start[rows] + wid - np.cumsum(wid), wid) + np.arange(wid.sum())
+        lo, hi = box_lo[rows].T, box_hi[rows].T
+        ok = np.ones(pos.size, dtype=bool)
+        for j in range(1, len(cols)):
+            c = cols[j][pos]
+            ok &= (c >= np.repeat(lo[j], wid)) & (c <= np.repeat(hi[j], wid))
+        yield rows, np.repeat(np.arange(rows.size), wid)[ok], order[pos[ok]]
+        s0 = s1
 
 
 def _pack_rows(mask: np.ndarray) -> np.ndarray:
@@ -495,21 +534,27 @@ def _greedy_cover(pts: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray, chunk
     uncovered points, take the first box holding the most.  Returns (picked
     box rows in pick order, per-point uncovered mask).
 
-    Exact and incremental.  Containment is computed ``chunk_cells`` cells at
-    a time, and boxes holding fewer than two points are dropped: gains only
-    fall, so they are never picked.  The rest stay bit-packed, and a pick
-    subtracts from each gain just the popcount of the points it newly covers.
+    Exact and incremental.  Containment comes from ``_pairs_inside``, about
+    ``chunk_cells`` (box, point) pairs at a time, counted per box; boxes
+    holding fewer than two points are dropped: gains only fall, so they are
+    never picked.  Only the rest get a bit row, packed in uint64 words, and
+    a pick subtracts from each gain just the popcount of the points it
+    newly covers.
     """
     m = len(pts)
     rows, bits, gains = [], [], []
-    step = max(1, chunk_cells // max(m, 1))
-    for s0 in range(0, len(box_lo), step):
-        inside = _inside_any(pts, box_lo[s0 : s0 + step], box_hi[s0 : s0 + step])
-        cnt = inside.sum(axis=1)
-        keep = np.nonzero(cnt >= 2)[0]
-        rows.append(s0 + keep)
-        bits.append(_pack_rows(inside[keep]))
+    for boxes, local, pt in _pairs_inside(pts, box_lo, box_hi, 2, chunk_cells):
+        cnt = np.bincount(local, minlength=boxes.size)
+        keep = cnt >= 2
+        rank = np.cumsum(keep) - 1
+        sel = keep[local]
+        inside = np.zeros((rank[-1] + 1, m), dtype=bool)
+        inside[rank[local[sel]], pt[sel]] = True
+        rows.append(boxes[keep])
+        bits.append(_pack_rows(inside))
         gains.append(cnt[keep])
+    if not rows:
+        return [], np.ones(m, dtype=bool)
     rows, bits, gains = np.concatenate(rows), np.concatenate(bits), np.concatenate(gains)
     alive = _pack_rows(np.ones((1, m), dtype=bool))[0]
     picks: list[int] = []
@@ -527,24 +572,27 @@ def _greedy_cover(pts: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray, chunk
 
 
 def _compress(struct: IdsStructure, state: _CoverState) -> np.ndarray:
-    """Resolve leftovers: reuse any stored sum inside the query that absorbs
-    two or more of them (``_greedy_cover``), then fall back to singletons.
+    """Resolve leftovers: drop those a used sum already covers, reuse any
+    stored sum inside the query that absorbs two or more of the rest
+    (``_greedy_cover``), then fall back to singletons.
 
-    The pool is one flat-index lookup: sums with two or more members inside
-    the query that meet the leftovers' bounding box.  Strictly reduces cost;
-    exactness and containment are unaffected because absorption is a
-    full-coordinate box test against sums already known to sit inside the
-    query.
+    Both steps test containment through ``_pairs_inside``.  The pool is one
+    flat-index lookup: sums with two or more members inside the query that
+    meet the leftovers' bounding box.  Strictly reduces cost; exactness and
+    containment are unaffected because absorption is a full-coordinate box
+    test against sums already known to sit inside the query.
     """
     leftover_idx = np.concatenate([np.empty(0, dtype=np.int64), *state.leftover])
+    pts = struct.points.coords[leftover_idx]
     sums = struct.sums
     if state.used:
         used = np.asarray(state.used)
-        covered = _inside_any(struct.points.coords[leftover_idx], sums.box_lo[used], sums.box_hi[used]).any(axis=0)
-        leftover_idx = leftover_idx[~covered]
+        covered = np.zeros(leftover_idx.size, dtype=bool)
+        for _, _, pt in _pairs_inside(pts, sums.box_lo[used], sums.box_hi[used], 1, _CHUNK_CELLS):
+            covered[pt] = True
+        leftover_idx, pts = leftover_idx[~covered], pts[~covered]
     if leftover_idx.size < 2:
         return leftover_idx
-    pts = struct.points.coords[leftover_idx]
     rows = sums.inside(state.qlo, state.qhi, 2, reach=(pts.min(axis=0), pts.max(axis=0)))
     if rows.size == 0:
         return leftover_idx
@@ -556,7 +604,8 @@ def _compress(struct: IdsStructure, state: _CoverState) -> np.ndarray:
 
 def _finish(struct: IdsStructure, state: _CoverState) -> QueryAnswer:
     leftover_idx = _compress(struct, state)
-    state.parts.extend(singleton_value(struct.sg, int(i), struct._w) for i in leftover_idx)
+    if leftover_idx.size:
+        state.parts.append(singleton_value(struct.sg, leftover_idx, struct._w))
     value = fold_values(state.parts, struct.sg) if state.parts else None
     return QueryAnswer(value, sums_used=len(state.used), singletons_used=int(leftover_idx.size))
 
@@ -571,13 +620,8 @@ def answer_anchored(struct: IdsStructure, piece: AnchoredPiece, audit: list | No
 
 
 def _singleton_only_answer(struct: IdsStructure, q: Box) -> QueryAnswer:
-    lo = [max(l, 0.0) if i < struct.config.k else l for i, l in enumerate(q.lo)]
-    hi = [min(h, 1.0) for h in q.hi]
-    idx = struct.grid.points_in_box(lo, hi)
-    if idx.size == 0:
-        return QueryAnswer(None, 0, 0)
-    value = fold_values([singleton_value(struct.sg, int(i), struct._w) for i in idx], struct.sg)
-    return QueryAnswer(value, sums_used=0, singletons_used=int(idx.size))
+    idx = struct.grid.points_in_box(q.lo, q.hi)
+    return QueryAnswer(singleton_value(struct.sg, idx, struct._w), sums_used=0, singletons_used=int(idx.size))
 
 
 def usable_sums(struct: IdsStructure, q: Box, min_members: int = 2):

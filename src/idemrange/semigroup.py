@@ -92,15 +92,29 @@ def combine_all(values: Iterable[Any], sg: Semigroup) -> Any:
     return acc
 
 
+def _sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D int64 array by sort and neighbour inequality.
+
+    numpy 2.x's ``np.unique`` takes a hash path for integers, several times
+    slower than this at the sizes queries fold.
+    """
+    ids = np.sort(ids)
+    keep = np.empty(ids.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
+
+
 def fold_values(values: Iterable[Any], sg: Semigroup) -> Any:
     """Same result as combine_all (associativity + commutativity), faster.
 
-    Id-set folds concatenate once instead of pairwise unions; structures on
-    hot paths call this, tests pin it against combine_all.
+    Id-set folds concatenate once and deduplicate by one sort instead of
+    pairwise unions; structures on hot paths call this, tests pin it
+    against combine_all.
     """
     values = list(values)
     if sg.name == "idset" and values:
-        return np.unique(
+        return _sorted_unique(
             np.concatenate([np.atleast_1d(np.asarray(sorted(v) if isinstance(v, (set, frozenset)) else v, dtype=np.int64)) for v in values])
         )
     if sg.name == "max" and values:
@@ -129,7 +143,21 @@ def stored_value(sg: Semigroup, members: np.ndarray, w: np.ndarray):
     return float(w[members].max())
 
 
-def singleton_value(sg: Semigroup, idx: int, w: np.ndarray):
+_ndarray = np.ndarray
+
+
+def singleton_value(sg: Semigroup, idx, w: np.ndarray):
+    """Value of the singleton at index ``idx``.
+
+    Given a 1-D index array instead, one value: the semigroup sum of those
+    singletons, as ``stored_value`` builds a stored sum (an id-set also
+    drops repeated indices), or None when the array is empty.  The cost
+    model still counts one singleton per index.
+    """
+    if isinstance(idx, _ndarray):  # a global, not np.ndim: the oracle calls this once per point
+        if sg.name == "idset" and idx.size:
+            return _sorted_unique(w[idx].astype(np.int64))
+        return stored_value(sg, idx, w)
     if sg.name == "idset":
         return np.asarray([w[idx]], dtype=np.int64)
     if sg.name == "or":

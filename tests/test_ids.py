@@ -390,3 +390,116 @@ def test_query_costs_pinned(d, k, n, seed):
             assert all(bh <= qh for bh, qh in zip(bx.hi, q.hi))
         costs.append((ans.sums_used, ans.singletons_used))
     assert costs == PINNED_COSTS[(d, k)]
+
+
+def _greedy_case(name):
+    """Hand-built (pts, box_lo, box_hi) for the dim-0 window edge cases."""
+    pts = np.array([[0.1, 0.1], [0.3, 0.5], [0.3, 0.2], [0.3, 0.9], [0.6, 0.4], [0.8, 0.8]])
+    boxes = {
+        # dim-0 window empty (left of, between and right of the points), then one holding one point
+        "empty-and-single": [((0.0, 0.0), (0.05, 1.0)), ((0.4, 0.0), (0.5, 1.0)), ((0.9, 0.0), (1.0, 1.0)),
+                             ((0.55, 0.0), (0.65, 1.0)), ((0.0, 0.0), (1.0, 1.0))],
+        # leftovers tied on x0: windows of several points, only some inside on dim 1
+        "tied-x0": [((0.3, 0.0), (0.3, 0.3)), ((0.3, 0.15), (0.3, 0.95)), ((0.25, 0.4), (0.35, 1.0)),
+                    ((0.3, 0.2), (0.3, 0.5)), ((0.0, 0.0), (0.3, 0.5))],
+        # -inf lo on dim 0: the window starts at the first point
+        "neg-inf-x0": [((NEG_INF, 0.0), (0.3, 0.5)), ((NEG_INF, NEG_INF), (0.1, 1.0)), ((NEG_INF, 0.3), (0.8, 0.8)),
+                       ((NEG_INF, NEG_INF), (1.0, 1.0))],
+        # every window holds at most one point inside the box: nothing is picked
+        "no-pair": [((0.1, 0.0), (0.3, 0.15)), ((0.3, 0.6), (0.8, 0.85)), ((0.0, 0.95), (1.0, 1.0)),
+                    ((0.55, 0.3), (0.6, 0.45))],
+    }[name]
+    lo, hi = (np.array(side, dtype=np.float64) for side in zip(*boxes))
+    return pts, lo, hi
+
+
+@pytest.mark.parametrize("name", ["empty-and-single", "tied-x0", "neg-inf-x0", "no-pair"])
+def test_greedy_cover_window_edges(name):
+    pts, lo, hi = _greedy_case(name)
+    want_picks, want_alive, _ = _greedy_reference(pts, lo, hi)
+    for chunk_cells in (I._CHUNK_CELLS, 3, 1):
+        picks, alive = I._greedy_cover(pts, lo, hi, chunk_cells=chunk_cells)
+        assert picks == want_picks
+        assert np.array_equal(alive, want_alive)
+    if name == "no-pair":
+        assert picks == [] and alive.all()
+    else:
+        assert picks
+
+
+@pytest.mark.parametrize("chunk_cells", [I._CHUNK_CELLS, 5, 1])
+def test_pairs_inside_matches_dense_containment(chunk_cells):
+    rng = np.random.default_rng(41)
+    grid = 6  # coarse lattice: ties on x0 and boxes with empty dim-0 windows
+    pts = rng.integers(0, grid, (40, 3)) / grid
+    lo = rng.integers(-1, grid, (60, 3)) / grid
+    hi = lo + rng.integers(0, 3, (60, 3)) / grid
+    lo[::7, 0] = NEG_INF
+    dense = np.all((pts[None, :, :] >= lo[:, None, :]) & (pts[None, :, :] <= hi[:, None, :]), axis=2)
+    for min_count in (1, 2):
+        got = np.zeros_like(dense)
+        seen = []
+        for boxes, local, pt in I._pairs_inside(pts, lo, hi, min_count, chunk_cells):
+            got[boxes[local], pt] = True
+            seen.extend(boxes.tolist())
+        assert seen == sorted(seen)  # chunks come in box order
+        # containment within a box's window: a skipped box holds fewer than min_count points anyway
+        full = dense.sum(axis=1) >= min_count
+        assert np.array_equal(got[full], dense[full])
+        assert not (got & ~dense).any()
+
+
+def _off_cube_points(rng, n, d, h):
+    """n points, 20 outside the unit cube, with tied coordinates and points
+    on dyadic boundaries (multiples of 2^-h, 0 and 1 included)."""
+    coords = rng.random((n, d))
+    coords[:20] = rng.uniform(-1.0, 2.0, (20, d))
+    coords[np.arange(20), rng.integers(0, d, 20)] = rng.choice([-0.6, 1.6], 20) + rng.uniform(-0.4, 0.4, 20)
+    for j in range(d):
+        coords[20:60, j] = rng.choice(coords[60:65, j], 40)
+    coords[100:140] = rng.integers(0, (1 << h) + 1, (40, d)) / (1 << h)
+    return ir.WeightedPointSet(coords, rng.permutation(n), np.ones(n))
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2)])
+def test_off_cube_points_match_scan(d, k):
+    rng = np.random.default_rng(100 * d + k)
+    pts = _off_cube_points(rng, 256, d, 8)
+    s = ir.build_ids(pts, k, ir.ID_SET)
+    for _ in range(80):
+        two_sided = np.sort(rng.uniform(-1.0, 2.0, (k, 2)), axis=1)
+        one_sided = rng.uniform(-1.0, 2.0, d - k)
+        snap = pts.coords[rng.integers(0, 256, d), np.arange(d)]
+        for j in np.nonzero(rng.random(d) < 0.3)[0]:  # bounds exactly on point coordinates
+            if j < k:
+                two_sided[j, rng.integers(0, 2)] = snap[j]
+                two_sided[j].sort()
+            else:
+                one_sided[j - k] = snap[j]
+        lo = two_sided[:, 0].tolist() + [NEG_INF] * (d - k)
+        hi = two_sided[:, 1].tolist() + one_sided.tolist()
+        q = Box(tuple(lo), tuple(hi))
+        ans, audit = ir.query(s, q, return_audit=True)
+        got = ans.value if ans.value is not None else np.empty(0, np.int64)
+        assert np.array_equal(got, ir.scan_ids(pts, q))
+        assert len(audit) == ans.sums_used
+        for bx in audit:
+            assert all(bl >= ql for bl, ql in zip(bx.lo, q.lo))
+            assert all(bh <= qh for bh, qh in zip(bx.hi, q.hi))
+
+
+def test_points_outside_unit_cube_are_answered():
+    pts = ir.uniform_random(64, 2, seed=5)
+    coords = pts.coords.copy()
+    coords[:3] = [(1.5, 0.5), (0.5, 1.7), (-0.2, 0.3)]
+    pts = ir.WeightedPointSet(coords, pts.ids, pts.weights)
+    s = ir.build_ids(pts, 1, ir.ID_SET)
+    for q in (
+        Box((0.2, NEG_INF), (2.0, 0.9)),
+        Box((0.2, NEG_INF), (0.8, 2.0)),
+        Box((-0.5, NEG_INF), (0.6, 0.9)),
+        Box((1.2, NEG_INF), (1.8, 1.0)),  # no midpoint inside: singleton path
+    ):
+        ans = ir.query(s, q)
+        want = ir.scan_ids(pts, q)
+        assert want.size and np.array_equal(ans.value, want)

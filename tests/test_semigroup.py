@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import idemrange as ir
-from idemrange.semigroup import fold_values
+from idemrange.semigroup import fold_values, singleton_value, stored_value
 
 
 def _random_values(sg, rng, count):
@@ -61,3 +61,49 @@ def test_idset_fold_is_union(sets):
 def test_semigroup_by_name_unknown():
     with pytest.raises(KeyError):
         ir.semigroup_by_name("sum")
+
+
+def _weights(sg, rng, n):
+    if sg.name == "max":
+        return rng.standard_normal(n)
+    if sg.name == "or":
+        return rng.integers(0, 2**63, n, dtype=np.uint64)
+    return rng.permutation(n).astype(np.int64) - n // 2  # ids, negatives included
+
+
+@pytest.mark.parametrize("name", ["max", "or", "idset"])
+def test_singleton_value_on_index_array_is_fold_of_singletons(name):
+    sg = ir.semigroup_by_name(name)
+    rng = np.random.default_rng(5)
+    w = _weights(sg, rng, 60)
+    for _ in range(100):
+        idx = rng.integers(0, 60, int(rng.integers(1, 40)))  # unsorted, with repeats
+        got = singleton_value(sg, idx, w)
+        want = fold_values([singleton_value(sg, int(i), w) for i in idx], sg)
+        assert sg.equal(got, want)
+        assert type(got) is type(want)
+        if name == "idset":
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+    # the empty sum is absent, as for an empty stored sum
+    assert singleton_value(sg, np.empty(0, dtype=np.int64), w) is None
+    assert singleton_value(sg, np.empty(0, dtype=np.int64), w) is stored_value(sg, np.empty(0, dtype=np.int64), w)
+
+
+def test_idset_fold_matches_np_unique():
+    rng = np.random.default_rng(6)
+    big = 2**62
+    for _ in range(300):
+        vals = []
+        for _ in range(int(rng.integers(1, 6))):
+            v = rng.integers(-40, 40, int(rng.integers(0, 30)))
+            if rng.random() < 0.2:
+                v = np.concatenate([v, rng.integers(-big, big, 3)])
+            kind = rng.integers(0, 3)
+            vals.append(v if kind == 0 else set(v.tolist()) if kind == 1 else frozenset(v.tolist()))
+        flat = [np.asarray(sorted(v), dtype=np.int64) if isinstance(v, (set, frozenset)) else v for v in vals]
+        want = np.unique(np.concatenate(flat).astype(np.int64))
+        got = fold_values(vals, ir.ID_SET)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    for empties in ([np.empty(0, dtype=np.int64)], [set(), frozenset()], [np.empty(0, dtype=np.int64), set()]):
+        got = fold_values(empties, ir.ID_SET)
+        assert got.dtype == np.int64 and got.size == 0
