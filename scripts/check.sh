@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Run the Tier-1 test suite, then the benchmark's smoke test.
+# Fail on any branch on a semigroup's name, then run the Tier-1 test suite and
+# the benchmark's smoke test.
 #
 #     sh scripts/check.sh
 #
@@ -12,5 +13,10 @@
 # each side's quartiles and the working tree's win count per metric.
 set -e
 cd "$(dirname "$0")/.."
+# each Semigroup carries its own operations: no code may branch on a semigroup's name
+if grep -rnE "\.name (==|!=)" src/idemrange; then
+    echo "check.sh: branch on a semigroup name (listed above)" >&2
+    exit 1
+fi
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
 python3 -m pytest perfbench/test_smoke.py -q

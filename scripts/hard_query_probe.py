@@ -29,11 +29,10 @@ def main() -> int:
     h = struct.config.h
     rng = np.random.default_rng(args.seed)
     batch = ir.sample_hard_queries(rng, trees, args.samples)
-    ells = batch["ells"][:, 0]
-    print(f"h={h}; depth histogram: {np.bincount(ells, minlength=h).tolist()}")
-    for j in (1, 2, 4):
-        fail_i = ells + j > h - 1
-        print(f"j={j}: check-I fail rate {fail_i.mean():.4f} (expect {j / h:.4f})")
+    print(f"h={h}; depth histogram: {np.bincount(batch['ells'][:, 0], minlength=h).tolist()}")
+    for j, (rate_i, rate_ii) in ir.check_rates(batch, h, (1, 2, 4)).items():
+        ii = "n/a" if rate_ii is None else f"{rate_ii:.4f}"  # None: no draw passes check I
+        print(f"j={j}: check-I fail rate {rate_i:.4f} (expect {j / h:.4f}), check-II given I {ii} (expect 0.5)")
 
     rng = np.random.default_rng(args.seed)
     gaps = []

@@ -54,6 +54,7 @@ from .lb import (
     Subproblem,
     bounding_sum_box,
     build_rep_diagram,
+    check_rates,
     count_defined_subproblems,
     eligible_sums,
     extension,

@@ -6,7 +6,7 @@ import numpy as np
 
 from .geometry import Box
 from .points import WeightedPointSet
-from .semigroup import Semigroup, canonical_weights, singleton_value, fold_values
+from .semigroup import Semigroup, fold_values, singleton_value
 
 __all__ = ["scan_mask", "scan_ids", "scan_value"]
 
@@ -25,11 +25,11 @@ def scan_ids(points: WeightedPointSet, box: Box) -> np.ndarray:
 def scan_value(points: WeightedPointSet, box: Box, sg: Semigroup, weights=None):
     """Exact semigroup value inside the box; None when empty.
 
-    Folds one ``singleton_value`` per point on purpose: the structures pass
-    index arrays to ``singleton_value`` instead, and the oracle should not
-    share that path.
+    Folds one ``singleton_value`` per point on purpose: the structures sum
+    weight arrays (``Semigroup.reduce`` and ``reduce_rows``) instead, and
+    the oracle should not share that path.
     """
-    w = canonical_weights(sg, points, weights)
+    w = sg.weights(points, weights)
     idx = np.nonzero(scan_mask(points.coords, box))[0]
     if idx.size == 0:
         return None

@@ -14,7 +14,7 @@ import numpy as np
 from .geometry import QueryAnswer
 from .gridindex import GridIndex
 from .points import WeightedPointSet, hammersley_wd
-from .semigroup import Semigroup, canonical_weights, fold_values, singleton_value, stored_value
+from .semigroup import Semigroup, fold_values, singleton_value
 
 __all__ = ["maxima", "DominanceStructure", "build_dominance", "dominance_query", "dominance_cover"]
 
@@ -71,20 +71,18 @@ class DominanceStructure:
         self.points = points
         self.sg = sg
         self.samples = samples
-        self._w = weights  # canonical per semigroup; ids themselves for idset
+        self._w = weights  # sg.weights: ids themselves for idset
         n = len(points)
         self.grid = GridIndex(points.coords)
         s = len(samples)
         counts = np.empty(s, dtype=np.int64)
-        values: list = [None] * s
+        values = np.empty(s, dtype=object)
         chunk = max(1, int(2e6 // max(1, n)))
         for lo in range(0, s, chunk):
             hi = min(s, lo + chunk)
             dominated = np.all(points.coords[None, :, :] <= samples[lo:hi, None, :], axis=2)
             counts[lo:hi] = dominated.sum(axis=1)
-            for r in range(lo, hi):
-                members = np.nonzero(dominated[r - lo])[0]
-                values[r] = stored_value(sg, members, self._w)
+            values[lo:hi] = sg.reduce_rows(dominated, self._w)
         self.counts = counts
         self.values = values
 
@@ -115,7 +113,7 @@ def build_dominance(
         samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
         if len(samples) != s or samples.shape[1] != points.d:
             raise ValueError("samples shape must be (s, d)")
-    return DominanceStructure(points, sg, samples, canonical_weights(sg, points, weights))
+    return DominanceStructure(points, sg, samples, sg.weights(points, weights))
 
 
 def dominance_query(ds: DominanceStructure, q) -> QueryAnswer:

@@ -48,7 +48,7 @@ from .errors import MalformedQuery
 from .geometry import NEG_INF, Box, QueryAnswer
 from .gridindex import GridIndex
 from .points import WeightedPointSet
-from .semigroup import Semigroup, canonical_weights, fold_values, singleton_value
+from .semigroup import Semigroup, fold_values, singleton_value
 
 __all__ = [
     "IdsConfig",
@@ -184,7 +184,7 @@ class IdsStructure:
         self.points = points
         self.sg = sg
         self.config = config
-        self._w = canonical_weights(sg, points, weights)
+        self._w = sg.weights(points, weights)
         self.trees = [build_dyadic_tree(0.0, 1.0, config.h) for _ in range(config.k)]
         self.family: CwdFamily = build_cwd_family(config.N, config.h, config.k, config.d)
         self.grid = GridIndex(points.coords)
@@ -242,15 +242,9 @@ class IdsStructure:
                 cell_lo[:, j] = ranks[:, j] * w
                 sgn[j] = -1.0
         counts = np.zeros(m, dtype=np.int64)
-        if self.sg.name == "max":
-            values = np.full(m, np.nan)
-        elif self.sg.name == "or":
-            values = np.zeros(m, dtype=np.uint64)
-        else:
-            values = np.empty(m, dtype=object)
+        values = np.empty(m, dtype=object)
         coords = self.points.coords
         coords_s = coords * sgn
-        w_all = self._w
         # slice candidates on the narrowest constrained dimension, mask the rest
         jstar = int(np.argmax(index))
         cell_keys = np.ravel_multi_index(tuple(ranks.T), tuple(int(s) for s in spans))
@@ -270,24 +264,14 @@ class IdsStructure:
                 cand = cand[(cj >= cell_lo[r0, j]) & (cj <= cell_hi[r0, j])]
             if cand.size == 0:
                 continue
-            cand_s = coords_s[cand]
-            w_cand = w_all[cand]
-            row_chunk = max(1, int(4e6 // max(1, cand.size)))
+            cand_t = coords_s[cand].T.copy()  # one contiguous row per dimension
+            w_cand = self._w[cand]
+            row_chunk = max(1, int(4e6 // (d * cand.size)))
             for s in range(0, rows.size, row_chunk):
                 sub = rows[s : s + row_chunk]
-                mask = np.ones((sub.size, cand.size), dtype=bool)
-                x_s = pts[sub] * sgn
-                for j in range(d):
-                    mask &= cand_s[:, j][None, :] <= x_s[:, j][:, None]
+                mask = np.logical_and.reduce(cand_t[:, None, :] <= (pts[sub] * sgn).T[:, :, None], axis=0)
                 counts[sub] = mask.sum(axis=1)
-                if self.sg.name == "max":
-                    values[sub] = np.where(mask, w_cand[None, :], -np.inf).max(axis=1)
-                elif self.sg.name == "or":
-                    values[sub] = np.bitwise_or.reduce(np.where(mask, w_cand[None, :], 0), axis=1)
-                else:
-                    for t, r in enumerate(sub):
-                        if counts[r]:
-                            values[r] = np.sort(w_cand[mask[t]]).astype(np.int64)
+                values[sub] = self.sg.reduce_rows(mask, w_cand)
         order = np.argsort(pts[:, 0], kind="stable")
         return orient, index, pts[order], box_lo[order], box_hi[order], counts[order], values[order]
 
@@ -475,9 +459,9 @@ def _process_piece(struct: IdsStructure, piece: AnchoredPiece, state: _CoverStat
         return
     dims = tuple(len(p) for p in dim_pairs)
     keys = np.ravel_multi_index(tuple(glabels.T), dims)  # lexicographic in the label tuple
-    for key in np.unique(keys):
-        rows = np.nonzero(keys == key)[0]
-        chosen = [pairs[i] for pairs, i in zip(dim_pairs, np.unravel_index(key, dims))]
+    order = np.argsort(keys, kind="stable")  # by tuple, each tuple's rows in index order
+    for rows in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
+        chosen = [pairs[i] for pairs, i in zip(dim_pairs, np.unravel_index(keys[rows[0]], dims))]
         cand_coords, cand_rows = _gather_candidates(struct, piece, chosen, state.qlo, state.qhi)
         tproj = struct.points.coords[grouped[rows]][:, k:]
         m_idx, covered, used = dominance_cover(cand_coords[:, k:], tproj)

@@ -35,6 +35,7 @@ __all__ = [
     "Subproblem",
     "subproblem",
     "count_defined_subproblems",
+    "check_rates",
     "top_box",
     "extension",
     "eligible_sums",
@@ -261,6 +262,22 @@ def count_defined_subproblems(hq: HardQuery, jmax: int) -> int:
                 cnt += 1
         per_dim.append(cnt)
     return int(np.prod(per_dim)) if per_dim else 0
+
+
+def check_rates(batch: dict, h: int, js) -> dict:
+    """Per probe depth j, over dimension 0 of a ``sample_hard_queries``
+    batch: (check-I fail rate, check-II fail rate among the check-I passes,
+    None when no draw passes check I)."""
+    ells = batch["ells"][:, 0]
+    x = batch["x"][:, 0]
+    rates = {}
+    for j in js:
+        fail_i = ells + j > h - 1
+        passing = ~fail_i
+        span = np.int64(1) << (ells[passing] + j)
+        ranks = np.minimum(span - 1, (x[passing] * span).astype(np.int64))
+        rates[j] = float(np.mean(fail_i)), float(np.mean(ranks % 2 == 0)) if passing.any() else None
+    return rates
 
 
 def lambda_points(delta: float, h: int, jvec, n: int, s_plus: int) -> int:

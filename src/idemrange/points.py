@@ -161,51 +161,7 @@ def _ceil_count_bound(vol: float, n: int, eps: float) -> int:
     return int(math.ceil(vol * n / eps - 1e-12))
 
 
-try:
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except Exception:  # pragma: no cover - numba is optional
-    _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @_njit(cache=True)
-    def _exact_scan_2d_kernel(xs, ys, n, eps):  # pragma: no cover - jitted
-        best = np.inf
-        bx0 = bx1 = by0 = by1 = 0.0
-        iii_bad = 0.0  # worst excess ratio k / bound
-        ybuf = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            m = 0
-            for j in range(i, n):
-                y = ys[j]
-                pos = m
-                while pos > 0 and ybuf[pos - 1] > y:
-                    ybuf[pos] = ybuf[pos - 1]
-                    pos -= 1
-                ybuf[pos] = y
-                m += 1
-                if m < 2:
-                    continue
-                w = xs[j] - xs[i]
-                for a in range(m - 1):
-                    for b in range(a + 1, m):
-                        vol = w * (ybuf[b] - ybuf[a])
-                        k = b - a + 1
-                        ratio = vol * n / k
-                        if ratio < best:
-                            best = ratio
-                            bx0, bx1, by0, by1 = xs[i], xs[j], ybuf[a], ybuf[b]
-                        bound = math.ceil(vol * n / eps - 1e-12)
-                        if k > bound:
-                            excess = k - bound
-                            if excess > iii_bad:
-                                iii_bad = excess
-        return best, bx0, bx1, by0, by1, iii_bad
-
-
-def _exact_scan_2d_numpy(xs, ys, n, eps):
+def _exact_scan_2d(xs, ys, n, eps):
     best = np.inf
     rect = (0.0, 0.0, 0.0, 0.0)
     iii_ok = True
@@ -246,13 +202,7 @@ def _exact_2d(coords: np.ndarray, eps: float) -> tuple[float, Box | None, bool]:
     order = np.argsort(coords[:, 0], kind="stable")
     xs = coords[order, 0].copy()
     ys = coords[order, 1].copy()
-    n = len(xs)
-    if _HAVE_NUMBA:
-        best, bx0, bx1, by0, by1, iii_bad = _exact_scan_2d_kernel(xs, ys, n, eps)
-        rect = (bx0, bx1, by0, by1)
-        iii_ok = iii_bad == 0.0
-    else:
-        best, rect, iii_ok = _exact_scan_2d_numpy(xs, ys, n, eps)
+    best, rect, iii_ok = _exact_scan_2d(xs, ys, len(xs), eps)
     worst = None
     if np.isfinite(best):
         worst = Box((rect[0], rect[2]), (rect[1], rect[3]))

@@ -5,10 +5,15 @@ operation, so covering a point twice never changes an answer.  Three
 semigroups ship: real max, bitwise-or on 64-bit masks, and id-set union.
 The id-set semigroup is the verification instrument: combining the id-sets
 of a correct cover reproduces exactly the ids inside the query.
+
+All that depends on the semigroup lives on its ``Semigroup`` object, so
+adding one is one ``Semigroup(...)`` definition.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
@@ -25,8 +30,6 @@ __all__ = [
     "semigroup_by_name",
     "combine_all",
     "fold_values",
-    "idset_value",
-    "canonical_weights",
     "stored_value",
     "singleton_value",
 ]
@@ -34,37 +37,98 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Semigroup:
-    """A named combine operation; must be associative, commutative, idempotent."""
+    """A named combine operation; must be associative, commutative, idempotent.
+
+    ``combine`` and ``equal`` are the pairwise reference.  The rest work on
+    arrays: ``weights(points, weights=None)`` is the per-point weight array
+    a structure stores, ``single`` the value of one weight, ``reduce`` the
+    sum of a non-empty weight array, ``fold`` of a non-empty value list, and
+    ``reduce_rows(mask, w)`` of each row of a (rows x members) membership
+    mask, as an object array with None for an empty row.
+    """
 
     name: str
     combine: Callable[[Any, Any], Any]
     # equality on values (id-sets are arrays, == alone won't do)
     equal: Callable[[Any, Any], bool]
+    weights: Callable[..., np.ndarray]
+    single: Callable[[Any], Any]
+    reduce: Callable[[np.ndarray], Any]
+    fold: Callable[[list], Any]
+    reduce_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def idset_value(ids: Iterable[int]) -> np.ndarray:
-    """Canonical id-set value: sorted unique int64 array."""
-    return np.unique(np.asarray(list(ids) if not isinstance(ids, np.ndarray) else ids, dtype=np.int64))
+def _sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D int64 array by sort and neighbour inequality.
+
+    numpy 2.x's ``np.unique`` takes a hash path for integers, several times
+    slower than this at the sizes queries fold.
+    """
+    ids = np.sort(ids)
+    keep = np.empty(ids.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
 
 
-def _idset_combine(a, b) -> np.ndarray:
-    return np.union1d(
-        a if isinstance(a, np.ndarray) else np.asarray(sorted(a), dtype=np.int64),
-        b if isinstance(b, np.ndarray) else np.asarray(sorted(b), dtype=np.int64),
-    ).astype(np.int64)
+def _ids(v) -> np.ndarray:
+    """An id-set value (array, set or frozenset) as a 1-D int64 array."""
+    return np.atleast_1d(np.asarray(sorted(v) if isinstance(v, (set, frozenset)) else v, dtype=np.int64))
 
 
-def _idset_equal(a, b) -> bool:
-    return bool(np.array_equal(idset_value(a), idset_value(b)))
+def _cast_weights(dtype):
+    """Weights of a numeric semigroup: the given array, else the points' own, cast."""
+    return lambda points, weights=None: np.asarray(points.weights if weights is None else weights).astype(dtype)
 
 
-MAX_REAL = Semigroup("max", combine=lambda a, b: a if a >= b else b, equal=lambda a, b: a == b)
+def _ufunc_rows(ufunc, identity):
+    """Vectorized row sums for a numeric semigroup whose ufunc has ``identity``."""
+
+    def reduce_rows(mask: np.ndarray, w: np.ndarray) -> np.ndarray:
+        sums = ufunc.reduce(np.where(mask, w, identity), axis=1, initial=identity)
+        return np.where(mask.any(axis=1), sums, None)  # object array of Python scalars
+
+    return reduce_rows
+
+
+def _idset_rows(mask: np.ndarray, w: np.ndarray) -> np.ndarray:
+    out = np.empty(len(mask), dtype=object)
+    for r in np.nonzero(mask.any(axis=1))[0]:
+        out[r] = np.sort(w[mask[r]])  # member ids are unique: no dedupe
+    return out
+
+
+MAX_REAL = Semigroup(
+    "max",
+    combine=lambda a, b: a if a >= b else b,
+    equal=lambda a, b: a == b,
+    weights=_cast_weights(np.float64),
+    single=float,
+    reduce=lambda a: float(a.max()),
+    fold=max,
+    reduce_rows=_ufunc_rows(np.maximum, -np.inf),
+)
 BIT_OR64 = Semigroup(
     "or",
     combine=lambda a, b: (int(a) | int(b)) & 0xFFFFFFFFFFFFFFFF,
     equal=lambda a, b: int(a) == int(b),
+    weights=_cast_weights(np.uint64),
+    single=int,
+    reduce=lambda a: int(np.bitwise_or.reduce(a)),
+    fold=lambda values: functools.reduce(operator.or_, map(int, values)),
+    reduce_rows=_ufunc_rows(np.bitwise_or, 0),
 )
-ID_SET = Semigroup("idset", combine=_idset_combine, equal=_idset_equal)
+ID_SET = Semigroup(
+    "idset",
+    combine=lambda a, b: np.union1d(_ids(a), _ids(b)).astype(np.int64),
+    equal=lambda a, b: bool(np.array_equal(np.unique(_ids(a)), np.unique(_ids(b)))),
+    weights=lambda points, weights=None: points.ids,
+    single=lambda x: np.asarray([x], dtype=np.int64),
+    reduce=lambda a: _sorted_unique(a.astype(np.int64)),
+    # concatenate once and deduplicate by one sort instead of pairwise unions
+    fold=lambda values: _sorted_unique(np.concatenate([_ids(v) for v in values])),
+    reduce_rows=_idset_rows,
+)
 
 SEMIGROUPS = {sg.name: sg for sg in (MAX_REAL, BIT_OR64, ID_SET)}
 
@@ -92,55 +156,18 @@ def combine_all(values: Iterable[Any], sg: Semigroup) -> Any:
     return acc
 
 
-def _sorted_unique(ids: np.ndarray) -> np.ndarray:
-    """``np.unique`` of a 1-D int64 array by sort and neighbour inequality.
-
-    numpy 2.x's ``np.unique`` takes a hash path for integers, several times
-    slower than this at the sizes queries fold.
-    """
-    ids = np.sort(ids)
-    keep = np.empty(ids.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
-    return ids[keep]
-
-
 def fold_values(values: Iterable[Any], sg: Semigroup) -> Any:
-    """Same result as combine_all (associativity + commutativity), faster.
-
-    Id-set folds concatenate once and deduplicate by one sort instead of
-    pairwise unions; structures on hot paths call this, tests pin it
-    against combine_all.
-    """
+    """Same result as combine_all (associativity + commutativity), faster:
+    structures on hot paths call this, tests pin it against combine_all."""
     values = list(values)
-    if sg.name == "idset" and values:
-        return _sorted_unique(
-            np.concatenate([np.atleast_1d(np.asarray(sorted(v) if isinstance(v, (set, frozenset)) else v, dtype=np.int64)) for v in values])
-        )
-    if sg.name == "max" and values:
-        return max(values)
-    return combine_all(values, sg)
-
-
-def canonical_weights(sg: Semigroup, points, weights=None) -> np.ndarray:
-    """Per-point weight array a structure stores: ids for idset, floats/masks otherwise."""
-    if sg.name == "idset":
-        return points.ids
-    w = points.weights if weights is None else np.asarray(weights)
-    if sg.name == "or":
-        return w.astype(np.uint64)
-    return w.astype(np.float64)
+    if not values:
+        raise EmptyAggregate("cannot combine an empty sequence")
+    return sg.fold(values)
 
 
 def stored_value(sg: Semigroup, members: np.ndarray, w: np.ndarray):
     """Value of a stored sum over member indices; None contributes nothing."""
-    if members.size == 0:
-        return None
-    if sg.name == "idset":
-        return np.sort(w[members]).astype(np.int64)
-    if sg.name == "or":
-        return int(np.bitwise_or.reduce(w[members]))
-    return float(w[members].max())
+    return sg.reduce(w[members]) if members.size else None
 
 
 _ndarray = np.ndarray
@@ -155,11 +182,5 @@ def singleton_value(sg: Semigroup, idx, w: np.ndarray):
     model still counts one singleton per index.
     """
     if isinstance(idx, _ndarray):  # a global, not np.ndim: the oracle calls this once per point
-        if sg.name == "idset" and idx.size:
-            return _sorted_unique(w[idx].astype(np.int64))
         return stored_value(sg, idx, w)
-    if sg.name == "idset":
-        return np.asarray([w[idx]], dtype=np.int64)
-    if sg.name == "or":
-        return int(w[idx])
-    return float(w[idx])
+    return sg.single(w[idx])

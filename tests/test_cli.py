@@ -59,6 +59,30 @@ def test_bench_row_count_and_verified(capsys):
     assert float(summary["mean_cost"]) >= 0
 
 
+@pytest.mark.parametrize("name", ["max", "or"])
+def test_bench_verifies_every_semigroup(name, capsys):
+    code, out = _run(
+        ["bench", "--n", "64", "--d", "2", "--k", "1", "--queries", "10", "--semigroup", name, "--seed", "3"],
+        capsys,
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["verified"] for r in rows] == ["true"] * 11  # every query and the summary
+
+
+# weights are non-negative, a non-empty or of random 63-bit masks is not 0, ids are >= 0
+@pytest.mark.parametrize("name,wrong", [("max", -1.0), ("or", 0), ("idset", np.array([-1]))])
+def test_bench_wrong_answer_exits_1(name, wrong, capsys, monkeypatch):
+    monkeypatch.setattr(ir.IdsStructure, "query", lambda self, q, return_audit=False: ir.QueryAnswer(wrong, 0, 1))
+    code, out = _run(
+        ["bench", "--n", "64", "--d", "2", "--k", "1", "--queries", "5", "--semigroup", name, "--seed", "3"],
+        capsys,
+    )
+    assert code == 1
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["verified"] for r in rows] == ["false"] * 6
+
+
 def test_bench_deterministic_under_seed(capsys):
     args = ["bench", "--n", "64", "--d", "2", "--k", "1", "--queries", "5", "--seed", "9"]
     _, out1 = _run(args, capsys)

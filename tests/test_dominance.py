@@ -50,6 +50,22 @@ def test_build_stored_values_match_scan():
             assert ds.values[s_idx] is None
 
 
+@pytest.mark.parametrize("name", ["max", "or", "idset"])
+def test_stored_values_and_answers_match_scan_value(name):
+    sg = ir.semigroup_by_name(name)
+    pts = ir.uniform_random(64, 2, seed=11)
+    weights = np.random.default_rng(12).integers(0, 2**63, 64, dtype=np.uint64)
+    ds = ir.build_dominance(pts, 16, sg, weights=weights)
+    corners = np.vstack((ds.samples, np.random.default_rng(13).random((30, 2))))
+    for i, corner in enumerate(corners):
+        want = ir.scan_value(pts, ir.Box((ir.NEG_INF, ir.NEG_INF), tuple(corner)), sg, weights)
+        got = ds.values[i] if i < ds.num_sums else ir.dominance_query(ds, corner).value
+        if want is None:
+            assert got is None
+        else:
+            assert sg.equal(got, want) and type(got) is type(want)
+
+
 def test_build_sample_count_guards():
     pts = _hand_points()
     with pytest.raises(ValueError):

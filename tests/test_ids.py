@@ -72,6 +72,25 @@ def test_stored_values_match_scan_oracle_d3k2():
             assert blk.counts[r] == want.size
 
 
+@pytest.mark.parametrize("name", ["max", "or", "idset"])
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 2)])
+def test_stored_values_match_scan_value(name, d, k):
+    sg = ir.semigroup_by_name(name)
+    pts = ir.uniform_random(64, d, seed=7 + d)
+    weights = np.random.default_rng(d).integers(0, 2**63, 64, dtype=np.uint64)
+    sums = ir.build_ids(pts, k, sg, weights=weights).sums
+    for r in range(len(sums.counts)):
+        box = Box(tuple(sums.box_lo[r]), tuple(sums.box_hi[r]))
+        got, want = sums.values[r], ir.scan_value(pts, box, sg, weights)
+        assert sums.counts[r] == np.count_nonzero(ir.scan_mask(pts.coords, box))
+        if want is None:
+            assert got is None
+        else:
+            assert sg.equal(got, want) and type(got) is type(want)
+            if name == "idset":
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
 def test_decompose_examples():
     pts = ir.uniform_random(256, 2, seed=1)
     s = ir.build_ids(pts, 1, ir.ID_SET)

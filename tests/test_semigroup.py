@@ -89,6 +89,28 @@ def test_singleton_value_on_index_array_is_fold_of_singletons(name):
     assert singleton_value(sg, np.empty(0, dtype=np.int64), w) is stored_value(sg, np.empty(0, dtype=np.int64), w)
 
 
+@pytest.mark.parametrize("name", ["max", "or", "idset"])
+def test_reduce_rows_is_per_row_fold_of_singletons(name):
+    sg = ir.semigroup_by_name(name)
+    rng = np.random.default_rng(7)
+    w = _weights(sg, rng, 40)
+    for cols in (0, 1, 7, 40):  # a zero-column mask included
+        members = rng.permutation(40)[:cols]  # unique, as a stored sum's members are
+        mask = rng.random((12, cols)) < 0.3
+        mask[::4] = False  # all-false rows
+        got = sg.reduce_rows(mask, w[members])
+        assert len(got) == 12
+        for r in range(12):
+            idx = members[mask[r]]
+            if idx.size == 0:
+                assert got[r] is None
+                continue
+            want = ir.combine_all([singleton_value(sg, int(i), w) for i in idx], sg)
+            assert sg.equal(got[r], want) and type(got[r]) is type(want)
+            if name == "idset":
+                assert got[r].dtype == np.int64 and np.array_equal(got[r], want)
+
+
 def test_idset_fold_matches_np_unique():
     rng = np.random.default_rng(6)
     big = 2**62
