@@ -4,7 +4,8 @@
 Builds the structure over a grid of n, runs uniform queries, and writes one
 CSV row per (n, d, k) with the mean/max cost and the two candidate fits
 (log2(n) * log2(log2(n)) versus log2(n)^2).  Reproduces the numbers behind
-the scaling acceptance check at whatever grid you like.
+the scaling acceptance check at whatever grid you like.  ``build_s`` times
+``build_ids`` alone (``perf_counter``), not the point generation.
 
     python3 scripts/scaling_study.py --d 2 --k 1 --exps 10 11 12 13 14 --queries 300
 """
@@ -33,13 +34,13 @@ def main() -> int:
     writer.writerow(["n", "d", "k", "s_plus", "mean_cost", "max_cost", "fit_loglog", "fit_log2", "build_s", "query_s"])
     for exp in args.exps:
         n = 2**exp
-        t0 = time.time()
         pts = ir.uniform_random(n, args.d, seed=args.seed)
+        t0 = time.perf_counter()
         struct = ir.build_ids(pts, args.k, ir.MAX_REAL)
-        t_build = time.time() - t0
+        t_build = time.perf_counter() - t0
         rng = np.random.default_rng((args.seed, n))
         costs = []
-        t0 = time.time()
+        t0 = time.perf_counter()
         for _ in range(args.queries):
             lo, hi = [], []
             for _ in range(args.k):
@@ -50,7 +51,7 @@ def main() -> int:
                 lo.append(ir.NEG_INF)
                 hi.append(float(rng.random()))
             costs.append(ir.query(struct, ir.Box(tuple(lo), tuple(hi))).total_cost)
-        t_query = time.time() - t0
+        t_query = time.perf_counter() - t0
         mean_cost = float(np.mean(costs))
         shape = math.log2(n) ** (args.d - 1) * math.log2(math.log2(n)) ** args.k
         writer.writerow(

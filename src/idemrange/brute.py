@@ -26,7 +26,7 @@ def scan_value(points: WeightedPointSet, box: Box, sg: Semigroup, weights=None):
     """Exact semigroup value inside the box; None when empty.
 
     Folds one ``singleton_value`` per point on purpose: the structures sum
-    weight arrays (``Semigroup.reduce`` and ``reduce_rows``) instead, and
+    weight arrays (``Semigroup.reduce`` and ``reduce_groups``) instead, and
     the oracle should not share that path.
     """
     w = sg.weights(points, weights)

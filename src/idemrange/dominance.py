@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import MalformedQuery
 from .geometry import QueryAnswer
 from .gridindex import GridIndex
 from .points import WeightedPointSet, hammersley_wd
+from .rangetree import box_sums
 from .semigroup import Semigroup, fold_values, singleton_value
 
 __all__ = ["maxima", "DominanceStructure", "build_dominance", "dominance_query", "dominance_cover"]
@@ -72,19 +74,8 @@ class DominanceStructure:
         self.sg = sg
         self.samples = samples
         self._w = weights  # sg.weights: ids themselves for idset
-        n = len(points)
         self.grid = GridIndex(points.coords)
-        s = len(samples)
-        counts = np.empty(s, dtype=np.int64)
-        values = np.empty(s, dtype=object)
-        chunk = max(1, int(2e6 // max(1, n)))
-        for lo in range(0, s, chunk):
-            hi = min(s, lo + chunk)
-            dominated = np.all(points.coords[None, :, :] <= samples[lo:hi, None, :], axis=2)
-            counts[lo:hi] = dominated.sum(axis=1)
-            values[lo:hi] = sg.reduce_rows(dominated, self._w)
-        self.counts = counts
-        self.values = values
+        self.counts, self.values = box_sums(points.coords, self._w, sg, np.full_like(samples, -np.inf), samples)
 
     @property
     def num_sums(self) -> int:
@@ -104,7 +95,7 @@ def build_dominance(
     samples: np.ndarray | None = None,
     weights=None,
 ) -> DominanceStructure:
-    """Sample sums built by full scan; default samples are a Hammersley set."""
+    """Sample sums built by one batched ``box_sums``; default samples are a Hammersley set."""
     if not 1 <= s <= len(points):
         raise ValueError(f"sample count {s} outside 1..{len(points)}")
     if samples is None:
@@ -119,6 +110,10 @@ def build_dominance(
 def dominance_query(ds: DominanceStructure, q) -> QueryAnswer:
     """Answer the dominance range (-inf, q_1] x ... x (-inf, q_d]."""
     q = np.asarray(q, dtype=np.float64)
+    if q.shape != (ds.points.d,):
+        raise MalformedQuery(f"query has shape {q.shape}, structure has {ds.points.d} dims")
+    if np.isnan(q).any():
+        raise MalformedQuery("query bounds must not be NaN")
     target_idx = ds.grid.points_in_box(np.full(ds.points.d, -np.inf), q)
     if target_idx.size == 0:
         return QueryAnswer(None, 0, 0)

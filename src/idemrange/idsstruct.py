@@ -5,10 +5,12 @@ rest.  Each point of a collectively well-distributed family, indexed by a
 depth tuple in {1..h}^k, is turned into an anchored box whose j-th side
 runs from the left boundary of the depth-i_j tree neighbor to the point
 (mirrored per orientation); the stored sum is the input weight inside that
-box.  A query splits at tree midpoints into up to 2^k anchored pieces; each
-piece is tiled by balanced-prefix-cover intervals, candidate boxes are
-picked per cover pair, and the last d-k dimensions reduce to a dominance
-cover whose leftovers are singletons.
+box.  Construction computes each block's boxes with array arithmetic, then
+fills the count and value of every box of every block in one batched
+``rangetree.box_sums`` call.  A query splits at tree midpoints into up to
+2^k anchored pieces; each piece is tiled by balanced-prefix-cover
+intervals, candidate boxes are picked per cover pair, and the last d-k
+dimensions reduce to a dominance cover whose leftovers are singletons.
 
 All stored sums live in one flat index, ``_SumIndex``.  Its one primitive,
 ``inside``, finds the sums inside a box for the candidates of a cover pair,
@@ -48,6 +50,7 @@ from .errors import MalformedQuery
 from .geometry import NEG_INF, Box, QueryAnswer
 from .gridindex import GridIndex
 from .points import WeightedPointSet
+from .rangetree import box_sums
 from .semigroup import Semigroup, fold_values, singleton_value
 
 __all__ = [
@@ -86,16 +89,19 @@ class _SumIndex:
     Rows are in block order: ``IdsStructure.blocks`` order (orientation, then
     family index), then the dim-0 point coordinate.  ``bounds`` holds each
     box as one row [lo | hi]; ``box_lo`` and ``box_hi`` are views of its
-    halves.  ``by_x0[o]`` is (rows, keys): the rows of orientation o, or of
-    all orientations for None, sorted by their dim-0 point coordinate.
+    halves.  ``counts`` and ``values`` hold the number and the semigroup sum
+    of the input points inside each box, from one ``box_sums`` call.
+    ``by_x0[o]`` is (rows, keys): the rows of orientation o, or of all
+    orientations for None, sorted by their dim-0 point coordinate.
     """
 
-    def __init__(self, k: int, parts: list):
-        # parts: (orientation, index, coords, box_lo, box_hi, counts, values) per non-empty block
+    def __init__(self, k: int, parts: list, point_coords: np.ndarray, w: np.ndarray, sg: Semigroup):
+        # parts: (orientation, index, coords, box_lo, box_hi) per non-empty block
         sizes = [len(p[2]) for p in parts]
         ends = np.cumsum([0] + sizes).tolist()
         self.block_ranges = [((p[0], p[1]), a, b) for p, a, b in zip(parts, ends, ends[1:])]
-        self.coords, box_lo, box_hi, self.counts, self.values = (np.concatenate(c) for c in list(zip(*parts))[2:])
+        self.coords, box_lo, box_hi = (np.concatenate(c) for c in list(zip(*parts))[2:])
+        self.counts, self.values = box_sums(point_coords, w, sg, box_lo, box_hi)
         d = self.coords.shape[1]
         self.bounds = np.hstack((box_lo, box_hi))
         self.box_lo, self.box_hi = self.bounds[:, :d], self.bounds[:, d:]
@@ -194,24 +200,23 @@ class IdsStructure:
 
     def _build_blocks(self) -> None:
         cfg = self.config
-        coords = self.points.coords
-        sorted_order = [np.argsort(coords[:, j], kind="stable") for j in range(cfg.k)]
-        sorted_vals = [coords[sorted_order[j], j] for j in range(cfg.k)]
         parts = []
         for orient in itertools.product((_R, _L), repeat=cfg.k):
             for index, ps in self.family.sets.items():
-                part = self._build_one_block(orient, index, ps, sorted_order, sorted_vals)
+                part = self._build_one_block(orient, index, ps)
                 if part is not None:
                     parts.append(part)
-        self.sums = _SumIndex(cfg.k, parts)
+        self.sums = _SumIndex(cfg.k, parts, self.points.coords, self._w, self.sg)
         self.blocks = {key: _Block(self.sums, start, stop) for key, start, stop in self.sums.block_ranges}
         self.num_boxes = len(self.sums.counts)
 
-    def _build_one_block(self, orient, index, ps: WeightedPointSet, sorted_order, sorted_vals):
+    def _build_one_block(self, orient, index, ps: WeightedPointSet):
+        """The block's anchored boxes, sorted by the dim-0 point coordinate:
+        (orient, index, points, box_lo, box_hi), or None when no family point
+        has the neighbor its box needs."""
         if len(ps) == 0:
             return None
-        cfg = self.config
-        k, d = cfg.k, cfg.d
+        k = self.config.k
         pts = ps.coords
         spans = np.asarray([1 << dep for dep in index], dtype=np.int64)
         ranks = np.minimum((pts[:, :k] * spans).astype(np.int64), spans - 1)
@@ -225,55 +230,17 @@ class IdsStructure:
             return None
         pts = pts[defined]
         ranks = ranks[defined]
-        m = len(pts)
-        cell_lo = np.empty((m, k))
-        cell_hi = np.empty((m, k))
-        box_lo = np.full((m, d), NEG_INF)
+        box_lo = np.full(pts.shape, NEG_INF)
         box_hi = pts.copy()
-        sgn = np.ones(d)  # member sign trick: every per-row constraint is sgn*coord <= sgn*x
         for j in range(k):
             w = 1.0 / spans[j]
             if orient[j] == _R:
-                box_lo[:, j] = cell_lo[:, j] = (ranks[:, j] - 1) * w  # anchor
-                cell_hi[:, j] = (ranks[:, j] + 1) * w
+                box_lo[:, j] = (ranks[:, j] - 1) * w  # anchor
             else:
                 box_lo[:, j] = pts[:, j]
-                box_hi[:, j] = cell_hi[:, j] = (ranks[:, j] + 2) * w  # anchor
-                cell_lo[:, j] = ranks[:, j] * w
-                sgn[j] = -1.0
-        counts = np.zeros(m, dtype=np.int64)
-        values = np.empty(m, dtype=object)
-        coords = self.points.coords
-        coords_s = coords * sgn
-        # slice candidates on the narrowest constrained dimension, mask the rest
-        jstar = int(np.argmax(index))
-        cell_keys = np.ravel_multi_index(tuple(ranks.T), tuple(int(s) for s in spans))
-        _, first, inverse = np.unique(cell_keys, return_index=True, return_inverse=True)
-        group_order = np.argsort(inverse, kind="stable")
-        bounds = np.searchsorted(inverse[group_order], np.arange(len(first) + 1))
-        for g in range(len(first)):
-            rows = group_order[bounds[g] : bounds[g + 1]]
-            r0 = rows[0]
-            lo = np.searchsorted(sorted_vals[jstar], cell_lo[r0, jstar], side="left")
-            hi = np.searchsorted(sorted_vals[jstar], cell_hi[r0, jstar], side="right")
-            cand = sorted_order[jstar][lo:hi]
-            for j in range(k):
-                if j == jstar or cand.size == 0:
-                    continue
-                cj = coords[cand, j]
-                cand = cand[(cj >= cell_lo[r0, j]) & (cj <= cell_hi[r0, j])]
-            if cand.size == 0:
-                continue
-            cand_t = coords_s[cand].T.copy()  # one contiguous row per dimension
-            w_cand = self._w[cand]
-            row_chunk = max(1, int(4e6 // (d * cand.size)))
-            for s in range(0, rows.size, row_chunk):
-                sub = rows[s : s + row_chunk]
-                mask = np.logical_and.reduce(cand_t[:, None, :] <= (pts[sub] * sgn).T[:, :, None], axis=0)
-                counts[sub] = mask.sum(axis=1)
-                values[sub] = self.sg.reduce_rows(mask, w_cand)
+                box_hi[:, j] = (ranks[:, j] + 2) * w  # anchor
         order = np.argsort(pts[:, 0], kind="stable")
-        return orient, index, pts[order], box_lo[order], box_hi[order], counts[order], values[order]
+        return orient, index, pts[order], box_lo[order], box_hi[order]
 
     # -- reporting ---------------------------------------------------------
 
@@ -374,6 +341,18 @@ def decompose_query(struct: IdsStructure, q: Box):
     return pieces, False
 
 
+def _leaf_under(tree: DyadicTree, corner: float, root: Node) -> Node:
+    """The leaf holding ``corner``, clamped into ``root``'s subtree.
+
+    A corner beyond the tree, or an L corner on the split midpoint (whose
+    half-open slab lies right of it), lands in the subtree's edge leaf, so
+    points past it are leaf-tail singletons.
+    """
+    rank = tree.locate_leaf(min(max(corner, 0.0), 1.0)).rank
+    shift = tree.height - root.depth
+    return Node(tree.height, min(max(rank, root.rank << shift), ((root.rank + 1) << shift) - 1))
+
+
 def _piece_segments(struct: IdsStructure, piece: AnchoredPiece, i: int):
     """Ascending interval tiling of the piece's i-th side.
 
@@ -381,17 +360,16 @@ def _piece_segments(struct: IdsStructure, piece: AnchoredPiece, i: int):
     index, the leaf tail labelled -1; labels align with seg_lo bins.
     """
     tree = struct.trees[i]
-    # a corner beyond the tree lands in its edge leaf: points past [0, 1] are leaf-tail singletons
+    root = piece.vnodes[i]
     if piece.orientation[i] == _R:
-        corner = piece.hi[i]
-        leaf = tree.locate_leaf(min(corner, 1.0))
-        pairs = balanced_prefix_cover(tree, leaf, root=piece.vnodes[i])
+        leaf = _leaf_under(tree, piece.hi[i], root)
+        pairs = balanced_prefix_cover(tree, leaf, root=root)
         seg_lo = [tree.a(p.u) for p in pairs] + [tree.a(leaf)]
         labels = list(range(len(pairs))) + [-1]
     else:
         corner = piece.lo[i]
-        leaf = tree.locate_leaf(max(corner, 0.0))
-        pairs = suffix_cover(tree, leaf, root=piece.vnodes[i])
+        leaf = _leaf_under(tree, corner, root)
+        pairs = suffix_cover(tree, leaf, root=root)
         # ascending order: tail first, then covers from deepest up
         seg_lo = [corner] + [tree.a(p.u) for p in reversed(pairs)]
         labels = [-1] + list(range(len(pairs) - 1, -1, -1))

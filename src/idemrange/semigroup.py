@@ -43,8 +43,9 @@ class Semigroup:
     arrays: ``weights(points, weights=None)`` is the per-point weight array
     a structure stores, ``single`` the value of one weight, ``reduce`` the
     sum of a non-empty weight array, ``fold`` of a non-empty value list, and
-    ``reduce_rows(mask, w)`` of each row of a (rows x members) membership
-    mask, as an object array with None for an empty row.
+    ``reduce_groups(w, starts)`` of each contiguous group of a weight array,
+    the groups non-empty and beginning at the ascending indices ``starts``,
+    as an object array.
     """
 
     name: str
@@ -55,7 +56,7 @@ class Semigroup:
     single: Callable[[Any], Any]
     reduce: Callable[[np.ndarray], Any]
     fold: Callable[[list], Any]
-    reduce_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    reduce_groups: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _sorted_unique(ids: np.ndarray) -> np.ndarray:
@@ -81,20 +82,15 @@ def _cast_weights(dtype):
     return lambda points, weights=None: np.asarray(points.weights if weights is None else weights).astype(dtype)
 
 
-def _ufunc_rows(ufunc, identity):
-    """Vectorized row sums for a numeric semigroup whose ufunc has ``identity``."""
-
-    def reduce_rows(mask: np.ndarray, w: np.ndarray) -> np.ndarray:
-        sums = ufunc.reduce(np.where(mask, w, identity), axis=1, initial=identity)
-        return np.where(mask.any(axis=1), sums, None)  # object array of Python scalars
-
-    return reduce_rows
+def _ufunc_groups(ufunc):
+    """Vectorized group sums for a numeric semigroup: one ``ufunc.reduceat``."""
+    return lambda w, starts: ufunc.reduceat(w, starts).astype(object)  # Python scalars
 
 
-def _idset_rows(mask: np.ndarray, w: np.ndarray) -> np.ndarray:
-    out = np.empty(len(mask), dtype=object)
-    for r in np.nonzero(mask.any(axis=1))[0]:
-        out[r] = np.sort(w[mask[r]])  # member ids are unique: no dedupe
+def _idset_groups(w: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    out = np.empty(len(starts), dtype=object)
+    for i, (a, b) in enumerate(zip(starts.tolist(), [*starts[1:].tolist(), len(w)])):
+        out[i] = np.sort(w[a:b])  # member ids are unique: no dedupe
     return out
 
 
@@ -106,7 +102,7 @@ MAX_REAL = Semigroup(
     single=float,
     reduce=lambda a: float(a.max()),
     fold=max,
-    reduce_rows=_ufunc_rows(np.maximum, -np.inf),
+    reduce_groups=_ufunc_groups(np.maximum),
 )
 BIT_OR64 = Semigroup(
     "or",
@@ -116,7 +112,7 @@ BIT_OR64 = Semigroup(
     single=int,
     reduce=lambda a: int(np.bitwise_or.reduce(a)),
     fold=lambda values: functools.reduce(operator.or_, map(int, values)),
-    reduce_rows=_ufunc_rows(np.bitwise_or, 0),
+    reduce_groups=_ufunc_groups(np.bitwise_or),
 )
 ID_SET = Semigroup(
     "idset",
@@ -127,7 +123,7 @@ ID_SET = Semigroup(
     reduce=lambda a: _sorted_unique(a.astype(np.int64)),
     # concatenate once and deduplicate by one sort instead of pairwise unions
     fold=lambda values: _sorted_unique(np.concatenate([_ids(v) for v in values])),
-    reduce_rows=_idset_rows,
+    reduce_groups=_idset_groups,
 )
 
 SEMIGROUPS = {sg.name: sg for sg in (MAX_REAL, BIT_OR64, ID_SET)}

@@ -131,6 +131,13 @@ def test_dominance_1d():
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("q", [(0.5,), (0.5, 0.5, 0.5), (float("nan"), 0.5), 0.5, ((0.5, 0.5),)])
+def test_malformed_query_raises(q):
+    ds = ir.build_dominance(_hand_points(), 2, ir.ID_SET)
+    with pytest.raises(ir.MalformedQuery):
+        ir.dominance_query(ds, q)
+
+
 def test_storage_reporting():
     pts = ir.uniform_random(128, 2, seed=2)
     ds = ir.build_dominance(pts, 16, ir.ID_SET)

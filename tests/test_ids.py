@@ -73,7 +73,7 @@ def test_stored_values_match_scan_oracle_d3k2():
 
 
 @pytest.mark.parametrize("name", ["max", "or", "idset"])
-@pytest.mark.parametrize("d,k", [(2, 1), (3, 2)])
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2)])
 def test_stored_values_match_scan_value(name, d, k):
     sg = ir.semigroup_by_name(name)
     pts = ir.uniform_random(64, d, seed=7 + d)
@@ -522,3 +522,37 @@ def test_points_outside_unit_cube_are_answered():
         ans = ir.query(s, q)
         want = ir.scan_ids(pts, q)
         assert want.size and np.array_equal(ans.value, want)
+
+
+def test_lower_bound_on_split_midpoint():
+    # the L piece is [0.5, 0.5]: its corner sits on the split midpoint
+    coords = np.array([(0.5, 0.2), (0.5, 0.4), (0.1, 0.1), (0.9, 0.9), (0.7, 0.3)])
+    pts = ir.WeightedPointSet(coords, np.arange(5), np.ones(5))
+    s = ir.build_ids(pts, 1, ir.ID_SET)
+    q = Box((0.5, NEG_INF), (0.5, 0.5))
+    assert np.array_equal(ir.query(s, q).value, ir.scan_ids(pts, q))
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 2)])
+def test_bounds_on_dyadic_midpoints_match_scan(d, k):
+    rng = np.random.default_rng(40 + 10 * d + k)
+    n = 256
+    coords = rng.integers(0, 33, (n, d)) / 32  # many points on dyadic midpoints, tied
+    pts = ir.WeightedPointSet(coords, rng.permutation(n), np.ones(n))
+    s = ir.build_ids(pts, k, ir.ID_SET)
+    for _ in range(150):
+        lo, hi = [], []
+        for _ in range(k):
+            j = int(rng.integers(1, 6))
+            a = (2 * int(rng.integers(0, 1 << (j - 1))) + 1) / (1 << j)  # the midpoint of a depth-(j-1) node
+            lo.append(a)
+            hi.append(min(1.0, a + rng.choice([0.0, rng.random() / (1 << j), rng.random()])))
+        lo += [NEG_INF] * (d - k)
+        hi += (rng.integers(0, 33, d - k) / 32).tolist()
+        q = Box(tuple(lo), tuple(hi))
+        ans, audit = ir.query(s, q, return_audit=True)
+        got = ans.value if ans.value is not None else np.empty(0, np.int64)
+        assert np.array_equal(got, ir.scan_ids(pts, q))
+        for bx in audit:
+            assert all(bl >= ql for bl, ql in zip(bx.lo, q.lo))
+            assert all(bh <= qh for bh, qh in zip(bx.hi, q.hi))

@@ -90,25 +90,21 @@ def test_singleton_value_on_index_array_is_fold_of_singletons(name):
 
 
 @pytest.mark.parametrize("name", ["max", "or", "idset"])
-def test_reduce_rows_is_per_row_fold_of_singletons(name):
+def test_reduce_groups_is_per_group_fold_of_singletons(name):
     sg = ir.semigroup_by_name(name)
     rng = np.random.default_rng(7)
     w = _weights(sg, rng, 40)
-    for cols in (0, 1, 7, 40):  # a zero-column mask included
-        members = rng.permutation(40)[:cols]  # unique, as a stored sum's members are
-        mask = rng.random((12, cols)) < 0.3
-        mask[::4] = False  # all-false rows
-        got = sg.reduce_rows(mask, w[members])
-        assert len(got) == 12
-        for r in range(12):
-            idx = members[mask[r]]
-            if idx.size == 0:
-                assert got[r] is None
-                continue
+    for size in (0, 1, 7, 40):  # no groups at all included
+        members = rng.permutation(40)[:size]  # unique, as a stored sum's members are
+        cuts = np.flatnonzero(rng.random(size) < 0.3)
+        starts = np.unique(np.concatenate(([0], cuts))) if size else np.empty(0, dtype=np.intp)
+        got = sg.reduce_groups(w[members], starts)
+        assert len(got) == len(starts)
+        for g, idx in enumerate(np.split(members, starts[1:]) if size else []):
             want = ir.combine_all([singleton_value(sg, int(i), w) for i in idx], sg)
-            assert sg.equal(got[r], want) and type(got[r]) is type(want)
+            assert sg.equal(got[g], want) and type(got[g]) is type(want)
             if name == "idset":
-                assert got[r].dtype == np.int64 and np.array_equal(got[r], want)
+                assert got[g].dtype == np.int64 and np.array_equal(got[g], want)
 
 
 def test_idset_fold_matches_np_unique():
