@@ -9,10 +9,12 @@ runs ``perfbench/run.py`` from that copy and from the working tree, one pair
 per workload and seed, alternating which side runs first.  Runs are
 sequential.  For every end-to-end metric of ``BENCHMARK.json`` it prints
 each side's median and quartiles over the pairs and the number of pairs the
-working tree won (ties count for neither side), and marks a metric ``gain``
+working tree won (ties count for neither side).  It marks a metric ``gain``
 when the working tree won at least 9 of 10 pairs and the medians differ by
-more than the base's interquartile range.  A pair of 34 s runs takes about
-80 s of wall time.
+more than the base's interquartile range, and ``worse`` when the working
+tree's median is worse than the base's by more than the metric's ``bound``
+(a share of the base median) in ``BENCHMARK.json``, which is only read.  A
+pair of 34 s runs takes about 80 s of wall time.
 """
 
 from __future__ import annotations
@@ -48,17 +50,22 @@ def run_one(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     return json.loads(lines[-1])
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[dict]:
-    """Per metric: base and change quartiles, wins of the change, gain flag."""
+def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
+    """Per end-to-end metric of ``BENCHMARK.json`` (name, better, bound):
+    base and change quartiles, wins of the change, gain and worse flags."""
     rows = []
-    for metric, direction in better.items():
+    for m in metrics:
+        metric, lower = m["name"], m["better"] == "lower"
         base = np.array([b["metrics"][metric]["value"] for b, _ in pairs])
         new = np.array([c["metrics"][metric]["value"] for _, c in pairs])
-        wins = int(np.sum(new < base if direction == "lower" else new > base))
+        wins = int(np.sum(new < base if lower else new > base))
         bq = np.percentile(base, [25, 50, 75])
         cq = np.percentile(new, [25, 50, 75])
         gain = wins >= 0.9 * len(pairs) and abs(cq[1] - bq[1]) > bq[2] - bq[0]
-        rows.append({"metric": metric, "base": bq.tolist(), "change": cq.tolist(), "wins": wins, "gain": bool(gain)})
+        worse = (cq[1] - bq[1] if lower else bq[1] - cq[1]) > m["bound"] * abs(bq[1])
+        rows.append(
+            {"metric": metric, "base": bq.tolist(), "change": cq.tolist(), "wins": wins, "gain": bool(gain), "worse": bool(worse)}
+        )
     return rows
 
 
@@ -68,13 +75,12 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", nargs="+", required=True, help="seeds, e.g. 501-510 or 7 11")
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--seconds", type=int, default=34)
-    ap.add_argument("--json", type=Path, help="also write every run's result here")
+    ap.add_argument("--json", type=Path, help="also write every run's result and the summary here")
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seeds = parse_seeds(args.seeds)
-    record = {"base": args.base, "seconds": args.seconds, "runs": {}}
+    record = {"base": args.base, "seconds": args.seconds, "runs": {}, "summary": {}}
     with tempfile.TemporaryDirectory(prefix="bench_base_") as tmp:
         base_dir = Path(tmp)
         archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, capture_output=True, check=True).stdout
@@ -93,11 +99,12 @@ def main(argv=None) -> int:
             failed = {side: sum(p[j]["failed"] for p in pairs) for j, side in enumerate(("base", "change"))}
             print(f"\n{workload}: {len(pairs)} pairs, failed queries base {failed['base']} change {failed['change']}")
             print(f"{'metric':22s} {'base median [q1-q3]':>30s} {'change median [q1-q3]':>30s} {'wins':>6s}")
-            for row in summarize(pairs, better):
+            record["summary"][workload] = summarize(pairs, spec["end_to_end"])
+            for row in record["summary"][workload]:
                 b, c = row["base"], row["change"]
                 print(
                     f"{row['metric']:22s} {b[1]:12.4g} [{b[0]:.4g}-{b[2]:.4g}] {c[1]:12.4g} [{c[0]:.4g}-{c[2]:.4g}]"
-                    f" {row['wins']:3d}/{len(pairs)}{'  gain' if row['gain'] else ''}"
+                    f" {row['wins']:3d}/{len(pairs)}{'  gain' if row['gain'] else ''}{'  worse' if row['worse'] else ''}"
                 )
             print(flush=True)
     if args.json:

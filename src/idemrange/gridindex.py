@@ -1,12 +1,15 @@
 """Uniform bucket grid over points in the unit cube.
 
 Used for residual/singleton enumeration.  Lookups are array bookkeeping,
-not semigroup additions, so they are free in the cost model.
+not semigroup additions, so they are free in the cost model.  Points are
+sorted by their flat cell id (row-major); a box lookup lists the flat ids
+of the first cell of every row of its cell range along the last dimension,
+finds each row's run of points with two ``searchsorted`` calls, and gathers
+all runs at once.  Coordinates outside the unit cube, infinities included,
+fall in the edge cells.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -22,7 +25,8 @@ class GridIndex:
         if cells_per_dim is None:
             cells_per_dim = max(1, int(round(max(n, 1) ** (1.0 / d))))
         self.g = cells_per_dim
-        cell = np.clip((coords * self.g).astype(np.int64), 0, self.g - 1)
+        # clip before the int conversion: a cast of |x * g| >= 2^63 overflows
+        cell = np.clip(coords * self.g, 0.0, self.g - 1.0).astype(np.int64)
         flat = np.zeros(n, dtype=np.int64)
         for j in range(d):
             flat = flat * self.g + cell[:, j]
@@ -31,28 +35,24 @@ class GridIndex:
 
     def _cell_range(self, lo: float, hi: float) -> tuple[int, int]:
         # clip before int conversion: infinite bounds land in the edge cells
-        c0 = int(np.clip(np.floor(lo * self.g), 0, self.g - 1))
-        c1 = int(np.clip(np.floor(hi * self.g), 0, self.g - 1))
-        return c0, c1
+        g = self.g
+        return int(min(max(lo * g, 0.0), g - 1.0)), int(min(max(hi * g, 0.0), g - 1.0))
 
     def candidates_in_box(self, lo, hi) -> np.ndarray:
-        """Indices of points in grid cells overlapping the closed box (superset)."""
+        """Indices of points in grid cells overlapping the closed box
+        (superset), in flat cell order."""
         ranges = [self._cell_range(float(l), float(h)) for l, h in zip(lo, hi)]
         if any(c0 > c1 for c0, c1 in ranges):
             return np.empty(0, dtype=np.int64)
-        chunks = []
+        g = self.g
+        base = np.zeros(1, dtype=np.int64)  # flat ids of the cell-row prefixes, in product order
+        for c0, c1 in ranges[:-1]:
+            base = (base[:, None] * g + np.arange(c0, c1 + 1)).ravel()
         last_lo, last_hi = ranges[-1]
-        for prefix in itertools.product(*[range(c0, c1 + 1) for c0, c1 in ranges[:-1]]):
-            base = 0
-            for c in prefix:
-                base = base * self.g + c
-            start = np.searchsorted(self.sorted_flat, base * self.g + last_lo, side="left")
-            stop = np.searchsorted(self.sorted_flat, base * self.g + last_hi, side="right")
-            if stop > start:
-                chunks.append(self.order[start:stop])
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(chunks)
+        start = np.searchsorted(self.sorted_flat, base * g + last_lo, side="left")
+        width = np.searchsorted(self.sorted_flat, base * g + last_hi, side="right") - start
+        pos = np.repeat(start - np.cumsum(width) + width, width) + np.arange(width.sum())
+        return self.order[pos]
 
     def points_in_box(self, lo, hi) -> np.ndarray:
         """Indices of points inside the closed box (lo entries may be -inf)."""

@@ -13,10 +13,12 @@ intervals, candidate boxes are picked per cover pair, and the last d-k
 dimensions reduce to a dominance cover whose leftovers are singletons.
 
 All stored sums live in one flat index, ``_SumIndex``.  Its one primitive,
-``inside``, finds the sums inside a box for the candidates of a cover pair,
-for the sums that absorb leftovers, and for the exact-cover oracle: one
-``searchsorted`` on dim 0, a vectorized mask, and row ids in block order,
-so ties break as a per-block scan would break them.
+``inside``, finds the sums inside a box: one ``searchsorted`` on dim 0, a
+vectorized mask, and row ids in block order, so ties break as a per-block
+scan would break them.  A piece makes one ``inside`` call with the loosest
+filter of all its cover tuples; a (tuple x row) mask of the spans then gives
+each tuple its candidates, still in block order.  ``inside`` also finds the
+sums that absorb leftovers and the exact-cover oracle's sums.
 
 The query tail works on arrays.  Leftovers that a used sum covers are
 dropped, and a greedy reuses stored sums that absorb two or more of the
@@ -376,21 +378,38 @@ def _piece_segments(struct: IdsStructure, piece: AnchoredPiece, i: int):
     return np.asarray(seg_lo), labels, pairs
 
 
-def _gather_candidates(struct: IdsStructure, piece: AnchoredPiece, chosen_pairs, qlo, qhi):
-    """Usable stored sums for one cover-pair tuple: (their points, row ids).
+def _tuple_candidates(struct: IdsStructure, piece: AnchoredPiece, dim_pairs, tuples: np.ndarray, qlo, qhi):
+    """Usable stored sums of every cover-pair tuple of one piece.
 
-    A sum works for the tuple iff its box spans the tuple's interval in
-    every two-sided dimension and sits inside the containment box (the full
-    query, or just the piece when answering a piece standalone); coverage of
-    a target then reduces to dominance in the remaining dimensions.  Family
-    indices deeper than depth(u_i)+1 cannot span an interval of u_i's width,
-    so only those levels are kept.
+    ``tuples`` holds one row of pair indices into ``dim_pairs`` per tuple.
+    A sum works for a tuple iff its box spans the tuple's interval in every
+    two-sided dimension and sits inside the containment box (the full query,
+    or just the piece when answering a piece standalone); coverage of a
+    target then reduces to dominance in the remaining dimensions.  Family
+    indices deeper than depth(u_i)+1 cannot span an interval of u_i's width
+    (a depth-i box is at most 2^(1-i) wide there), so the lookup keeps only
+    those levels and the span test alone decides per tuple.
+
+    One flat-index lookup with the loosest span and depth cap over the
+    tuples gives a pool that every tuple's own spans narrow; returns (pool
+    rows in block order, tuple x pool mask), so tuple t's candidates are
+    ``pool[mask[t]]``.
     """
-    h = struct.config.h
-    ab = np.asarray([struct.trees[i].interval(pair.u) for i, pair in enumerate(chosen_pairs)])
-    depths = np.asarray([v.depth for v in piece.vnodes]), np.asarray([min(h, p.u.depth + 1) for p in chosen_pairs])
-    rows = struct.sums.inside(qlo, qhi, 1, orient=piece.orientation, depths=depths, spans=(ab[:, 0], ab[:, 1]))
-    return struct.sums.coords[rows], rows
+    k = len(dim_pairs)
+    a, b = np.empty(tuples.shape), np.empty(tuples.shape)
+    cap = np.empty(k, dtype=np.int64)
+    for i, pairs in enumerate(dim_pairs):
+        ab = np.asarray([struct.trees[i].interval(p.u) for p in pairs])[tuples[:, i]]
+        a[:, i], b[:, i] = ab[:, 0], ab[:, 1]
+        cap[i] = np.asarray([p.u.depth for p in pairs])[tuples[:, i]].max() + 1
+    sums = struct.sums
+    depths = np.asarray([v.depth for v in piece.vnodes]), np.minimum(cap, struct.config.h)
+    pool = sums.inside(qlo, qhi, 1, orient=piece.orientation, depths=depths, spans=(a.max(axis=0), b.min(axis=0)))
+    mask = np.ones((len(tuples), pool.size), dtype=bool)
+    for j in range(k):
+        mask &= sums.box_lo[pool, j] <= a[:, j, None]
+        mask &= sums.box_hi[pool, j] >= b[:, j, None]
+    return pool, mask
 
 
 class _CoverState:
@@ -438,11 +457,14 @@ def _process_piece(struct: IdsStructure, piece: AnchoredPiece, state: _CoverStat
     dims = tuple(len(p) for p in dim_pairs)
     keys = np.ravel_multi_index(tuple(glabels.T), dims)  # lexicographic in the label tuple
     order = np.argsort(keys, kind="stable")  # by tuple, each tuple's rows in index order
-    for rows in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
-        chosen = [pairs[i] for pairs, i in zip(dim_pairs, np.unravel_index(keys[rows[0]], dims))]
-        cand_coords, cand_rows = _gather_candidates(struct, piece, chosen, state.qlo, state.qhi)
-        tproj = struct.points.coords[grouped[rows]][:, k:]
-        m_idx, covered, used = dominance_cover(cand_coords[:, k:], tproj)
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(keys[order])) + 1))
+    tuples = np.stack(np.unravel_index(keys[order[starts]], dims), axis=1)
+    pool, mask = _tuple_candidates(struct, piece, dim_pairs, tuples, state.qlo, state.qhi)
+    gproj = tcoords[~singles][:, k:]
+    for t, (s0, s1) in enumerate(zip(starts.tolist(), [*starts[1:].tolist(), order.size])):
+        rows = order[s0:s1]
+        cand_rows = pool[mask[t]]
+        m_idx, covered, used = dominance_cover(struct.sums.coords[cand_rows, k:], gproj[rows])
         for mi in m_idx[used]:
             state.take(int(cand_rows[mi]))
         state.leftover.append(grouped[rows[~covered]])

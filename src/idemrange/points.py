@@ -33,7 +33,11 @@ _MAX_DIM = 6
 
 @dataclass(frozen=True)
 class WeightedPointSet:
-    """Points in [0,1]^d with unique ids and semigroup weights (floats)."""
+    """Points with unique ids and semigroup weights (floats).
+
+    Coordinates usually lie in [0,1]^d; any other value, +-inf included, is
+    an ordinary point outside the unit cube.  NaN is rejected.
+    """
 
     coords: np.ndarray  # (n, d)
     ids: np.ndarray  # (n,)
@@ -47,6 +51,8 @@ class WeightedPointSet:
             raise ValueError("coords, ids, weights lengths differ")
         if ids.size and np.unique(ids).size != ids.size:
             raise ValueError("point ids must be unique")
+        if np.isnan(coords).any():
+            raise ValueError("point coordinates must not be NaN")
         for arr, name in ((coords, "coords"), (ids, "ids"), (weights, "weights")):
             arr.setflags(write=False)
         object.__setattr__(self, "coords", coords)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -556,3 +558,104 @@ def test_bounds_on_dyadic_midpoints_match_scan(d, k):
         for bx in audit:
             assert all(bl >= ql for bl, ql in zip(bx.lo, q.lo))
             assert all(bh <= qh for bh, qh in zip(bx.hi, q.hi))
+
+
+_FAR = (1e19, -1e19, 1e300, -1e300, np.inf, -np.inf)
+
+
+def test_far_out_point_hand_example():
+    # a cast of 1e19 * g to int64 overflows; the point must still be found
+    pts = ir.uniform_random(64, 2, seed=3)
+    coords = np.vstack((pts.coords, [(1e19, 0.3), (np.inf, 0.5)]))
+    pts = ir.WeightedPointSet(coords, np.arange(66), np.ones(66))
+    s = ir.build_ids(pts, 1, ir.ID_SET)
+    for q in (Box((0.9, NEG_INF), (2e19, 0.9)), Box((0.9, NEG_INF), (np.inf, 0.9))):
+        want = ir.scan_ids(pts, q)
+        assert 64 in want
+        assert np.array_equal(ir.query(s, q).value, want)
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 2)])
+def test_far_out_points_match_scan(d, k):
+    rng = np.random.default_rng(60 + 10 * d + k)
+    n = 128
+    coords = rng.random((n, d))
+    far_rows = rng.choice(n, 40, replace=False)
+    coords[far_rows, rng.integers(0, d, 40)] = rng.choice(_FAR, 40)
+    coords[far_rows[:6]] = rng.choice(_FAR, (6, d))  # far in every dimension
+    pts = ir.WeightedPointSet(coords, rng.permutation(n), np.ones(n))
+    s = ir.build_ids(pts, k, ir.ID_SET)
+    los = (-2e19, -1e300, 1e19, 0.3)
+    his = (2e19, 1e300, np.inf, -1e19, 0.7)
+    for _ in range(120):
+        lo, hi = [], []
+        for _ in range(k):
+            a = rng.choice(los) if rng.random() < 0.5 else rng.uniform(-0.2, 1.2)
+            b = rng.choice(his) if rng.random() < 0.5 else rng.uniform(-0.2, 1.2)
+            lo.append(float(min(a, b)))
+            hi.append(float(max(a, b)))
+        lo += [NEG_INF] * (d - k)
+        hi += [float(rng.choice(his)) if rng.random() < 0.5 else rng.uniform(-0.2, 1.2) for _ in range(d - k)]
+        q = Box(tuple(lo), tuple(hi))
+        ans, audit = ir.query(s, q, return_audit=True)
+        got = ans.value if ans.value is not None else np.empty(0, np.int64)
+        assert np.array_equal(got, ir.scan_ids(pts, q))
+        for bx in audit:
+            assert all(bl >= ql for bl, ql in zip(bx.lo, q.lo))
+            assert all(bh <= qh for bh, qh in zip(bx.hi, q.hi))
+
+
+def test_far_out_points_dominance_match_scan():
+    rng = np.random.default_rng(71)
+    n = 128
+    coords = rng.random((n, 2))
+    far_rows = rng.choice(n, 40, replace=False)
+    coords[far_rows, rng.integers(0, 2, 40)] = rng.choice(_FAR, 40)
+    pts = ir.WeightedPointSet(coords, np.arange(n), np.ones(n))
+    ds = ir.build_dominance(pts, 32, ir.ID_SET)
+    corners = np.vstack((rng.uniform(-0.2, 1.2, (60, 2)), rng.choice((*_FAR, 0.5), (60, 2))))
+    for q in corners:
+        ans = ir.dominance_query(ds, q)
+        got = ans.value if ans.value is not None else np.empty(0, np.int64)
+        assert np.array_equal(got, ir.scan_ids(pts, Box((NEG_INF, NEG_INF), tuple(q))))
+
+
+def test_nan_point_coordinates_rejected():
+    coords = np.random.default_rng(0).random((8, 2))
+    coords[3, 1] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        ir.WeightedPointSet(coords, np.arange(8), np.ones(8))
+    coords[3, 1] = np.inf  # infinite coordinates are ordinary points outside the cube
+    assert len(ir.WeightedPointSet(coords, np.arange(8), np.ones(8))) == 8
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2)])
+def test_batched_candidates_match_per_tuple_inside(d, k):
+    """Each tuple's rows from the per-piece lookup and mask equal the rows of
+    its own ``inside`` call, in the same order, for every tuple of pairs."""
+    rng = np.random.default_rng(80 + 10 * d + k)
+    pts = ir.uniform_random(4096, d, seed=90 + d + k)
+    s = ir.build_ids(pts, k, ir.MAX_REAL)
+    h = s.config.h
+    tuples_seen = rows_seen = narrowed = 0  # narrowed: the tuple's own filter drops pool rows
+    for q in _uniform_queries(rng, d, k, 25):
+        pieces, singleton_only = I.decompose_query(s, q)
+        if singleton_only:
+            continue
+        qlo, qhi = np.asarray(q.lo), np.asarray(q.hi)
+        for piece in pieces:
+            dim_pairs = [I._piece_segments(s, piece, i)[2] for i in range(k)]
+            if not all(dim_pairs):
+                continue
+            tuples = np.asarray(list(itertools.product(*[range(len(p)) for p in dim_pairs])))
+            pool, mask = I._tuple_candidates(s, piece, dim_pairs, tuples, qlo, qhi)
+            for t, row in enumerate(tuples):
+                chosen = [pairs[i] for pairs, i in zip(dim_pairs, row)]
+                ab = np.asarray([s.trees[i].interval(p.u) for i, p in enumerate(chosen)])
+                depths = np.asarray([v.depth for v in piece.vnodes]), np.asarray([min(h, p.u.depth + 1) for p in chosen])
+                want = s.sums.inside(qlo, qhi, 1, orient=piece.orientation, depths=depths, spans=(ab[:, 0], ab[:, 1]))
+                assert np.array_equal(pool[mask[t]], want)
+                tuples_seen += 1
+                rows_seen += want.size
+                narrowed += want.size < pool.size
+    assert tuples_seen > 100 and rows_seen > 0 and narrowed > 0
