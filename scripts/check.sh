@@ -8,9 +8,12 @@
 # testpaths.  It fails when a name the benchmark's tracer wraps in
 # idemrange.idsstruct is no longer called, so run it after any change there.
 #
-# Not run here, as it takes minutes: scripts/bench_pairs.py, which runs the
+# Not run here, as they take minutes: scripts/bench_pairs.py, which runs the
 # benchmark alternately on a base revision and the working tree and prints
-# each side's quartiles and the working tree's win count per metric.
+# each side's quartiles and the working tree's win count per metric; and
+# scripts/ab_query.py, which checks in one process that a base revision and
+# the working tree give equal answers, costs, audits and s_plus on one
+# workload, then prints their per-query time ratios.
 set -e
 cd "$(dirname "$0")/.."
 # each Semigroup carries its own operations: no code may branch on a semigroup's name

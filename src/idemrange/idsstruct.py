@@ -12,19 +12,23 @@ fills the count and value of every box of every block in one batched
 intervals, candidate boxes are picked per cover pair, and the last d-k
 dimensions reduce to a dominance cover whose leftovers are singletons.
 
-All stored sums live in one flat index, ``_SumIndex``.  Its one primitive,
-``inside``, finds the sums inside a box: one ``searchsorted`` on dim 0, a
-vectorized mask, and row ids in block order, so ties break as a per-block
-scan would break them.  A piece makes one ``inside`` call with the loosest
-filter of all its cover tuples; a (tuple x row) mask of the spans then gives
-each tuple its candidates, still in block order.  ``inside`` also finds the
-sums that absorb leftovers and the exact-cover oracle's sums.
+All stored sums live in one flat index, ``_SumIndex``, which also keeps
+each orientation's rows sorted by dim 0 with their bounds dimension-major.
+Its one primitive, ``inside``, finds the sums inside a box: one contiguous
+dim-0 slice per orientation, tested one column at a time, and row ids
+merged into block order, so ties break as a per-block scan would break
+them.  A piece makes one ``inside`` call with the loosest filter of all its
+cover tuples; a (tuple x row) mask of the spans then gives each tuple its
+candidates, still in block order, and a tuple with none skips the
+dominance cover.  ``inside`` also finds the sums that absorb leftovers and
+the exact-cover oracle's sums.
 
 The query tail works on arrays.  Leftovers that a used sum covers are
 dropped, and a greedy reuses stored sums that absorb two or more of the
-rest; both test containment through ``_pairs_inside``, which sorts the
-leftovers by dim 0 and expands only the (box, leftover) pairs inside each
-box's dim-0 window.  The final leftovers enter the fold as one batched
+rest.  The greedy first drops every box that holds fewer than two
+leftovers in some single dimension (two ``searchsorted`` calls per
+dimension); both steps then test containment as uint64 bit rows
+(``_inside_bits``).  The final leftovers enter the fold as one batched
 ``singleton_value`` (the cost still counts each of them).
 
 Query bounds may reach outside the unit cube the trees span: the split is
@@ -89,12 +93,13 @@ class _SumIndex:
     """Every stored sum in one structure of arrays.
 
     Rows are in block order: ``IdsStructure.blocks`` order (orientation, then
-    family index), then the dim-0 point coordinate.  ``bounds`` holds each
-    box as one row [lo | hi]; ``box_lo`` and ``box_hi`` are views of its
-    halves.  ``counts`` and ``values`` hold the number and the semigroup sum
-    of the input points inside each box, from one ``box_sums`` call.
-    ``by_x0[o]`` is (rows, keys): the rows of orientation o, or of all
-    orientations for None, sorted by their dim-0 point coordinate.
+    family index), then the dim-0 point coordinate.  ``box_lo`` and
+    ``box_hi`` hold each box's bounds; ``counts`` and ``values`` hold the
+    number and the semigroup sum of the input points inside each box, from
+    one ``box_sums`` call.  ``by_orient[o]`` is (rows, bounds, counts,
+    depths): the rows of orientation o sorted by their dim-0 point
+    coordinate, with their [lo | hi] bounds, counts and family indices
+    copied dimension-major in that order.
     """
 
     def __init__(self, k: int, parts: list, point_coords: np.ndarray, w: np.ndarray, sg: Semigroup):
@@ -102,19 +107,16 @@ class _SumIndex:
         sizes = [len(p[2]) for p in parts]
         ends = np.cumsum([0] + sizes).tolist()
         self.block_ranges = [((p[0], p[1]), a, b) for p, a, b in zip(parts, ends, ends[1:])]
-        self.coords, box_lo, box_hi = (np.concatenate(c) for c in list(zip(*parts))[2:])
-        self.counts, self.values = box_sums(point_coords, w, sg, box_lo, box_hi)
-        d = self.coords.shape[1]
-        self.bounds = np.hstack((box_lo, box_hi))
-        self.box_lo, self.box_hi = self.bounds[:, :d], self.bounds[:, d:]
+        self.coords, self.box_lo, self.box_hi = (np.concatenate(c) for c in list(zip(*parts))[2:])
+        self.counts, self.values = box_sums(point_coords, w, sg, self.box_lo, self.box_hi)
         self.depth = np.repeat(np.asarray([p[1] for p in parts]).reshape(-1, k), sizes, axis=0)
-        x0 = self.coords[:, 0]
-        self.by_x0 = {}
-        for o in [None, *itertools.product((_R, _L), repeat=k)]:
-            blocks = [np.arange(a, b) for (orient, _), a, b in self.block_ranges if o in (None, orient)]
+        self.by_orient = {}
+        for o in itertools.product((_R, _L), repeat=k):
+            blocks = [np.arange(a, b) for (orient, _), a, b in self.block_ranges if orient == o]
             rows = np.concatenate([np.empty(0, dtype=np.int64), *blocks])
-            rows = rows[np.argsort(x0[rows], kind="stable")]
-            self.by_x0[o] = rows, x0[rows]
+            rows = rows[np.argsort(self.coords[rows, 0], kind="stable")]
+            bounds = np.hstack((self.box_lo[rows], self.box_hi[rows])).T.copy()
+            self.by_orient[o] = rows, bounds, self.counts[rows], self.depth[rows].T.copy()
 
     def inside(self, qlo, qhi, min_count: int, *, orient=None, depths=None, spans=None, reach=None) -> np.ndarray:
         """Row ids, in block order, of the sums with at least ``min_count``
@@ -136,18 +138,21 @@ class _SumIndex:
         if reach is not None:
             floor[d:] = np.maximum(floor[d:], reach[0])
             ceil[:d] = np.minimum(ceil[:d], reach[1])
-        # the sort key, a row's dim-0 point coordinate, is its box's hi end (R) or lo end (L)
-        order, x0 = self.by_x0[orient]
-        ends = [0, d] if orient is None else [d if orient[0] == _R else 0]
-        rows = order[np.searchsorted(x0, floor[ends].min()) : np.searchsorted(x0, ceil[ends].max(), side="right")]
-        if rows.size == 0:
-            return rows
-        b = self.bounds[rows]
-        ok = ((b >= floor) & (b <= ceil)).all(axis=1) & (self.counts[rows] >= min_count)
-        if depths is not None:
-            dep = self.depth[rows]
-            ok &= ((dep >= depths[0]) & (dep <= depths[1])).all(axis=1)
-        return np.sort(rows[ok])
+        found = []
+        for o in self.by_orient if orient is None else [orient]:
+            rows, bounds, counts, dep = self.by_orient[o]
+            # the sort key, a row's dim-0 point coordinate, is its box's hi end (R) or lo end (L)
+            key = d if o[0] == _R else 0
+            s = slice(np.searchsorted(bounds[key], floor[key]), np.searchsorted(bounds[key], ceil[key], side="right"))
+            ok = counts[s] >= min_count
+            for c in range(2 * d):
+                if c != key:  # the slice already bounds the key column
+                    ok &= (bounds[c, s] >= floor[c]) & (bounds[c, s] <= ceil[c])
+            if depths is not None:
+                for j in range(len(dep)):
+                    ok &= (dep[j, s] >= depths[0][j]) & (dep[j, s] <= depths[1][j])
+            found.append(rows[s][ok])
+        return np.sort(np.concatenate(found))
 
 
 class _Block:
@@ -424,14 +429,15 @@ class _CoverState:
         self.used: list[int] = []
         self.leftover: list = []
 
-    def take(self, r: int) -> None:
-        lo, hi = self.sums.box_lo[r], self.sums.box_hi[r]
+    def take(self, rows: np.ndarray) -> None:
+        """Use the stored sums ``rows``, in order; each must sit inside the query."""
+        lo, hi = self.sums.box_lo[rows], self.sums.box_hi[rows]
         if self.audit is not None:
-            self.audit.append(Box(tuple(lo), tuple(hi)))
+            self.audit.extend(Box(tuple(a), tuple(b)) for a, b in zip(lo.tolist(), hi.tolist()))
         if np.any(lo < self.qlo) or np.any(hi > self.qhi):
             raise AssertionError("used sum escapes the query box")
-        self.parts.append(self.sums.values[r])
-        self.used.append(r)
+        self.parts.extend(self.sums.values[rows])
+        self.used.extend(rows.tolist())
 
 
 def _process_piece(struct: IdsStructure, piece: AnchoredPiece, state: _CoverState) -> None:
@@ -461,56 +467,48 @@ def _process_piece(struct: IdsStructure, piece: AnchoredPiece, state: _CoverStat
     tuples = np.stack(np.unravel_index(keys[order[starts]], dims), axis=1)
     pool, mask = _tuple_candidates(struct, piece, dim_pairs, tuples, state.qlo, state.qhi)
     gproj = tcoords[~singles][:, k:]
+    has_candidates = mask.any(axis=1)
     for t, (s0, s1) in enumerate(zip(starts.tolist(), [*starts[1:].tolist(), order.size])):
         rows = order[s0:s1]
+        if not has_candidates[t]:  # nothing to dominate with: every target is left over
+            state.leftover.append(grouped[rows])
+            continue
         cand_rows = pool[mask[t]]
         m_idx, covered, used = dominance_cover(struct.sums.coords[cand_rows, k:], gproj[rows])
-        for mi in m_idx[used]:
-            state.take(int(cand_rows[mi]))
+        state.take(cand_rows[m_idx[used]])
         state.leftover.append(grouped[rows[~covered]])
 
 
-# (box, point) pairs expanded at once while testing containment
+# (box, point) cells tested at once while building containment bit rows
 _CHUNK_CELLS = 1 << 16
 
 
-def _pairs_inside(pts: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray, min_count: int, chunk_cells: int):
-    """Closed containment of ``pts`` in the boxes, windowed on dim 0.
+def _inside_bits(pts: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray, chunk_cells: int = _CHUNK_CELLS):
+    """Closed containment of ``pts`` in each box as a row of uint64 bit words:
+    bit i of a row is set iff point i lies in that box, padding bits never.
 
-    The points are sorted by dim 0 and each box's window of that order is
-    found by two ``searchsorted`` calls; only the (box, point) pairs inside
-    a window are expanded and tested on the other dimensions.  Boxes whose
-    window holds fewer than ``min_count`` points are skipped.  Yields, in
-    box order, chunks of about ``chunk_cells`` pairs and at least one box:
-    (box rows, per-pair index into them, per-pair point index), for the
-    pairs with the point inside the box.
+    One dense compare per dimension on the points' contiguous columns,
+    about ``chunk_cells`` (box, point) cells and at least one box at a time.
     """
-    order = np.argsort(pts[:, 0], kind="stable")
-    cols = pts[order].T.copy()  # sorted points, one contiguous row per dimension
-    start = np.searchsorted(cols[0], box_lo[:, 0])
-    width = np.searchsorted(cols[0], box_hi[:, 0], side="right") - start  # lo <= hi: never negative
-    boxes = np.nonzero(width >= min_count)[0]
-    ends = np.cumsum(width[boxes])
-    s0 = 0
-    while s0 < boxes.size:
-        done = ends[s0] - width[boxes[s0]]  # pairs in earlier chunks
-        s1 = max(s0 + 1, int(np.searchsorted(ends, done + chunk_cells, side="right")))
-        rows = boxes[s0:s1]
-        wid = width[rows]
-        pos = np.repeat(start[rows] + wid - np.cumsum(wid), wid) + np.arange(wid.sum())
-        lo, hi = box_lo[rows].T, box_hi[rows].T
-        ok = np.ones(pos.size, dtype=bool)
+    m = len(pts)
+    cols = np.ascontiguousarray(pts.T)
+    bits = np.empty((len(box_lo), -(-m // 64)), dtype=np.uint64)
+    step = max(1, chunk_cells // max(m, 1))
+    cells = np.zeros((min(step, len(box_lo)), bits.shape[1] * 64), dtype=bool)  # padding columns stay False
+    for s0 in range(0, len(box_lo), step):
+        lo, hi = box_lo[s0 : s0 + step], box_hi[s0 : s0 + step]
+        inside = cells[: len(lo), :m]
+        np.greater_equal(cols[0], lo[:, :1], out=inside)
+        inside &= cols[0] <= hi[:, :1]
         for j in range(1, len(cols)):
-            c = cols[j][pos]
-            ok &= (c >= np.repeat(lo[j], wid)) & (c <= np.repeat(hi[j], wid))
-        yield rows, np.repeat(np.arange(rows.size), wid)[ok], order[pos[ok]]
-        s0 = s1
+            inside &= (cols[j] >= lo[:, j, None]) & (cols[j] <= hi[:, j, None])
+        bits[s0 : s0 + len(lo)] = np.packbits(cells[: len(lo)], axis=1, bitorder="little").view(np.uint64)
+    return bits
 
 
-def _pack_rows(mask: np.ndarray) -> np.ndarray:
-    """Boolean rows as rows of uint64 bit words, zero-padded to a word."""
-    pad = -mask.shape[1] % 64
-    return np.packbits(np.pad(mask, ((0, 0), (0, pad))), axis=1, bitorder="little").view(np.uint64)
+def _unpack(word_row: np.ndarray, m: int) -> np.ndarray:
+    """The first ``m`` bits of a row of uint64 words, as booleans."""
+    return np.unpackbits(word_row.view(np.uint8), count=m, bitorder="little").astype(bool)
 
 
 def _greedy_cover(pts: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray, chunk_cells: int = _CHUNK_CELLS):
@@ -518,29 +516,26 @@ def _greedy_cover(pts: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray, chunk
     uncovered points, take the first box holding the most.  Returns (picked
     box rows in pick order, per-point uncovered mask).
 
-    Exact and incremental.  Containment comes from ``_pairs_inside``, about
-    ``chunk_cells`` (box, point) pairs at a time, counted per box; boxes
-    holding fewer than two points are dropped: gains only fall, so they are
-    never picked.  Only the rest get a bit row, packed in uint64 words, and
-    a pick subtracts from each gain just the popcount of the points it
-    newly covers.
+    Exact and incremental.  Only boxes holding two or more points can be
+    picked, as gains only fall.  Such a box holds two or more in every
+    single dimension, which two ``searchsorted`` calls per dimension on the
+    sorted point columns count; the rest of the boxes are dropped unseen.
+    The survivors, still in box order, get their containment as bit rows
+    (``_inside_bits``), and a pick subtracts from each gain just the
+    popcount of the points it newly covers.
     """
     m = len(pts)
-    rows, bits, gains = [], [], []
-    for boxes, local, pt in _pairs_inside(pts, box_lo, box_hi, 2, chunk_cells):
-        cnt = np.bincount(local, minlength=boxes.size)
-        keep = cnt >= 2
-        rank = np.cumsum(keep) - 1
-        sel = keep[local]
-        inside = np.zeros((rank[-1] + 1, m), dtype=bool)
-        inside[rank[local[sel]], pt[sel]] = True
-        rows.append(boxes[keep])
-        bits.append(_pack_rows(inside))
-        gains.append(cnt[keep])
-    if not rows:
-        return [], np.ones(m, dtype=bool)
-    rows, bits, gains = np.concatenate(rows), np.concatenate(bits), np.concatenate(gains)
-    alive = _pack_rows(np.ones((1, m), dtype=bool))[0]
+    srt = np.sort(pts, axis=0)
+    keep = np.ones(len(box_lo), dtype=bool)
+    for j in range(pts.shape[1]):
+        keep &= np.searchsorted(srt[:, j], box_hi[:, j], side="right") - np.searchsorted(srt[:, j], box_lo[:, j]) >= 2
+    rows = np.flatnonzero(keep)
+    bits = _inside_bits(pts, box_lo[rows], box_hi[rows], chunk_cells)
+    gains = np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
+    keep = gains >= 2
+    rows, bits, gains = rows[keep], bits[keep], gains[keep]
+    alive = np.full(bits.shape[1], np.iinfo(np.uint64).max, dtype=np.uint64)
+    alive[-1] >>= np.uint64(-m % 64)  # no padding bits
     picks: list[int] = []
     while gains.size:
         best = int(np.argmax(gains))
@@ -551,8 +546,7 @@ def _greedy_cover(pts: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray, chunk
         alive ^= newly
         w = np.nonzero(newly)[0]
         gains -= np.bitwise_count(bits[:, w] & newly[w]).sum(axis=1, dtype=np.int64)
-    uncovered = np.unpackbits(alive.view(np.uint8), count=m, bitorder="little").astype(bool)
-    return picks, uncovered
+    return picks, _unpack(alive, m)
 
 
 def _compress(struct: IdsStructure, state: _CoverState) -> np.ndarray:
@@ -560,29 +554,26 @@ def _compress(struct: IdsStructure, state: _CoverState) -> np.ndarray:
     stored sum inside the query that absorbs two or more of the rest
     (``_greedy_cover``), then fall back to singletons.
 
-    Both steps test containment through ``_pairs_inside``.  The pool is one
-    flat-index lookup: sums with two or more members inside the query that
-    meet the leftovers' bounding box.  Strictly reduces cost; exactness and
-    containment are unaffected because absorption is a full-coordinate box
-    test against sums already known to sit inside the query.
+    Both steps test containment as bit rows (``_inside_bits``).  The pool
+    is one flat-index lookup: sums with two or more members inside the
+    query that meet the leftovers' bounding box, which the greedy narrows
+    to boxes holding two or more leftovers per dimension before any
+    containment test.  Strictly reduces cost; exactness and containment are
+    unaffected because absorption is a full-coordinate box test against
+    sums already known to sit inside the query.
     """
     leftover_idx = np.concatenate([np.empty(0, dtype=np.int64), *state.leftover])
     pts = struct.points.coords[leftover_idx]
     sums = struct.sums
-    if state.used:
+    if state.used and leftover_idx.size:
         used = np.asarray(state.used)
-        covered = np.zeros(leftover_idx.size, dtype=bool)
-        for _, _, pt in _pairs_inside(pts, sums.box_lo[used], sums.box_hi[used], 1, _CHUNK_CELLS):
-            covered[pt] = True
+        covered = _unpack(np.bitwise_or.reduce(_inside_bits(pts, sums.box_lo[used], sums.box_hi[used])), len(pts))
         leftover_idx, pts = leftover_idx[~covered], pts[~covered]
     if leftover_idx.size < 2:
         return leftover_idx
     rows = sums.inside(state.qlo, state.qhi, 2, reach=(pts.min(axis=0), pts.max(axis=0)))
-    if rows.size == 0:
-        return leftover_idx
     picks, uncovered = _greedy_cover(pts, sums.box_lo[rows], sums.box_hi[rows])
-    for p in picks:
-        state.take(int(rows[p]))
+    state.take(rows[picks])
     return leftover_idx[uncovered]
 
 

@@ -347,11 +347,31 @@ def test_greedy_cover_matches_dense_reference(m, d):
         assert np.array_equal(alive, want_alive)
 
 
+def _scan_rows(sums, qlo, qhi, min_count, orient=None, depths=None, spans=None, reach=None):
+    """Reference ``_SumIndex.inside``: every row tested in block order."""
+    keep = []
+    for (o, _), blk_start, blk_stop in sums.block_ranges:
+        for r in range(blk_start, blk_stop):
+            lo, hi = sums.box_lo[r], sums.box_hi[r]
+            ok = o == (orient or o) and sums.counts[r] >= min_count and np.all(lo >= qlo) and np.all(hi <= qhi)
+            if depths is not None:
+                ok = ok and np.all((sums.depth[r] >= depths[0]) & (sums.depth[r] <= depths[1]))
+            if spans is not None:
+                k = len(spans[0])
+                ok = ok and np.all(lo[:k] <= spans[0]) and np.all(hi[:k] >= spans[1])
+            if reach is not None:
+                ok = ok and np.all(hi >= reach[0]) and np.all(lo <= reach[1])
+            if ok:
+                keep.append(r)
+    return keep
+
+
 def test_sum_index_matches_block_scan():
     pts = ir.uniform_random(256, 3, seed=22)
     s = ir.build_ids(pts, 2, ir.ID_SET)
     sums = s.sums
     rng = np.random.default_rng(23)
+    found = 0
     for q in _uniform_queries(rng, 3, 2, 30):
         qlo, qhi = np.asarray(q.lo), np.asarray(q.hi)
         want, start = [], 0
@@ -360,21 +380,53 @@ def test_sum_index_matches_block_scan():
             want.extend(start + np.nonzero(ok)[0])
             start += len(blk)
         assert sums.inside(qlo, qhi, 2).tolist() == want
-        orient = ("R", "L")
-        depths = (np.array([2, 1]), np.array([4, 3]))
-        a, b = np.array([0.3, 0.5]), np.array([0.35, 0.55])
-        rows = sums.inside(qlo, qhi, 1, orient=orient, depths=depths, spans=(a, b))
-        keep = [
-            r
-            for (o, _), blk_start, blk_stop in sums.block_ranges
-            for r in range(blk_start, blk_stop)
-            if o == orient
-            and sums.counts[r] >= 1
-            and np.all((sums.depth[r] >= depths[0]) & (sums.depth[r] <= depths[1]))
-            and np.all(sums.box_lo[r] >= qlo) and np.all(sums.box_hi[r] <= qhi)
-            and np.all(sums.box_lo[r, :2] <= a) and np.all(sums.box_hi[r, :2] >= b)
-        ]
-        assert rows.tolist() == keep
+        low = np.maximum(qlo, 0.0)
+        reach = (low + 0.2 * (qhi - low), qhi - 0.3 * (qhi - low))
+        assert sums.inside(qlo, qhi, 2, reach=reach).tolist() == _scan_rows(sums, qlo, qhi, 2, reach=reach)
+        mid = (qlo[:2] + qhi[:2]) / 2
+        for depths, a, b in [
+            ((np.array([2, 1]), np.array([4, 3])), np.array([0.3, 0.5]), np.array([0.35, 0.55])),
+            ((np.array([1, 1]), np.array([8, 8])), mid, mid),  # boxes spanning the query's centre
+        ]:
+            for orient in itertools.product("RL", repeat=2):
+                rows = sums.inside(qlo, qhi, 1, orient=orient, depths=depths, spans=(a, b))
+                assert rows.tolist() == _scan_rows(sums, qlo, qhi, 1, orient, depths, (a, b))
+                found += rows.size
+    assert found > 15
+
+
+def test_sum_index_edge_layouts():
+    """A hand-built index: no R rows, rows tied on x0 within and across
+    blocks, and dim-0 windows that hold no key."""
+    rng = np.random.default_rng(25)
+    pts = rng.integers(0, 8, (64, 2)) / 8
+    parts = []
+    for index in (1, 2, 3):
+        coords = pts[rng.choice(64, 12, replace=False)]
+        coords = coords[np.argsort(coords[:, 0], kind="stable")]
+        lo, hi = coords.copy(), coords.copy()
+        hi[:, 0] += 1.0 / (1 << index)
+        lo[:, 1] = NEG_INF
+        parts.append((("L",), (index,), coords, lo, hi))
+    sums = I._SumIndex(1, parts, pts, np.arange(64), ir.ID_SET)
+    assert sums.by_orient[("R",)][0].size == 0
+    x0 = sums.coords[:, 0]
+    assert np.unique(x0).size < x0.size
+    assert sums.inside(np.array([0.1, NEG_INF]), np.array([1.0, 1.0]), 1, orient=("R",)).size == 0
+    queries = [
+        (np.array([0.3, NEG_INF]), np.array([1.0, 0.8])),
+        (np.array([0.26, NEG_INF]), np.array([0.37, 1.0])),  # no key in [0.26, 0.37]: empty window
+        (np.array([-1.0, NEG_INF]), np.array([2.0, 2.0])),  # everything
+        (np.array([0.5, NEG_INF]), np.array([0.75, 1.0])),  # starts on a tied key value
+    ]
+    queries += [(np.array([a, NEG_INF]), np.array([a + w, 1.0])) for a, w in rng.random((20, 2)).tolist()]
+    for qlo, qhi in queries:
+        for min_count in (0, 1, 2):
+            got = sums.inside(qlo, qhi, min_count)
+            assert got.tolist() == _scan_rows(sums, qlo, qhi, min_count)
+            assert sums.inside(qlo, qhi, min_count, orient=("L",)).tolist() == got.tolist()
+    assert sums.inside(*queries[1], 0, orient=("L",)).size == 0
+    assert sums.inside(*queries[2], 0).tolist() == list(range(len(x0)))
 
 
 # Per-query (sums_used, singletons_used) of the first 40 uniform queries;
@@ -429,12 +481,16 @@ def _greedy_case(name):
         # every window holds at most one point inside the box: nothing is picked
         "no-pair": [((0.1, 0.0), (0.3, 0.15)), ((0.3, 0.6), (0.8, 0.85)), ((0.0, 0.95), (1.0, 1.0)),
                     ((0.55, 0.3), (0.6, 0.45))],
+        # two or more points in each single dimension, at most one inside the box: nothing is picked
+        "two-per-dim": [((0.0, 0.75), (0.35, 1.0)), ((0.55, 0.05), (0.85, 0.45)), ((0.05, 0.3), (0.35, 0.85))],
+        # exactly two points inside, both on the box's faces: the box is picked
+        "exactly-two": [((0.55, 0.05), (0.85, 0.45)), ((0.1, 0.1), (0.3, 0.2)), ((0.6, 0.4), (0.8, 0.8))],
     }[name]
     lo, hi = (np.array(side, dtype=np.float64) for side in zip(*boxes))
     return pts, lo, hi
 
 
-@pytest.mark.parametrize("name", ["empty-and-single", "tied-x0", "neg-inf-x0", "no-pair"])
+@pytest.mark.parametrize("name", ["empty-and-single", "tied-x0", "neg-inf-x0", "no-pair", "two-per-dim", "exactly-two"])
 def test_greedy_cover_window_edges(name):
     pts, lo, hi = _greedy_case(name)
     want_picks, want_alive, _ = _greedy_reference(pts, lo, hi)
@@ -442,32 +498,79 @@ def test_greedy_cover_window_edges(name):
         picks, alive = I._greedy_cover(pts, lo, hi, chunk_cells=chunk_cells)
         assert picks == want_picks
         assert np.array_equal(alive, want_alive)
-    if name == "no-pair":
+    per_dim = ((pts[None, :, :] >= lo[:, None, :]) & (pts[None, :, :] <= hi[:, None, :])).sum(axis=1)
+    if name == "two-per-dim":
+        assert (per_dim >= 2).all()
+    if name in ("no-pair", "two-per-dim"):
         assert picks == [] and alive.all()
+    elif name == "exactly-two":
+        assert picks == [1, 2] and alive.sum() == len(pts) - 4
     else:
         assert picks
 
 
 @pytest.mark.parametrize("chunk_cells", [I._CHUNK_CELLS, 5, 1])
-def test_pairs_inside_matches_dense_containment(chunk_cells):
-    rng = np.random.default_rng(41)
-    grid = 6  # coarse lattice: ties on x0 and boxes with empty dim-0 windows
-    pts = rng.integers(0, grid, (40, 3)) / grid
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 130])
+def test_inside_bits_matches_dense_containment(m, chunk_cells):
+    rng = np.random.default_rng(41 + m)
+    grid = 6  # coarse lattice: ties, and points on box faces
+    pts = rng.integers(0, grid, (m, 3)) / grid
+    pts[rng.random((m, 3)) < 0.05] = np.inf
+    pts[rng.random((m, 3)) < 0.05] = -np.inf
     lo = rng.integers(-1, grid, (60, 3)) / grid
     hi = lo + rng.integers(0, 3, (60, 3)) / grid
     lo[::7, 0] = NEG_INF
+    lo[::5, 2] = NEG_INF
+    hi[::11] = np.inf
     dense = np.all((pts[None, :, :] >= lo[:, None, :]) & (pts[None, :, :] <= hi[:, None, :]), axis=2)
-    for min_count in (1, 2):
-        got = np.zeros_like(dense)
-        seen = []
-        for boxes, local, pt in I._pairs_inside(pts, lo, hi, min_count, chunk_cells):
-            got[boxes[local], pt] = True
-            seen.extend(boxes.tolist())
-        assert seen == sorted(seen)  # chunks come in box order
-        # containment within a box's window: a skipped box holds fewer than min_count points anyway
-        full = dense.sum(axis=1) >= min_count
-        assert np.array_equal(got[full], dense[full])
-        assert not (got & ~dense).any()
+    bits = I._inside_bits(pts, lo, hi, chunk_cells)
+    assert bits.dtype == np.uint64 and bits.shape == (60, -(-m // 64))
+    unpacked = np.unpackbits(bits.view(np.uint8), axis=1, bitorder="little").astype(bool)
+    assert np.array_equal(unpacked[:, :m], dense)
+    assert not unpacked[:, m:].any()  # padding bits are never set
+    assert np.array_equal(np.bitwise_count(bits).sum(axis=1), dense.sum(axis=1))
+    assert I._inside_bits(pts, lo[:0], hi[:0], chunk_cells).shape == (0, bits.shape[1])
+
+
+def test_greedy_prefilter_keeps_boxes_with_two_per_dimension(monkeypatch):
+    """Boxes reach the containment test iff they hold two or more points in
+    every single dimension (closed on both faces)."""
+    rng = np.random.default_rng(43)
+    pts = rng.random((30, 2))
+    pts[:10] = np.round(pts[:10] * 4) / 4  # ties
+    lo = rng.random((300, 2)) * 1.2 - 0.1
+    hi = lo + rng.random((300, 2)) * 0.3
+    lo[:100], hi[100:200] = pts[rng.integers(0, 30, 100)], pts[rng.integers(0, 30, 100)]  # faces on points
+    hi = np.maximum(lo, hi)
+    lo[::9, 1] = NEG_INF
+    per_dim = ((pts[None, :, :] >= lo[:, None, :]) & (pts[None, :, :] <= hi[:, None, :])).sum(axis=1)
+    want = (per_dim >= 2).all(axis=1)
+    assert 0 < want.sum() and ((per_dim >= 1).all(axis=1) & ~want).sum() > 10
+    seen = []
+    real = I._inside_bits
+    monkeypatch.setattr(I, "_inside_bits", lambda p, bl, bh, c: seen.append((bl, bh)) or real(p, bl, bh, c))
+    I._greedy_cover(pts, lo, hi)
+    (got_lo, got_hi), = seen
+    assert np.array_equal(got_lo, lo[want]) and np.array_equal(got_hi, hi[want])
+
+
+def test_cover_state_take_batch():
+    pts = ir.uniform_random(256, 2, seed=24)
+    s = ir.build_ids(pts, 1, ir.ID_SET)
+    sums = s.sums
+    q = Box((0.1, NEG_INF), (0.9, 0.8))
+    rows = sums.inside(np.asarray(q.lo), np.asarray(q.hi), 1)[:5]
+    assert rows.size == 5
+    audit = []
+    state = I._CoverState(sums, q.lo, q.hi, audit)
+    state.take(rows[::-1])
+    state.take(rows[:0])
+    assert state.used == rows[::-1].tolist()
+    assert audit == [Box(tuple(sums.box_lo[r]), tuple(sums.box_hi[r])) for r in rows[::-1]]
+    assert all(v is sums.values[r] for v, r in zip(state.parts, rows[::-1]))
+    escaping = np.nonzero(np.any(sums.box_hi > q.hi, axis=1))[0][:1]
+    with pytest.raises(AssertionError, match="used sum escapes the query box"):
+        state.take(np.concatenate((rows[:2], escaping)))
 
 
 def _off_cube_points(rng, n, d, h):
