@@ -1,21 +1,24 @@
 """In-process query A/B: a base revision's package against the working tree.
 
-    python3 scripts/ab_query.py --base HEAD --workload uniform-2d --seed 7 \
-        [--passes 3] [--log2-n 10 --queries 50]
+    python3 scripts/ab_query.py --base HEAD --workload uniform-2d uniform-3d-k2 \
+        --seed 7 11 [--passes 3] [--log2-n 10 --queries 50]
 
 Exports the committed ``src/idemrange`` of ``--base`` with ``git archive``
 into a temporary directory, under the package name ``idemrange_base``, and
-imports it beside the working tree's ``idemrange``.  Both sides are built on
-the same ``perfbench/workloads.make_inputs`` points, weights and queries
-(``--log2-n`` and ``--queries`` shrink the workload).
+imports it beside the working tree's ``idemrange``.  Each (workload, seed)
+pair builds both sides on the same ``perfbench/workloads.make_inputs``
+points, weights and queries (``--log2-n`` and ``--queries`` shrink the
+workload).
 
-It first answers every query once on each side with the audit on, and
-compares answers, per-query ``(sums_used, singletons_used)``, the ordered
-audit boxes and ``s_plus``.  Then it times every query on both sides,
-alternating which side goes first per query, over ``--passes`` passes, and
-prints the change/base ratios of the p50, p95 and mean query time.  It
-exits 1 if anything differs, so a perf change can show both its speed and
-that its answers and costs are the base's.
+It first checks every pair: each query is answered once on each side with
+the audit on, and answers, per-query ``(sums_used, singletons_used)``, the
+ordered audit boxes and ``s_plus`` are compared.  It exits 1 if any pair
+differs, before timing any.  Otherwise it times every query of each pair on
+both sides, alternating which side goes first per query, over ``--passes``
+passes, and prints the change/base ratios of the p50, p95 and mean query
+time.  So a perf change can show both its speed and that its answers and
+costs are the base's.  Structures are rebuilt for the timing, so only one
+pair's are held at a time.
 """
 
 from __future__ import annotations
@@ -56,6 +59,12 @@ def build(pkg, inp):
     pts = pkg.WeightedPointSet(inp.points.coords, inp.points.ids, inp.points.weights)
     struct = pkg.build_ids(pts, inp.workload.k, pkg.semigroup_by_name(inp.sg.name), weights=inp.weights)
     return struct, [pkg.Box(q.lo, q.hi) for q in inp.queries]
+
+
+def build_pair(base, workload: str, seed: int, args):
+    """Each side's (package, structure, queries) on one (workload, seed) pair."""
+    inp = make_inputs(WORKLOADS[workload], seed, log2_n=args.log2_n, num_queries=args.queries)
+    return [(pkg, *build(pkg, inp)) for pkg in (base, idemrange)]
 
 
 def _same_value(a, b) -> bool:
@@ -100,32 +109,37 @@ def timed(sides, passes: int) -> np.ndarray:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", default="HEAD", help="git revision to compare against (default HEAD)")
-    ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
-    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--workload", required=True, nargs="+", choices=sorted(WORKLOADS))
+    ap.add_argument("--seed", type=int, required=True, nargs="+")
     ap.add_argument("--passes", type=int, default=3)
     ap.add_argument("--log2-n", type=int, help="point count 2^N instead of the workload's")
     ap.add_argument("--queries", type=int, help="number of queries instead of the workload's")
     args = ap.parse_args(argv)
 
-    inp = make_inputs(WORKLOADS[args.workload], args.seed, log2_n=args.log2_n, num_queries=args.queries)
+    cases = [(workload, seed) for workload in args.workload for seed in args.seed]
     with tempfile.TemporaryDirectory(prefix="ab_base_") as tmp:
         base = import_base(args.base, Path(tmp))
         try:
-            sides = [(pkg, *build(pkg, inp)) for pkg in (base, idemrange)]
+            differing = 0
+            for workload, seed in cases:
+                diffs = differences(build_pair(base, workload, seed, args))
+                for line in diffs[:20]:
+                    print(line)
+                label = f"{workload} seed {seed}, base {args.base}"
+                print(f"{label}: {len(diffs)} differences" if diffs else f"{label}: answers, costs, audits and s_plus equal")
+                differing += bool(diffs)
+            if differing:
+                print(f"{differing} of {len(cases)} (workload, seed) pairs differ; nothing timed")
+                return 1
+            for workload, seed in cases:
+                pair = build_pair(base, workload, seed, args)
+                t_base, t_change = timed(pair, args.passes)
+                print(f"\n{workload} seed {seed}: {len(pair[0][2])} queries x {args.passes} passes")
+                for name, stat in (("p50", np.median), ("p95", lambda a: np.percentile(a, 95)), ("mean", np.mean)):
+                    b, c = stat(t_base) * 1e3, stat(t_change) * 1e3
+                    print(f"{name:5s} base {b:8.3f} ms  change {c:8.3f} ms  ratio {c / b:.3f}")
         finally:
             sys.path.remove(tmp)
-    diffs = differences(sides)
-    for line in diffs[:20]:
-        print(line)
-    label = f"{args.workload} seed {args.seed}, base {args.base}"
-    if diffs:
-        print(f"{label}: {len(diffs)} differences")
-        return 1
-    t_base, t_change = timed(sides, args.passes)
-    print(f"{label}: {len(inp.queries)} queries x {args.passes} passes; answers, costs, audits and s_plus equal")
-    for name, stat in (("p50", np.median), ("p95", lambda a: np.percentile(a, 95)), ("mean", np.mean)):
-        b, c = stat(t_base) * 1e3, stat(t_change) * 1e3
-        print(f"{name:5s} base {b:8.3f} ms  change {c:8.3f} ms  ratio {c / b:.3f}")
     return 0
 
 

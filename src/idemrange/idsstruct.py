@@ -11,15 +11,21 @@ fills the count and value of every box of every block in one batched
 2^k anchored pieces; each piece is tiled by balanced-prefix-cover
 intervals, candidate boxes are picked per cover pair, and the last d-k
 dimensions reduce to a dominance cover whose leftovers are singletons.
+All pieces of a query are answered in one pass (``_cover_pieces``): one
+grid gather over the query box, one cover per (dimension, side) that
+labels only the points on its side, and one sort of (point, piece)
+entries by (piece, label tuple).  A point on a split midpoint lies on both
+closed sides and so joins every piece that holds it.
 
 All stored sums live in one flat index, ``_SumIndex``, which also keeps
 each orientation's rows sorted by dim 0 with their bounds dimension-major.
 Its one primitive, ``inside``, finds the sums inside a box: one contiguous
 dim-0 slice per orientation, tested one column at a time, and row ids
 merged into block order, so ties break as a per-block scan would break
-them.  A piece makes one ``inside`` call with the loosest filter of all its
-cover tuples; a (tuple x row) mask of the spans then gives each tuple its
-candidates, still in block order, and a tuple with none skips the
+them.  Each piece makes one ``inside`` call with the loosest spans of all
+its cover tuples; a (tuple x row) mask of the spans then gives each tuple
+its candidates, still in block order.  The targets of every tuple with none
+go to the leftovers under one mask, and only the other tuples meet the
 dominance cover.  ``inside`` also finds the sums that absorb leftovers and
 the exact-cover oracle's sums.
 
@@ -96,10 +102,9 @@ class _SumIndex:
     family index), then the dim-0 point coordinate.  ``box_lo`` and
     ``box_hi`` hold each box's bounds; ``counts`` and ``values`` hold the
     number and the semigroup sum of the input points inside each box, from
-    one ``box_sums`` call.  ``by_orient[o]`` is (rows, bounds, counts,
-    depths): the rows of orientation o sorted by their dim-0 point
-    coordinate, with their [lo | hi] bounds, counts and family indices
-    copied dimension-major in that order.
+    one ``box_sums`` call.  ``by_orient[o]`` is (rows, bounds, counts): the
+    rows of orientation o sorted by their dim-0 point coordinate, with their
+    [lo | hi] bounds copied dimension-major and their counts in that order.
     """
 
     def __init__(self, k: int, parts: list, point_coords: np.ndarray, w: np.ndarray, sg: Semigroup):
@@ -109,23 +114,21 @@ class _SumIndex:
         self.block_ranges = [((p[0], p[1]), a, b) for p, a, b in zip(parts, ends, ends[1:])]
         self.coords, self.box_lo, self.box_hi = (np.concatenate(c) for c in list(zip(*parts))[2:])
         self.counts, self.values = box_sums(point_coords, w, sg, self.box_lo, self.box_hi)
-        self.depth = np.repeat(np.asarray([p[1] for p in parts]).reshape(-1, k), sizes, axis=0)
         self.by_orient = {}
         for o in itertools.product((_R, _L), repeat=k):
             blocks = [np.arange(a, b) for (orient, _), a, b in self.block_ranges if orient == o]
             rows = np.concatenate([np.empty(0, dtype=np.int64), *blocks])
             rows = rows[np.argsort(self.coords[rows, 0], kind="stable")]
             bounds = np.hstack((self.box_lo[rows], self.box_hi[rows])).T.copy()
-            self.by_orient[o] = rows, bounds, self.counts[rows], self.depth[rows].T.copy()
+            self.by_orient[o] = rows, bounds, self.counts[rows]
 
-    def inside(self, qlo, qhi, min_count: int, *, orient=None, depths=None, spans=None, reach=None) -> np.ndarray:
+    def inside(self, qlo, qhi, min_count: int, *, orient=None, spans=None, reach=None) -> np.ndarray:
         """Row ids, in block order, of the sums with at least ``min_count``
         members whose box sits inside the closed box [qlo, qhi].
 
-        Optional filters: ``orient`` keeps one orientation; ``depths`` =
-        (lo, hi) keeps family indices within [lo, hi] in the two-sided dims;
-        ``spans`` = (a, b), which needs ``orient``, keeps boxes with lo <= a
-        and hi >= b there; ``reach`` = (lmin, lmax) keeps boxes meeting it.
+        Optional filters: ``orient`` keeps one orientation; ``spans`` =
+        (a, b) keeps boxes with lo <= a and hi >= b in the first len(a)
+        dims; ``reach`` = (lmin, lmax) keeps boxes meeting it.
         """
         # every filter is a range on the [lo | hi] row, floor <= row <= ceil;
         # as lo <= hi, a box inside the query has both ends in [qlo, qhi]
@@ -140,7 +143,7 @@ class _SumIndex:
             ceil[:d] = np.minimum(ceil[:d], reach[1])
         found = []
         for o in self.by_orient if orient is None else [orient]:
-            rows, bounds, counts, dep = self.by_orient[o]
+            rows, bounds, counts = self.by_orient[o]
             # the sort key, a row's dim-0 point coordinate, is its box's hi end (R) or lo end (L)
             key = d if o[0] == _R else 0
             s = slice(np.searchsorted(bounds[key], floor[key]), np.searchsorted(bounds[key], ceil[key], side="right"))
@@ -148,9 +151,6 @@ class _SumIndex:
             for c in range(2 * d):
                 if c != key:  # the slice already bounds the key column
                     ok &= (bounds[c, s] >= floor[c]) & (bounds[c, s] <= ceil[c])
-            if depths is not None:
-                for j in range(len(dep)):
-                    ok &= (dep[j, s] >= depths[0][j]) & (dep[j, s] <= depths[1][j])
             found.append(rows[s][ok])
         return np.sort(np.concatenate(found))
 
@@ -363,55 +363,43 @@ def _leaf_under(tree: DyadicTree, corner: float, root: Node) -> Node:
 def _piece_segments(struct: IdsStructure, piece: AnchoredPiece, i: int):
     """Ascending interval tiling of the piece's i-th side.
 
-    Returns (seg_lo, labels, pairs): cover segments labelled by their pair
-    index, the leaf tail labelled -1; labels align with seg_lo bins.
+    Returns (seg_lo, labels, spans): cover segments labelled by their pair
+    index, the leaf tail labelled -1, labels aligned with seg_lo bins; and
+    each pair's u-interval as a row [a(u), b(u)].
     """
     tree = struct.trees[i]
     root = piece.vnodes[i]
-    if piece.orientation[i] == _R:
-        leaf = _leaf_under(tree, piece.hi[i], root)
-        pairs = balanced_prefix_cover(tree, leaf, root=root)
-        seg_lo = [tree.a(p.u) for p in pairs] + [tree.a(leaf)]
-        labels = list(range(len(pairs))) + [-1]
+    right = piece.orientation[i] == _R
+    corner = piece.hi[i] if right else piece.lo[i]
+    leaf = _leaf_under(tree, corner, root)
+    pairs = (balanced_prefix_cover if right else suffix_cover)(tree, leaf, root=root)
+    spans = [tree.interval(p.u) for p in pairs]
+    if right:
+        seg_lo = [a for a, _ in spans] + [tree.a(leaf)]
+        labels = [*range(len(pairs)), -1]
     else:
-        corner = piece.lo[i]
-        leaf = _leaf_under(tree, corner, root)
-        pairs = suffix_cover(tree, leaf, root=root)
         # ascending order: tail first, then covers from deepest up
-        seg_lo = [corner] + [tree.a(p.u) for p in reversed(pairs)]
-        labels = [-1] + list(range(len(pairs) - 1, -1, -1))
-    return np.asarray(seg_lo), labels, pairs
+        seg_lo = [corner] + [a for a, _ in reversed(spans)]
+        labels = [-1, *range(len(pairs) - 1, -1, -1)]
+    return np.asarray(seg_lo), np.asarray(labels), np.asarray(spans).reshape(-1, 2)
 
 
-def _tuple_candidates(struct: IdsStructure, piece: AnchoredPiece, dim_pairs, tuples: np.ndarray, qlo, qhi):
-    """Usable stored sums of every cover-pair tuple of one piece.
+def _tuple_candidates(sums: _SumIndex, orient, a: np.ndarray, b: np.ndarray, qlo, qhi):
+    """Usable stored sums of every cover-pair tuple of one piece orientation.
 
-    ``tuples`` holds one row of pair indices into ``dim_pairs`` per tuple.
-    A sum works for a tuple iff its box spans the tuple's interval in every
-    two-sided dimension and sits inside the containment box (the full query,
-    or just the piece when answering a piece standalone); coverage of a
-    target then reduces to dominance in the remaining dimensions.  Family
-    indices deeper than depth(u_i)+1 cannot span an interval of u_i's width
-    (a depth-i box is at most 2^(1-i) wide there), so the lookup keeps only
-    those levels and the span test alone decides per tuple.
+    Row t of ``a`` and ``b`` holds tuple t's u-interval ends, one column per
+    two-sided dimension.  A sum works for a tuple iff its box spans the
+    tuple's interval in every two-sided dimension and sits inside the
+    containment box [qlo, qhi]; coverage of a target then reduces to
+    dominance in the remaining dimensions.
 
-    One flat-index lookup with the loosest span and depth cap over the
-    tuples gives a pool that every tuple's own spans narrow; returns (pool
-    rows in block order, tuple x pool mask), so tuple t's candidates are
-    ``pool[mask[t]]``.
+    One flat-index lookup with the loosest spans over the tuples gives a
+    pool that every tuple's own spans narrow; returns (pool rows in block
+    order, tuple x pool mask), so tuple t's candidates are ``pool[mask[t]]``.
     """
-    k = len(dim_pairs)
-    a, b = np.empty(tuples.shape), np.empty(tuples.shape)
-    cap = np.empty(k, dtype=np.int64)
-    for i, pairs in enumerate(dim_pairs):
-        ab = np.asarray([struct.trees[i].interval(p.u) for p in pairs])[tuples[:, i]]
-        a[:, i], b[:, i] = ab[:, 0], ab[:, 1]
-        cap[i] = np.asarray([p.u.depth for p in pairs])[tuples[:, i]].max() + 1
-    sums = struct.sums
-    depths = np.asarray([v.depth for v in piece.vnodes]), np.minimum(cap, struct.config.h)
-    pool = sums.inside(qlo, qhi, 1, orient=piece.orientation, depths=depths, spans=(a.max(axis=0), b.min(axis=0)))
-    mask = np.ones((len(tuples), pool.size), dtype=bool)
-    for j in range(k):
+    pool = sums.inside(qlo, qhi, 1, orient=orient, spans=(a.max(axis=0), b.min(axis=0)))
+    mask = np.ones((len(a), pool.size), dtype=bool)
+    for j in range(a.shape[1]):
         mask &= sums.box_lo[pool, j] <= a[:, j, None]
         mask &= sums.box_hi[pool, j] >= b[:, j, None]
     return pool, mask
@@ -440,43 +428,80 @@ class _CoverState:
         self.used.extend(rows.tolist())
 
 
-def _process_piece(struct: IdsStructure, piece: AnchoredPiece, state: _CoverState) -> None:
-    """Per-tuple dominance covers of one anchored piece (no singletons yet)."""
+def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], state: _CoverState) -> None:
+    """Per-tuple dominance covers of all anchored pieces in one pass (no
+    singletons yet).  The pieces tile the state's containment box.
+
+    One grid gather takes the box's points.  Each (dimension, side) cover is
+    built once, if some point lies on that side, and labels only the points
+    on its side; a point on a split midpoint lies on both sides, so it joins
+    every piece whose closed side holds it.  Each (point, piece) entry is
+    keyed by (piece, label tuple), raveled so that tuples, and with them
+    used sums, run in piece order (that of ``decompose_query``), then tuple
+    order.  One ``inside`` lookup per piece finds every tuple's candidates;
+    the targets of tuples with none go to the leftovers at once, and only
+    the rest meet ``dominance_cover``.
+    """
     k = struct.config.k
-    target_idx = struct.grid.points_in_box(piece.lo, piece.hi)
+    target_idx = struct.grid.points_in_box(state.qlo, state.qhi)
     if target_idx.size == 0:
         return
+    side_piece = {}  # (dim, side) -> a piece on that side
+    for piece in pieces:
+        for i, side in enumerate(piece.orientation):
+            side_piece.setdefault((i, side), piece)
+    spans = {}  # (dim, side) -> u-intervals of the side's cover pairs, for the sides holding points
     tcoords = struct.points.coords[target_idx]
-    dim_labels = np.empty((target_idx.size, k), dtype=np.int64)
-    dim_pairs = []
+    ent = np.arange(target_idx.size)  # entry -> target position
+    piece_code = np.zeros(target_idx.size, dtype=np.int64)  # bit i: the entry's side in dim i
+    labels: list = []  # per dimension, the entries' pair labels
     for i in range(k):
-        seg_lo, labels, pairs = _piece_segments(struct, piece, i)
-        pos = np.clip(np.searchsorted(seg_lo, tcoords[:, i], side="right") - 1, 0, len(labels) - 1)
-        dim_labels[:, i] = np.asarray(labels)[pos]
-        dim_pairs.append(pairs)
-    singles = np.any(dim_labels == -1, axis=1)
-    state.leftover.append(target_idx[singles])  # leaf-tail points
-    grouped = target_idx[~singles]
-    glabels = dim_labels[~singles]
-    if not grouped.size:
+        x = tcoords[ent, i]
+        parts = []
+        for s, side in enumerate((_L, _R)):
+            piece = side_piece.get((i, side))
+            if piece is None:
+                continue
+            on = np.flatnonzero(x <= piece.hi[i] if side == _L else x >= piece.lo[i])  # closed at the split
+            if on.size:
+                seg_lo, labs, spans[i, side] = _piece_segments(struct, piece, i)
+                pos = np.clip(np.searchsorted(seg_lo, x[on], side="right") - 1, 0, len(labs) - 1)
+                parts.append((on, 2 * piece_code[on] + s, labs[pos]))
+        on, piece_code, lab = (np.concatenate(c) for c in zip(*parts))  # each side keeps its entries' order
+        ent = ent[on]
+        labels = [c[on] for c in labels] + [lab]
+    singles = np.any(np.stack(labels) == -1, axis=0)
+    state.leftover.append(target_idx[ent[singles]])  # leaf-tail points
+    if singles.all():
         return
-    dims = tuple(len(p) for p in dim_pairs)
-    keys = np.ravel_multi_index(tuple(glabels.T), dims)  # lexicographic in the label tuple
+    ent = ent[~singles]
+    grouped = target_idx[ent]
+    width = [1] * k
+    for (i, _), sp in spans.items():
+        width[i] = max(width[i], len(sp))
+    dims = (1 << k, *width)
+    keys = np.ravel_multi_index((piece_code[~singles], *(c[~singles] for c in labels)), dims)
     order = np.argsort(keys, kind="stable")  # by tuple, each tuple's rows in index order
     starts = np.concatenate(([0], np.flatnonzero(np.diff(keys[order])) + 1))
-    tuples = np.stack(np.unravel_index(keys[order[starts]], dims), axis=1)
-    pool, mask = _tuple_candidates(struct, piece, dim_pairs, tuples, state.qlo, state.qhi)
-    gproj = tcoords[~singles][:, k:]
-    has_candidates = mask.any(axis=1)
-    for t, (s0, s1) in enumerate(zip(starts.tolist(), [*starts[1:].tolist(), order.size])):
-        rows = order[s0:s1]
-        if not has_candidates[t]:  # nothing to dominate with: every target is left over
-            state.leftover.append(grouped[rows])
-            continue
-        cand_rows = pool[mask[t]]
-        m_idx, covered, used = dominance_cover(struct.sums.coords[cand_rows, k:], gproj[rows])
-        state.take(cand_rows[m_idx[used]])
-        state.leftover.append(grouped[rows[~covered]])
+    sizes = np.diff(np.append(starts, order.size))
+    tuples = np.stack(np.unravel_index(keys[order[starts]], dims), axis=1)  # piece code, then labels
+    orients = list(itertools.product((_L, _R), repeat=k))  # by piece code
+    piece_starts = np.flatnonzero(np.diff(tuples[:, 0], prepend=-1))
+    lookups = []
+    for t0, t1 in zip(piece_starts.tolist(), [*piece_starts[1:].tolist(), len(tuples)]):
+        orient = orients[tuples[t0, 0]]
+        ab = np.stack([spans[i, side][tuples[t0:t1, 1 + i]] for i, side in enumerate(orient)], axis=1)
+        lookups.append((t0, *_tuple_candidates(struct.sums, orient, ab[..., 0], ab[..., 1], state.qlo, state.qhi)))
+    has_candidates = np.concatenate([mask.any(axis=1) for _, _, mask in lookups])
+    state.leftover.append(grouped[order[~np.repeat(has_candidates, sizes)]])  # nothing to dominate with
+    gproj = tcoords[ent][:, k:]
+    for t0, pool, mask in lookups:
+        for t in np.flatnonzero(has_candidates[t0 : t0 + len(mask)]).tolist():
+            rows = order[starts[t0 + t] : starts[t0 + t] + sizes[t0 + t]]
+            cand_rows = pool[mask[t]]
+            m_idx, covered, used = dominance_cover(struct.sums.coords[cand_rows, k:], gproj[rows])
+            state.take(cand_rows[m_idx[used]])
+            state.leftover.append(grouped[rows[~covered]])
 
 
 # (box, point) cells tested at once while building containment bit rows
@@ -590,7 +615,7 @@ def answer_anchored(struct: IdsStructure, piece: AnchoredPiece, audit: list | No
     containment box is the piece itself (inside query() the shared pass uses
     the whole query box instead, letting sums straddle the split)."""
     state = _CoverState(struct.sums, piece.lo, piece.hi, audit)
-    _process_piece(struct, piece, state)
+    _cover_pieces(struct, [piece], state)
     return _finish(struct, state)
 
 
@@ -619,7 +644,6 @@ def query(struct: IdsStructure, q: Box, return_audit: bool = False):
         ans = _singleton_only_answer(struct, q)
         return (ans, audit) if return_audit else ans
     state = _CoverState(struct.sums, pieces[0].query_lo, pieces[0].query_hi, audit)
-    for piece in pieces:
-        _process_piece(struct, piece, state)
+    _cover_pieces(struct, pieces, state)
     ans = _finish(struct, state)
     return (ans, audit) if return_audit else ans

@@ -12,7 +12,8 @@ _spec = importlib.util.spec_from_file_location("ab_query", _ROOT / "scripts" / "
 ab_query = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab_query)
 
-TINY = ["--base", "HEAD", "--seed", "3", "--log2-n", "8", "--queries", "12", "--passes", "1"]
+TINY = ["--base", "HEAD", "--log2-n", "8", "--queries", "12", "--passes", "1"]
+EQUAL = "answers, costs, audits and s_plus equal"
 
 
 @pytest.fixture(autouse=True)
@@ -21,22 +22,49 @@ def _needs_git():
         pytest.skip("not a git checkout")
 
 
+def _extra_singleton_when(monkeypatch, pred):
+    """Make the working tree's query report one more singleton on the
+    structures for which ``pred(struct)`` holds."""
+    real = idemrange.query
+
+    def query(struct, q, return_audit=False):
+        ans, audit = real(struct, q, return_audit=True)
+        if pred(struct):
+            ans = QueryAnswer(ans.value, ans.sums_used, ans.singletons_used + 1)
+        return (ans, audit) if return_audit else ans
+
+    monkeypatch.setattr(idemrange, "query", query)
+
+
 @pytest.mark.parametrize("workload", ["uniform-3d-k2", "clustered-idset"])
 def test_tiny_run_against_head(workload, capsys):
-    assert ab_query.main([*TINY, "--workload", workload]) == 0
+    assert ab_query.main([*TINY, "--workload", workload, "--seed", "3"]) == 0
     out = capsys.readouterr().out
-    assert "answers, costs, audits and s_plus equal" in out
+    assert EQUAL in out
     assert "ratio" in out
 
 
+def test_several_workloads_and_seeds_checked_before_timing(capsys):
+    assert ab_query.main([*TINY, "--workload", "uniform-2d", "uniform-3d-k2", "--seed", "3", "4"]) == 0
+    out = capsys.readouterr().out
+    checked = [line for line in out.splitlines() if line.endswith(EQUAL)]
+    assert [line.split(",")[0] for line in checked] == [
+        "uniform-2d seed 3", "uniform-2d seed 4", "uniform-3d-k2 seed 3", "uniform-3d-k2 seed 4"
+    ]
+    assert out.count("ratio") == 4 * 3  # p50, p95 and mean per pair
+    assert out.rindex(EQUAL) < out.index("ratio")
+
+
 def test_a_cost_difference_exits_nonzero(monkeypatch, capsys):
-    real = idemrange.query
-
-    def one_more_singleton(struct, q, return_audit=False):
-        ans, audit = real(struct, q, return_audit=True)
-        ans = QueryAnswer(ans.value, ans.sums_used, ans.singletons_used + 1)
-        return (ans, audit) if return_audit else ans
-
-    monkeypatch.setattr(idemrange, "query", one_more_singleton)
-    assert ab_query.main([*TINY, "--workload", "uniform-2d"]) == 1
+    _extra_singleton_when(monkeypatch, lambda struct: True)
+    assert ab_query.main([*TINY, "--workload", "uniform-2d", "--seed", "3"]) == 1
     assert "cost base" in capsys.readouterr().out
+
+
+def test_one_differing_pair_fails_the_run_untimed(monkeypatch, capsys):
+    _extra_singleton_when(monkeypatch, lambda struct: struct.config.k == 2)  # uniform-3d-k2 only
+    assert ab_query.main([*TINY, "--workload", "uniform-2d", "uniform-3d-k2", "--seed", "3"]) == 1
+    out = capsys.readouterr().out
+    assert f"uniform-2d seed 3, base HEAD: {EQUAL}" in out
+    assert "uniform-3d-k2 seed 3, base HEAD: 12 differences" in out
+    assert "1 of 2 (workload, seed) pairs differ" in out and "ratio" not in out

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -347,15 +348,13 @@ def test_greedy_cover_matches_dense_reference(m, d):
         assert np.array_equal(alive, want_alive)
 
 
-def _scan_rows(sums, qlo, qhi, min_count, orient=None, depths=None, spans=None, reach=None):
+def _scan_rows(sums, qlo, qhi, min_count, orient=None, spans=None, reach=None):
     """Reference ``_SumIndex.inside``: every row tested in block order."""
     keep = []
     for (o, _), blk_start, blk_stop in sums.block_ranges:
         for r in range(blk_start, blk_stop):
             lo, hi = sums.box_lo[r], sums.box_hi[r]
             ok = o == (orient or o) and sums.counts[r] >= min_count and np.all(lo >= qlo) and np.all(hi <= qhi)
-            if depths is not None:
-                ok = ok and np.all((sums.depth[r] >= depths[0]) & (sums.depth[r] <= depths[1]))
             if spans is not None:
                 k = len(spans[0])
                 ok = ok and np.all(lo[:k] <= spans[0]) and np.all(hi[:k] >= spans[1])
@@ -384,13 +383,13 @@ def test_sum_index_matches_block_scan():
         reach = (low + 0.2 * (qhi - low), qhi - 0.3 * (qhi - low))
         assert sums.inside(qlo, qhi, 2, reach=reach).tolist() == _scan_rows(sums, qlo, qhi, 2, reach=reach)
         mid = (qlo[:2] + qhi[:2]) / 2
-        for depths, a, b in [
-            ((np.array([2, 1]), np.array([4, 3])), np.array([0.3, 0.5]), np.array([0.35, 0.55])),
-            ((np.array([1, 1]), np.array([8, 8])), mid, mid),  # boxes spanning the query's centre
+        for a, b in [
+            (np.array([0.3, 0.5]), np.array([0.35, 0.55])),
+            (mid, mid),  # boxes spanning the query's centre
         ]:
             for orient in itertools.product("RL", repeat=2):
-                rows = sums.inside(qlo, qhi, 1, orient=orient, depths=depths, spans=(a, b))
-                assert rows.tolist() == _scan_rows(sums, qlo, qhi, 1, orient, depths, (a, b))
+                rows = sums.inside(qlo, qhi, 1, orient=orient, spans=(a, b))
+                assert rows.tolist() == _scan_rows(sums, qlo, qhi, 1, orient, (a, b))
                 found += rows.size
     assert found > 15
 
@@ -463,6 +462,78 @@ def test_query_costs_pinned(d, k, n, seed):
             assert all(bh <= qh for bh, qh in zip(bx.hi, q.hi))
         costs.append((ans.sums_used, ans.singletons_used))
     assert costs == PINNED_COSTS[(d, k)]
+
+
+# Per-query (sums_used, singletons_used, digest of the ordered audit boxes)
+# of the midpoint cases below.  A point on a split midpoint belongs to every
+# piece whose closed side holds it, and its cost is counted in each of them.
+PINNED_MIDPOINT = {
+    (2, 1): [
+        (7, 7, 'b0f6a92d85fe'), (8, 6, '20bcddc031f6'), (4, 3, '7ee1526318a5'), (2, 3, 'f205e4b193ef'),
+        (9, 6, 'c1161be3fbe9'), (0, 2, '4f53cda18c2b'), (6, 14, '70ae368f45c3'), (7, 8, '6c71e0f4a146'),
+        (7, 7, '317fdabaf55e'), (8, 13, '0148d7fec90b'), (8, 7, 'e499e4f570d4'), (3, 13, '7ef4676f06ce'),
+        (7, 8, '4f29b363fb59'), (7, 12, '6967eb45d222'), (8, 15, '6f76e0c92006'), (6, 6, '1b0e5a93bdb3'),
+        (6, 5, 'c43a85eb234f'), (8, 15, '7eb3d72ce563'), (14, 17, '5297c4ddd90b'), (3, 3, '92c54e5667b6'),
+        (6, 5, '3915c2748f59'), (11, 6, 'ba2407b2a1ed'), (4, 14, 'fb6dc72eb835'), (9, 9, '573e609c586f'),
+    ],
+    (3, 2): [
+        (4, 43, 'a7433ca33de3'), (2, 13, 'ce8cfe1f24c4'), (3, 39, 'ee63042af322'), (3, 14, '6f586e121988'),
+        (0, 20, '4f53cda18c2b'), (21, 78, '9cf7a23ea1b0'), (1, 50, 'ef1e9d1b6d56'), (4, 36, '6bbd302de57a'),
+        (1, 52, '31baa0055486'), (20, 63, '0557c6113b05'), (1, 37, '40f4f9fd6903'), (4, 23, '2a3d579bf6c9'),
+        (15, 61, 'ad4062a069d8'), (1, 28, '37cb68bc09e1'), (9, 63, '2710dc6c7120'), (18, 52, '3324bd0806d7'),
+        (0, 2, '4f53cda18c2b'), (0, 30, '4f53cda18c2b'), (7, 21, '4072dc35c890'), (4, 30, 'e5af0645d138'),
+        (0, 24, '4f53cda18c2b'), (1, 34, '34b8b3b8e712'), (3, 35, '14a217804f0a'), (2, 56, 'e9b84c799db5'),
+    ],
+}
+
+
+def _midpoint_case(d, k, seed):
+    """512 points, about half of them with their two-sided coordinates on
+    multiples of 1/16; queries at least 0.2 wide in each two-sided dim, so
+    each split midpoint is a multiple of 1/8 and many points lie on it."""
+    rng = np.random.default_rng(seed)
+    n = 512
+    coords = rng.random((n, d))
+    on = rng.random(n) < 0.5
+    coords[on, :k] = rng.integers(1, 16, (int(on.sum()), k)) / 16
+    pts = ir.WeightedPointSet(coords, np.arange(n), np.ones(n))
+    queries = []
+    while len(queries) < 24:
+        lo, hi = [], []
+        for _ in range(k):
+            a, b = sorted(rng.random(2).tolist())
+            if b - a < 0.2:
+                break
+            lo.append(a)
+            hi.append(b)
+        else:
+            for _ in range(d - k):
+                lo.append(NEG_INF)
+                hi.append(float(rng.random()))
+            queries.append(Box(tuple(lo), tuple(hi)))
+    return pts, queries
+
+
+@pytest.mark.parametrize("d,k,seed", [(2, 1, 61), (3, 2, 62)], ids=["2-1", "3-2"])
+def test_points_on_split_midpoints_keep_costs(d, k, seed):
+    pts, queries = _midpoint_case(d, k, seed)
+    s = ir.build_ids(pts, k, ir.ID_SET)
+    got_pins, on_every_mid = [], 0
+    for q in queries:
+        ans, audit = ir.query(s, q, return_audit=True)
+        got = ans.value if ans.value is not None else np.empty(0, np.int64)
+        assert np.array_equal(got, ir.scan_ids(pts, q))
+        assert len(audit) == ans.sums_used
+        for bx in audit:
+            assert all(bl >= ql for bl, ql in zip(bx.lo, q.lo))
+            assert all(bh <= qh for bh, qh in zip(bx.hi, q.hi))
+        digest = hashlib.sha256(repr([(bx.lo, bx.hi) for bx in audit]).encode()).hexdigest()[:12]
+        got_pins.append((ans.sums_used, ans.singletons_used, digest))
+        pieces, _ = ir.decompose_query(s, q)
+        mids = [next(p.lo[i] for p in pieces if p.orientation[i] == "R") for i in range(k)]
+        on_every_mid += int(np.sum(ir.scan_mask(pts.coords, q) & np.all(pts.coords[:, :k] == mids, axis=1)))
+    assert on_every_mid > 0  # at k = 2 these points belong to all 4 pieces
+    assert got_pins == PINNED_MIDPOINT[(d, k)]
 
 
 def _greedy_case(name):
@@ -735,11 +806,17 @@ def test_nan_point_coordinates_rejected():
 @pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2)])
 def test_batched_candidates_match_per_tuple_inside(d, k):
     """Each tuple's rows from the per-piece lookup and mask equal the rows of
-    its own ``inside`` call, in the same order, for every tuple of pairs."""
+    its own ``inside`` call, in the same order, for every tuple of pairs.
+    Every such row's family index lies in [depth(v), depth(u) + 1] per
+    two-sided dimension (v the piece's child of the split node, u the pair's
+    left node), so a depth filter on the lookup would drop nothing."""
     rng = np.random.default_rng(80 + 10 * d + k)
     pts = ir.uniform_random(4096, d, seed=90 + d + k)
     s = ir.build_ids(pts, k, ir.MAX_REAL)
-    h = s.config.h
+    sums, h = s.sums, s.config.h
+    family = np.empty((len(sums.counts), k), dtype=np.int64)
+    for (_, index), start, stop in sums.block_ranges:
+        family[start:stop] = index
     tuples_seen = rows_seen = narrowed = 0  # narrowed: the tuple's own filter drops pool rows
     for q in _uniform_queries(rng, d, k, 25):
         pieces, singleton_only = I.decompose_query(s, q)
@@ -747,17 +824,18 @@ def test_batched_candidates_match_per_tuple_inside(d, k):
             continue
         qlo, qhi = np.asarray(q.lo), np.asarray(q.hi)
         for piece in pieces:
-            dim_pairs = [I._piece_segments(s, piece, i)[2] for i in range(k)]
-            if not all(dim_pairs):
+            dim_spans = [I._piece_segments(s, piece, i)[2] for i in range(k)]
+            if not all(len(sp) for sp in dim_spans):
                 continue
-            tuples = np.asarray(list(itertools.product(*[range(len(p)) for p in dim_pairs])))
-            pool, mask = I._tuple_candidates(s, piece, dim_pairs, tuples, qlo, qhi)
-            for t, row in enumerate(tuples):
-                chosen = [pairs[i] for pairs, i in zip(dim_pairs, row)]
-                ab = np.asarray([s.trees[i].interval(p.u) for i, p in enumerate(chosen)])
-                depths = np.asarray([v.depth for v in piece.vnodes]), np.asarray([min(h, p.u.depth + 1) for p in chosen])
-                want = s.sums.inside(qlo, qhi, 1, orient=piece.orientation, depths=depths, spans=(ab[:, 0], ab[:, 1]))
+            tuples = np.asarray(list(itertools.product(*[range(len(sp)) for sp in dim_spans])))
+            a, b = (np.stack([sp[tuples[:, i], end] for i, sp in enumerate(dim_spans)], axis=1) for end in (0, 1))
+            pool, mask = I._tuple_candidates(sums, piece.orientation, a, b, qlo, qhi)
+            low = np.asarray([v.depth for v in piece.vnodes])
+            for t in range(len(tuples)):
+                want = sums.inside(qlo, qhi, 1, orient=piece.orientation, spans=(a[t], b[t]))
                 assert np.array_equal(pool[mask[t]], want)
+                u_depth = np.rint(-np.log2(b[t] - a[t])).astype(np.int64)
+                assert np.all(family[want] >= low) and np.all(family[want] <= np.minimum(u_depth + 1, h))
                 tuples_seen += 1
                 rows_seen += want.size
                 narrowed += want.size < pool.size
