@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# Fail on any branch on a semigroup's name, then run the Tier-1 test suite and
-# the benchmark's smoke test.
+# Fail on any branch on a semigroup's name or any read of it outside
+# semigroup.py, then run the Tier-1 test suite and the benchmark's smoke test.
 #
 #     sh scripts/check.sh
 #
@@ -16,9 +16,14 @@
 # workload, then prints their per-query time ratios.
 set -e
 cd "$(dirname "$0")/.."
-# each Semigroup carries its own operations: no code may branch on a semigroup's name
+# each Semigroup carries its own operations: no code may branch on a semigroup's name,
+# nor read it outside semigroup.py (a dict keyed by name would be the same branch)
 if grep -rnE "\.name (==|!=)" src/idemrange; then
     echo "check.sh: branch on a semigroup name (listed above)" >&2
+    exit 1
+fi
+if grep -rnE --exclude=semigroup.py "\.name\b" src/idemrange; then
+    echo "check.sh: .name read outside semigroup.py (listed above)" >&2
     exit 1
 fi
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors

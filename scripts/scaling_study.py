@@ -6,6 +6,9 @@ CSV row per (n, d, k) with the mean/max cost and the two candidate fits
 (log2(n) * log2(log2(n)) versus log2(n)^2).  Reproduces the numbers behind
 the scaling acceptance check at whatever grid you like.  ``build_s`` times
 ``build_ids`` alone (``perf_counter``), not the point generation.
+``peak_rss_mb`` is the process's peak resident set so far (``ru_maxrss``),
+so a row also covers every smaller n before it; run one exponent per
+process for each size's own peak.
 
     python3 scripts/scaling_study.py --d 2 --k 1 --exps 10 11 12 13 14 --queries 300
 """
@@ -13,6 +16,7 @@ the scaling acceptance check at whatever grid you like.  ``build_s`` times
 import argparse
 import csv
 import math
+import resource
 import sys
 import time
 
@@ -31,7 +35,7 @@ def main() -> int:
     args = ap.parse_args()
 
     writer = csv.writer(sys.stdout)
-    writer.writerow(["n", "d", "k", "s_plus", "mean_cost", "max_cost", "fit_loglog", "fit_log2", "build_s", "query_s"])
+    writer.writerow(["n", "d", "k", "s_plus", "mean_cost", "max_cost", "fit_loglog", "fit_log2", "build_s", "query_s", "peak_rss_mb"])
     for exp in args.exps:
         n = 2**exp
         pts = ir.uniform_random(n, args.d, seed=args.seed)
@@ -66,6 +70,7 @@ def main() -> int:
                 round(mean_cost / math.log2(n) ** args.d, 4),
                 round(t_build, 2),
                 round(t_query, 2),
+                round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024),  # KiB on Linux
             ]
         )
     return 0

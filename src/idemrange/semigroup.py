@@ -45,7 +45,11 @@ class Semigroup:
     sum of a non-empty weight array, ``fold`` of a non-empty value list, and
     ``reduce_groups(w, starts)`` of each contiguous group of a weight array,
     the groups non-empty and beginning at the ascending indices ``starts``,
-    as an object array.
+    as an object array.  ``op`` is the binary ufunc on weight arrays
+    (``np.maximum``, ``np.bitwise_or``), or None when a value is not one
+    array element (id-sets); ``reduce`` and ``reduce_groups`` of a numeric
+    semigroup are built from it, and ``rangetree.box_sums`` folds
+    overlapping slices with it.
     """
 
     name: str
@@ -57,6 +61,7 @@ class Semigroup:
     reduce: Callable[[np.ndarray], Any]
     fold: Callable[[list], Any]
     reduce_groups: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    op: np.ufunc | None
 
 
 def _sorted_unique(ids: np.ndarray) -> np.ndarray:
@@ -78,13 +83,39 @@ def _ids(v) -> np.ndarray:
 
 
 def _cast_weights(dtype):
-    """Weights of a numeric semigroup: the given array, else the points' own, cast."""
-    return lambda points, weights=None: np.asarray(points.weights if weights is None else weights).astype(dtype)
+    """Weights of a numeric semigroup: the given array, else the points' own, cast.
+
+    NaN is refused: it compares false with everything, so a max over it
+    depends on the order of the operands.
+    """
+
+    def cast(points, weights=None):
+        w = np.asarray(points.weights if weights is None else weights)
+        if w.dtype.kind == "f" and np.isnan(w).any():
+            raise ValueError("weights must not be NaN")
+        return w.astype(dtype)
+
+    return cast
 
 
 def _ufunc_groups(ufunc):
     """Vectorized group sums for a numeric semigroup: one ``ufunc.reduceat``."""
     return lambda w, starts: ufunc.reduceat(w, starts).astype(object)  # Python scalars
+
+
+def _ufunc_semigroup(name, op, dtype, single, combine, equal, fold) -> "Semigroup":
+    """A semigroup whose values are single weights combined by the ufunc ``op``."""
+    return Semigroup(
+        name,
+        combine=combine,
+        equal=equal,
+        weights=_cast_weights(dtype),
+        single=single,
+        reduce=lambda a: single(op.reduce(a)),
+        fold=fold,
+        reduce_groups=_ufunc_groups(op),
+        op=op,
+    )
 
 
 def _idset_groups(w: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -94,25 +125,23 @@ def _idset_groups(w: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return out
 
 
-MAX_REAL = Semigroup(
+MAX_REAL = _ufunc_semigroup(
     "max",
+    np.maximum,
+    np.float64,
+    single=float,
     combine=lambda a, b: a if a >= b else b,
     equal=lambda a, b: a == b,
-    weights=_cast_weights(np.float64),
-    single=float,
-    reduce=lambda a: float(a.max()),
     fold=max,
-    reduce_groups=_ufunc_groups(np.maximum),
 )
-BIT_OR64 = Semigroup(
+BIT_OR64 = _ufunc_semigroup(
     "or",
+    np.bitwise_or,
+    np.uint64,
+    single=int,
     combine=lambda a, b: (int(a) | int(b)) & 0xFFFFFFFFFFFFFFFF,
     equal=lambda a, b: int(a) == int(b),
-    weights=_cast_weights(np.uint64),
-    single=int,
-    reduce=lambda a: int(np.bitwise_or.reduce(a)),
     fold=lambda values: functools.reduce(operator.or_, map(int, values)),
-    reduce_groups=_ufunc_groups(np.bitwise_or),
 )
 ID_SET = Semigroup(
     "idset",
@@ -124,6 +153,7 @@ ID_SET = Semigroup(
     # concatenate once and deduplicate by one sort instead of pairwise unions
     fold=lambda values: _sorted_unique(np.concatenate([_ids(v) for v in values])),
     reduce_groups=_idset_groups,
+    op=None,  # an id-set is not one array element
 )
 
 SEMIGROUPS = {sg.name: sg for sg in (MAX_REAL, BIT_OR64, ID_SET)}

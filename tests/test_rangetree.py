@@ -3,7 +3,7 @@ import pytest
 
 import idemrange as ir
 from idemrange import Box
-from idemrange.rangetree import box_sums
+from idemrange.rangetree import _level_slices, box_sums
 
 
 def _points(rng, n, d):
@@ -57,3 +57,51 @@ def test_box_sums_match_scan(name, d):
                 if name == "idset":
                     assert values[r].dtype == np.int64 and np.array_equal(values[r], want)
 
+
+
+def _slice_test_boxes(rng, coords, count):
+    """Random boxes with -inf and finite dim-1 lows, and dim-0 prefixes of
+    every length with unbounded and random dim-1 ranges."""
+    n, d = coords.shape
+    lo, hi = _boxes(rng, coords, count)
+    xs = np.sort(coords[:, 0])
+    pre_hi = np.repeat(xs[:, None], d, axis=1)
+    pre_hi[:, 1:] = np.inf
+    pre_lo = np.full((n, d), -np.inf)
+    cut_hi = pre_hi.copy()
+    cut_lo = pre_lo.copy()
+    if d > 1:
+        cut_lo[:, 1] = rng.choice(coords[:, 1], n)
+        cut_hi[:, 1] = cut_lo[:, 1] + rng.uniform(0.0, 1.0, n)
+    return np.concatenate((lo, pre_lo, cut_lo)), np.concatenate((hi, pre_hi, cut_hi))
+
+
+@pytest.mark.parametrize("name", ["max", "or"])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 1000, 1023, 1025])
+def test_slice_values_match_expanded_members(name, d, n):
+    # max and or values come from per-level sparse tables, id-sets from
+    # expanded members: each box's value must be the reduce over its members
+    sg = ir.semigroup_by_name(name)
+    rng = np.random.default_rng([n, d, len(name)])
+    coords = rng.integers(0, 33, (n, d)) / 32  # ties in every dimension
+    pts = ir.WeightedPointSet(coords, np.arange(n), np.ones(n))
+    raw = rng.integers(0, 50, n) / 7 - 3 if name == "max" else rng.integers(0, 2**64 - 1, n, dtype=np.uint64)
+    w = sg.weights(pts, raw)  # max: tied weights, negatives included
+    lo, hi = _slice_test_boxes(rng, coords, 200)
+    # every sparse-table row is read: slice widths reach every power of two up to n
+    rows = set()
+    for _, batches in _level_slices(coords, lo, hi):
+        rows.update(np.unique(np.frexp(np.concatenate([b[2] for b in batches]))[1] - 1).tolist())
+    assert rows == set(range(n.bit_length()))
+    assert np.isinf(lo[:, -1]).any() and np.isfinite(lo[:, -1]).any()
+
+    counts, values = box_sums(coords, w, sg, lo, hi)
+    member_counts, members = box_sums(coords, pts.ids, ir.ID_SET, lo, hi)
+    assert np.array_equal(counts, member_counts)
+    for r in range(len(lo)):
+        if members[r] is None:
+            assert counts[r] == 0 and values[r] is None
+            continue
+        want = sg.reduce(w[members[r]])
+        assert values[r] == want and type(values[r]) is type(want)

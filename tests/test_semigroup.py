@@ -125,3 +125,37 @@ def test_idset_fold_matches_np_unique():
     for empties in ([np.empty(0, dtype=np.int64)], [set(), frozenset()], [np.empty(0, dtype=np.int64), set()]):
         got = fold_values(empties, ir.ID_SET)
         assert got.dtype == np.int64 and got.size == 0
+
+
+@pytest.mark.parametrize("name, op", [("max", np.maximum), ("or", np.bitwise_or)])
+def test_reduce_is_the_array_op(name, op):
+    sg = ir.semigroup_by_name(name)
+    w = _weights(sg, np.random.default_rng(8), 30)
+    assert sg.op is op
+    got = sg.reduce(w)
+    assert got == sg.single(sg.op.reduce(w)) == ir.combine_all([sg.single(x) for x in w], sg)
+    assert type(got) is type(sg.single(w[0]))
+
+
+def test_idset_has_no_array_op():
+    assert ir.ID_SET.op is None
+
+
+def test_nan_weights_are_refused():
+    # a max over NaN depends on operand order, so structure and scan could disagree
+    pts = ir.uniform_random(256, 2, seed=3)
+    w = np.random.default_rng(3).random(256)
+    w[17] = np.nan
+    for sg in (ir.MAX_REAL, ir.BIT_OR64):
+        with pytest.raises(ValueError, match="NaN"):
+            sg.weights(pts, w)
+    with pytest.raises(ValueError, match="NaN"):
+        ir.MAX_REAL.weights(ir.WeightedPointSet(pts.coords, pts.ids, w.copy()))  # the points' own weights
+    with pytest.raises(ValueError, match="NaN"):
+        ir.build_ids(pts, 1, ir.MAX_REAL, weights=w)
+    with pytest.raises(ValueError, match="NaN"):
+        ir.build_dominance(pts, 16, ir.MAX_REAL, weights=w)
+    with pytest.raises(ValueError, match="NaN"):
+        ir.scan_value(pts, ir.Box((0.0, ir.NEG_INF), (1.0, 1.0)), ir.MAX_REAL, w)
+    w[17] = np.inf  # infinities are ordinary weights
+    assert ir.scan_value(pts, ir.Box((0.0, ir.NEG_INF), (1.0, 1.0)), ir.MAX_REAL, w) == np.inf
