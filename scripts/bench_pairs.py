@@ -40,6 +40,11 @@ def parse_seeds(specs: list[str]) -> list[int]:
     return seeds
 
 
+def short_rev(rev: str, cwd: Path = ROOT) -> str:
+    """The abbreviated commit id that ``rev`` names (``HEAD`` -> ``e4db883``)."""
+    return subprocess.run(["git", "rev-parse", "--short", rev], cwd=cwd, capture_output=True, text=True, check=True).stdout.strip()
+
+
 def run_one(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     """One ``perfbench/run.py`` run; its last line of output is the JSON result."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
@@ -80,7 +85,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seeds = parse_seeds(args.seeds)
-    record = {"base": args.base, "seconds": args.seconds, "runs": {}, "summary": {}}
+    record = {"base": short_rev(args.base), "seconds": args.seconds, "runs": {}, "summary": {}}
     with tempfile.TemporaryDirectory(prefix="bench_base_") as tmp:
         base_dir = Path(tmp)
         archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, capture_output=True, check=True).stdout

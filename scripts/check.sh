@@ -1,6 +1,8 @@
 #!/usr/bin/env sh
 # Fail on any branch on a semigroup's name or any read of it outside
-# semigroup.py, then run the Tier-1 test suite and the benchmark's smoke test.
+# semigroup.py, on an identity test against a semigroup constant, or on a
+# read of ``Semigroup.op`` outside semigroup.py and rangetree.py; then run
+# the Tier-1 test suite and the benchmark's smoke test.
 #
 #     sh scripts/check.sh
 #
@@ -24,6 +26,17 @@ if grep -rnE "\.name (==|!=)" src/idemrange; then
 fi
 if grep -rnE --exclude=semigroup.py "\.name\b" src/idemrange; then
     echo "check.sh: .name read outside semigroup.py (listed above)" >&2
+    exit 1
+fi
+# "is ID_SET" is the same branch by another name
+if grep -rnE "\bis (not )?(MAX_REAL|BIT_OR64|ID_SET)\b" src/idemrange; then
+    echo "check.sh: identity test against a semigroup constant (listed above)" >&2
+    exit 1
+fi
+# whether a box's value is stored or listed on demand follows from op, and
+# only rangetree.py may decide it
+if grep -rnE --exclude=semigroup.py --exclude=rangetree.py "\.op\b" src/idemrange; then
+    echo "check.sh: .op read outside semigroup.py and rangetree.py (listed above)" >&2
     exit 1
 fi
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors

@@ -8,9 +8,12 @@ the scaling acceptance check at whatever grid you like.  ``build_s`` times
 ``build_ids`` alone (``perf_counter``), not the point generation.
 ``peak_rss_mb`` is the process's peak resident set so far (``ru_maxrss``),
 so a row also covers every smaller n before it; run one exponent per
-process for each size's own peak.
+process for each size's own peak.  ``--semigroup`` picks the structure's
+semigroup (default max), so one command compares, say, an id-set build's
+peak RSS with a max build's.
 
     python3 scripts/scaling_study.py --d 2 --k 1 --exps 10 11 12 13 14 --queries 300
+    python3 scripts/scaling_study.py --exps 16 --semigroup idset
 """
 
 import argparse
@@ -32,6 +35,7 @@ def main() -> int:
     ap.add_argument("--exps", type=int, nargs="+", default=[10, 11, 12, 13, 14])
     ap.add_argument("--queries", type=int, default=300)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--semigroup", default="max", choices=sorted(ir.SEMIGROUPS))
     args = ap.parse_args()
 
     writer = csv.writer(sys.stdout)
@@ -40,7 +44,7 @@ def main() -> int:
         n = 2**exp
         pts = ir.uniform_random(n, args.d, seed=args.seed)
         t0 = time.perf_counter()
-        struct = ir.build_ids(pts, args.k, ir.MAX_REAL)
+        struct = ir.build_ids(pts, args.k, ir.semigroup_by_name(args.semigroup))
         t_build = time.perf_counter() - t0
         rng = np.random.default_rng((args.seed, n))
         costs = []

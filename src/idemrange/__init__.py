@@ -40,7 +40,6 @@ from .idsstruct import (
     AnchoredPiece,
     IdsConfig,
     IdsStructure,
-    answer_anchored,
     box_of,
     build_ids,
     decompose_query,

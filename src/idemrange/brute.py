@@ -26,8 +26,8 @@ def scan_value(points: WeightedPointSet, box: Box, sg: Semigroup, weights=None):
     """Exact semigroup value inside the box; None when empty.
 
     Folds one ``singleton_value`` per point on purpose: the structures sum
-    weight arrays (``Semigroup.reduce`` and ``reduce_groups``) instead, and
-    the oracle should not share that path.
+    weight arrays (``Semigroup.reduce`` and the semigroup's array ufunc)
+    instead, and the oracle should not share that path.
     """
     w = sg.weights(points, weights)
     idx = np.nonzero(scan_mask(points.coords, box))[0]

@@ -120,7 +120,7 @@ def dominance_query(ds: DominanceStructure, q) -> QueryAnswer:
     live = np.nonzero(np.all(ds.samples <= q, axis=1) & (ds.counts >= 1))[0]
     m_idx, covered, used = dominance_cover(ds.samples[live], ds.points.coords[target_idx])
     used_global = live[m_idx]
-    parts = [ds.values[i] for i in used_global]
+    parts = list(ds.values[used_global])  # one gather for every used sum
     residual = target_idx[~covered]
     if residual.size:
         parts.append(singleton_value(ds.sg, residual, ds._w))

@@ -6,11 +6,12 @@ depth tuple in {1..h}^k, is turned into an anchored box whose j-th side
 runs from the left boundary of the depth-i_j tree neighbor to the point
 (mirrored per orientation); the stored sum is the input weight inside that
 box.  Construction computes each block's boxes with array arithmetic, then
-fills the count and value of every box of every block in one batched
-``rangetree.box_sums`` call.  A query splits at tree midpoints into up to
-2^k anchored pieces; each piece is tiled by balanced-prefix-cover
-intervals, candidate boxes are picked per cover pair, and the last d-k
-dimensions reduce to a dominance cover whose leftovers are singletons.
+fills the count and value (an id-set's on demand) of every box of every
+block in one batched ``rangetree.box_sums`` call.  A query splits at tree
+midpoints into up to 2^k anchored pieces; each piece is tiled by
+balanced-prefix-cover intervals, candidate boxes are picked per cover
+pair, and the last d-k dimensions reduce to a dominance cover whose
+leftovers are singletons.
 All pieces of a query are answered in one pass (``_cover_pieces``): one
 grid gather over the query box, one cover per (dimension, side) that
 labels only the points on its side, and one sort of (point, piece)
@@ -72,7 +73,6 @@ __all__ = [
     "box_of",
     "build_ids",
     "decompose_query",
-    "answer_anchored",
     "query",
 ]
 
@@ -98,25 +98,26 @@ class IdsConfig:
 class _SumIndex:
     """Every stored sum in one structure of arrays.
 
-    Rows are in block order: ``IdsStructure.blocks`` order (orientation, then
-    family index), then the dim-0 point coordinate.  ``box_lo`` and
+    Rows are in block order: (orientation, then family index), then the
+    dim-0 point coordinate; ``blocks`` maps each non-empty block's
+    (orientation, index) to its row range (start, stop).  ``box_lo`` and
     ``box_hi`` hold each box's bounds; ``counts`` and ``values`` hold the
     number and the semigroup sum of the input points inside each box, from
-    one ``box_sums`` call.  ``by_orient[o]`` is (rows, bounds, counts): the
-    rows of orientation o sorted by their dim-0 point coordinate, with their
-    [lo | hi] bounds copied dimension-major and their counts in that order.
+    one ``box_sums`` call (``values[rows]`` gives several at once).
+    ``by_orient[o]`` is (rows, bounds, counts): the rows of orientation o
+    sorted by their dim-0 point coordinate, with their [lo | hi] bounds
+    copied dimension-major and their counts in that order.
     """
 
     def __init__(self, k: int, parts: list, point_coords: np.ndarray, w: np.ndarray, sg: Semigroup):
         # parts: (orientation, index, coords, box_lo, box_hi) per non-empty block
-        sizes = [len(p[2]) for p in parts]
-        ends = np.cumsum([0] + sizes).tolist()
-        self.block_ranges = [((p[0], p[1]), a, b) for p, a, b in zip(parts, ends, ends[1:])]
+        ends = np.cumsum([0] + [len(p[2]) for p in parts]).tolist()
+        self.blocks = {(p[0], p[1]): (a, b) for p, a, b in zip(parts, ends, ends[1:])}
         self.coords, self.box_lo, self.box_hi = (np.concatenate(c) for c in list(zip(*parts))[2:])
         self.counts, self.values = box_sums(point_coords, w, sg, self.box_lo, self.box_hi)
         self.by_orient = {}
         for o in itertools.product((_R, _L), repeat=k):
-            blocks = [np.arange(a, b) for (orient, _), a, b in self.block_ranges if orient == o]
+            blocks = [np.arange(a, b) for (orient, _), (a, b) in self.blocks.items() if orient == o]
             rows = np.concatenate([np.empty(0, dtype=np.int64), *blocks])
             rows = rows[np.argsort(self.coords[rows, 0], kind="stable")]
             bounds = np.hstack((self.box_lo[rows], self.box_hi[rows])).T.copy()
@@ -153,19 +154,6 @@ class _SumIndex:
                     ok &= (bounds[c, s] >= floor[c]) & (bounds[c, s] <= ceil[c])
             found.append(rows[s][ok])
         return np.sort(np.concatenate(found))
-
-
-class _Block:
-    """One (orientation, family index) block: views into the flat index."""
-
-    __slots__ = ("coords", "box_lo", "box_hi", "counts", "values")
-
-    def __init__(self, sums: _SumIndex, start: int, stop: int):
-        for name in self.__slots__:
-            setattr(self, name, getattr(sums, name)[start:stop])
-
-    def __len__(self):
-        return len(self.counts)
 
 
 def box_of(x, index, orientation, trees: list[DyadicTree]) -> Box | None:
@@ -214,7 +202,7 @@ class IdsStructure:
                 if part is not None:
                     parts.append(part)
         self.sums = _SumIndex(cfg.k, parts, self.points.coords, self._w, self.sg)
-        self.blocks = {key: _Block(self.sums, start, stop) for key, start, stop in self.sums.block_ranges}
+        self.blocks = self.sums.blocks
         self.num_boxes = len(self.sums.counts)
 
     def _build_one_block(self, orient, index, ps: WeightedPointSet):
@@ -406,14 +394,13 @@ def _tuple_candidates(sums: _SumIndex, orient, a: np.ndarray, b: np.ndarray, qlo
 
 
 class _CoverState:
-    """Accumulates one query's cover: used sum rows, their values, leftovers."""
+    """Accumulates one query's cover: used sum rows and leftovers."""
 
     def __init__(self, sums: _SumIndex, qlo, qhi, audit):
         self.sums = sums
         self.qlo = np.asarray(qlo)
         self.qhi = np.asarray(qhi)
         self.audit = audit
-        self.parts: list = []
         self.used: list[int] = []
         self.leftover: list = []
 
@@ -424,7 +411,6 @@ class _CoverState:
             self.audit.extend(Box(tuple(a), tuple(b)) for a, b in zip(lo.tolist(), hi.tolist()))
         if np.any(lo < self.qlo) or np.any(hi > self.qhi):
             raise AssertionError("used sum escapes the query box")
-        self.parts.extend(self.sums.values[rows])
         self.used.extend(rows.tolist())
 
 
@@ -604,19 +590,11 @@ def _compress(struct: IdsStructure, state: _CoverState) -> np.ndarray:
 
 def _finish(struct: IdsStructure, state: _CoverState) -> QueryAnswer:
     leftover_idx = _compress(struct, state)
+    parts = list(struct.sums.values[np.asarray(state.used, dtype=np.int64)])  # one gather for every used sum
     if leftover_idx.size:
-        state.parts.append(singleton_value(struct.sg, leftover_idx, struct._w))
-    value = fold_values(state.parts, struct.sg) if state.parts else None
+        parts.append(singleton_value(struct.sg, leftover_idx, struct._w))
+    value = fold_values(parts, struct.sg) if parts else None
     return QueryAnswer(value, sums_used=len(state.used), singletons_used=int(leftover_idx.size))
-
-
-def answer_anchored(struct: IdsStructure, piece: AnchoredPiece, audit: list | None = None) -> QueryAnswer:
-    """Standalone piece answer: covers exactly the piece's points, so the
-    containment box is the piece itself (inside query() the shared pass uses
-    the whole query box instead, letting sums straddle the split)."""
-    state = _CoverState(struct.sums, piece.lo, piece.hi, audit)
-    _cover_pieces(struct, [piece], state)
-    return _finish(struct, state)
 
 
 def _singleton_only_answer(struct: IdsStructure, q: Box) -> QueryAnswer:

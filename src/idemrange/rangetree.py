@@ -27,12 +27,13 @@ semigroup choose one.
   has op(T_j[s], T_j[s + w - 2^j]) from two overlapping halves, which an
   idempotent op allows.  Only the current row T_j of one level is live, and
   no (box, member) pair is ever made.
-- Every other input.  Slices are expanded to members in chunks of about
-  ``_CHUNK_PAIRS`` (box, member) pairs cut at box boundaries, dims 2.. are
-  tested on the members, and ``Semigroup.reduce_groups`` folds each box's
-  members into its value.  An id-set value is its member list, so it needs
-  the members themselves.  For d >= 3 a slice also holds points outside the
-  box in dims 2.., which only the per-member test removes.
+- Every other input.  Each box keeps its slices (``_Reported``), which
+  ``members`` expands to the box's members, dropping for d >= 3 those a
+  slice holds outside the box in dims 2.. .  A d >= 3 build lists members
+  in chunks of about ``_CHUNK_PAIRS`` (box, member) pairs for the counts
+  and, with ``op``, the values.  Without ``op`` (id-sets) no value is
+  stored: indexing ``_Reported`` lists and reduces a box's members then,
+  in O(log n + output) for d <= 2.  Lookups are free in the cost model.
 """
 
 from __future__ import annotations
@@ -143,78 +144,114 @@ def _slice_sums(levels, w: np.ndarray, op: np.ufunc, m: int):
             counts[b] += bw
     values = np.empty(m, dtype=object)
     full = np.flatnonzero(counts)
-    values[full] = acc[full].astype(object)  # Python scalars, as reduce_groups gives
+    values[full] = acc[full].astype(object)  # Python scalars, as Semigroup.reduce gives
     return counts, values
 
 
-def _expanded_sums(levels, coords, w, sg: Semigroup, box_lo, box_hi, chunk_pairs: int):
-    """Counts and values from the members of every slice, expanded in chunks."""
-    n, d = coords.shape
-    m = len(box_lo)
-    # the weight and the dims-2.. coordinates (one contiguous row per dimension) of every
-    # slot of every level, level after level
-    slots = n * ((n - 1).bit_length() + 1)
-    w = np.asarray(w)
-    w_slot = np.empty(slots, dtype=w.dtype)
-    cols = np.empty((coords[:, 2:].shape[1], slots))
-    slices = []
-    for lv, (points, batches) in enumerate(levels):
-        w_slot[lv * n : (lv + 1) * n] = w[points]
-        cols[:, lv * n : (lv + 1) * n] = coords[points, 2:].T
-        slices.append([(box, start + lv * n, width) for box, start, width in batches])
-    # levels bottom up, so each box's members come in the order of the bottom-up split
-    box, start, width = (np.concatenate(c) for c in zip(*(b for level in slices[::-1] for b in level)))
-    del slices
-    order = np.argsort(box, kind="stable")
-    box, start, width = box[order], start[order], width[order]
-    del order
+def _ranges(starts: np.ndarray, widths: np.ndarray):
+    """The ranges [s, s + w) laid end to end, and where each range begins in
+    them (one more entry: the total)."""
+    offsets = np.concatenate(([0], np.cumsum(widths)))
+    pos = np.repeat(starts - offsets[:-1], widths)
+    pos += np.arange(offsets[-1])
+    return pos, offsets
 
-    counts = np.zeros(m, dtype=np.int64)
-    values = np.empty(m, dtype=object)
-    first = np.searchsorted(box, np.arange(m + 1))  # each box's first pair
-    cum = np.concatenate(([0], np.cumsum(width)))  # members expanded before each pair
-    box_cum = cum[first]  # ... and before each box
-    iota = np.arange(max(chunk_pairs, n))  # a chunk holds at most this many members
 
-    b0 = 0
-    while b0 < m:
-        b1 = max(b0 + 1, int(np.searchsorted(box_cum, box_cum[b0] + chunk_pairs, side="right")) - 1)
-        p0, p1 = first[b0], first[b1]
-        ends = box_cum[b0 : b1 + 1] - box_cum[b0]  # each box's first member, then the total
-        if ends[-1]:
-            pos = np.repeat(start[p0:p1] - (cum[p0:p1] - cum[p0]), width[p0:p1])
-            pos += iota[: pos.size]  # slots of the chunk's members, run by run
-            if d > 2:
-                size = np.diff(ends)
-                ok = np.ones(pos.size, dtype=bool)
-                for j in range(2, d):
-                    c = cols[j - 2][pos]
-                    ok &= c <= np.repeat(box_hi[b0:b1, j], size)
-                    if np.isfinite(box_lo[b0:b1, j]).any():  # a -inf low admits every member
-                        ok &= c >= np.repeat(box_lo[b0:b1, j], size)
-                pos = pos[ok]
-                ends = np.concatenate(([0], np.cumsum(ok)))[ends]
-            cnt = np.diff(ends)
-            counts[b0:b1] = cnt
-            full = np.flatnonzero(cnt)
-            values[b0 + full] = sg.reduce_groups(w_slot[pos], ends[full])
-        b0 = b1
-    return counts, values
+class _Reported:
+    """Every box's slices, kept to list its members later: the box values
+    of a semigroup without an array ``op``, reported on demand.
+
+    ``values[r]`` is ``sg.reduce`` of box r's member weights (an id-set:
+    its sorted member ids), or None for an empty box; ``values[rows]``, for
+    an integer array, is an object array from one ``members`` call.
+
+    ``w_slot`` and ``cols`` hold the weight and the dims-2.. coordinates of
+    the point at each slot, level after level.  Box r owns the slices
+    ``first[r]`` to ``first[r + 1]`` of ``start`` (a slot) and ``width``.
+    """
+
+    def __init__(self, levels, coords: np.ndarray, w: np.ndarray, sg: Semigroup, box_lo: np.ndarray, box_hi: np.ndarray):
+        self.sg = sg
+        n = len(coords)
+        slots = n * ((n - 1).bit_length() + 1)
+        idx = np.int32 if max(slots, len(box_lo)) <= np.iinfo(np.int32).max else np.int64  # halves what is kept
+        self.w_slot = np.empty(slots, dtype=w.dtype)
+        self.cols = np.empty((coords[:, 2:].shape[1], slots))
+        runs = []
+        for lv, (pts, batches) in enumerate(levels):
+            self.w_slot[lv * n : (lv + 1) * n] = w[pts]
+            self.cols[:, lv * n : (lv + 1) * n] = coords[pts, 2:].T
+            runs.extend((box.astype(idx), (start + lv * n).astype(idx), width.astype(idx)) for box, start, width in batches)
+        self.lo, self.hi = box_lo[:, 2:], box_hi[:, 2:]
+        # counting sort of the slices by box, kept compact: a batch names a box at most once
+        self.first = np.cumsum(np.bincount(np.concatenate([r[0] for r in runs]) + 1, minlength=len(box_lo) + 1))
+        self.start = np.empty(self.first[-1], dtype=idx)
+        self.width = np.empty_like(self.start)
+        fill = self.first[:-1].copy()
+        while runs:
+            box, start, width = runs.pop()
+            at = fill[box]
+            self.start[at], self.width[at] = start, width
+            fill[box] += 1
+
+    def members(self, rows: np.ndarray):
+        """The weights of the points inside the boxes ``rows``, box after box,
+        and where each box's points begin (one more entry: the total)."""
+        first = self.first[:-1][rows]
+        sl, sl_at = _ranges(first, self.first[1:][rows] - first)  # the boxes' slices
+        pos, pos_at = _ranges(self.start[sl], self.width[sl])
+        ends = pos_at[sl_at]
+        if len(self.cols):
+            size = np.diff(ends)
+            ok = np.ones(pos.size, dtype=bool)
+            for c, lo, hi in zip(self.cols, self.lo[rows].T, self.hi[rows].T):
+                x = c[pos]
+                ok &= x <= np.repeat(hi, size)
+                if np.isfinite(lo).any():  # a -inf low admits every member
+                    ok &= x >= np.repeat(lo, size)
+            kept = np.flatnonzero(ok)
+            pos, ends = pos[kept], np.searchsorted(kept, ends)  # members kept before each box end
+        return self.w_slot[pos], ends
+
+    def __getitem__(self, rows):
+        w, ends = self.members(np.atleast_1d(rows))
+        out = np.empty(len(ends) - 1, dtype=object)
+        for i, (a, b) in enumerate(zip(ends[:-1].tolist(), ends[1:].tolist())):
+            if b > a:
+                out[i] = self.sg.reduce(w[a:b])
+        return out if np.ndim(rows) else out[0]
 
 
 def box_sums(coords, w, sg: Semigroup, box_lo, box_hi, chunk_pairs: int = _CHUNK_PAIRS):
     """Per closed box [lo, hi]: the number of points inside and the
     semigroup sum of their weights ``w``.
 
-    Returns (counts, values): an int64 array, and an object array holding
-    ``sg.reduce_groups`` values, None for an empty box.  ``chunk_pairs``
-    bounds the (box, member) pairs expanded at once where the members are
-    expanded (id-sets, d >= 3).
+    Returns (counts, values): an int64 array, and the values, None for an
+    empty box: an object array of Python scalars under a semigroup with an
+    array ``op``, else a read-only ``_Reported`` view indexed the same way.
+    ``chunk_pairs`` bounds the (box, member) pairs a d >= 3 build expands
+    at once.
     """
     coords = np.asarray(coords, dtype=np.float64)
     box_lo = np.asarray(box_lo, dtype=np.float64)
     box_hi = np.asarray(box_hi, dtype=np.float64)
+    w = np.asarray(w)
+    m = len(box_lo)
     levels = _level_slices(coords, box_lo, box_hi)
     if coords.shape[1] <= 2 and sg.op is not None:
-        return _slice_sums(levels, np.asarray(w), sg.op, len(box_lo))
-    return _expanded_sums(levels, coords, w, sg, box_lo, box_hi, chunk_pairs)
+        return _slice_sums(levels, w, sg.op, m)
+    slices = _Reported(levels, coords, w, sg, box_lo, box_hi)
+    counts = np.diff(np.concatenate(([0], np.cumsum(slices.width)))[slices.first])  # exact for d <= 2
+    values = np.empty(m, dtype=object) if sg.op is not None else slices
+    if coords.shape[1] > 2:  # counts, and numeric values, from the members in chunks cut at box boundaries
+        before = np.concatenate(([0], np.cumsum(counts)))
+        b0 = 0
+        while b0 < m:
+            b1 = max(b0 + 1, int(np.searchsorted(before, before[b0] + chunk_pairs, side="right")) - 1)
+            wm, ends = slices.members(np.arange(b0, b1))
+            counts[b0:b1] = np.diff(ends)
+            if sg.op is not None:
+                full = np.flatnonzero(counts[b0:b1])
+                values[b0 + full] = sg.op.reduceat(wm, ends[full]).astype(object)  # Python scalars
+            b0 = b1
+    return counts, values

@@ -42,14 +42,12 @@ class Semigroup:
     ``combine`` and ``equal`` are the pairwise reference.  The rest work on
     arrays: ``weights(points, weights=None)`` is the per-point weight array
     a structure stores, ``single`` the value of one weight, ``reduce`` the
-    sum of a non-empty weight array, ``fold`` of a non-empty value list, and
-    ``reduce_groups(w, starts)`` of each contiguous group of a weight array,
-    the groups non-empty and beginning at the ascending indices ``starts``,
-    as an object array.  ``op`` is the binary ufunc on weight arrays
-    (``np.maximum``, ``np.bitwise_or``), or None when a value is not one
-    array element (id-sets); ``reduce`` and ``reduce_groups`` of a numeric
-    semigroup are built from it, and ``rangetree.box_sums`` folds
-    overlapping slices with it.
+    sum of a non-empty weight array, and ``fold`` of a non-empty value list.
+    ``op`` is the binary ufunc on weight arrays (``np.maximum``,
+    ``np.bitwise_or``), or None when a value is not one array element
+    (id-sets).  ``reduce`` of a numeric semigroup is built from it, and
+    ``rangetree.box_sums`` stores values made with it; without it,
+    ``box_sums`` stores no value and reduces a box's members when asked.
     """
 
     name: str
@@ -60,7 +58,6 @@ class Semigroup:
     single: Callable[[Any], Any]
     reduce: Callable[[np.ndarray], Any]
     fold: Callable[[list], Any]
-    reduce_groups: Callable[[np.ndarray, np.ndarray], np.ndarray]
     op: np.ufunc | None
 
 
@@ -85,22 +82,19 @@ def _ids(v) -> np.ndarray:
 def _cast_weights(dtype):
     """Weights of a numeric semigroup: the given array, else the points' own, cast.
 
-    NaN is refused: it compares false with everything, so a max over it
-    depends on the order of the operands.
+    One weight per point is required.  NaN is refused: it compares false
+    with everything, so a max over it depends on the order of the operands.
     """
 
     def cast(points, weights=None):
         w = np.asarray(points.weights if weights is None else weights)
+        if w.shape != (len(points),):
+            raise ValueError(f"weights must have shape ({len(points)},), got {w.shape}")
         if w.dtype.kind == "f" and np.isnan(w).any():
             raise ValueError("weights must not be NaN")
         return w.astype(dtype)
 
     return cast
-
-
-def _ufunc_groups(ufunc):
-    """Vectorized group sums for a numeric semigroup: one ``ufunc.reduceat``."""
-    return lambda w, starts: ufunc.reduceat(w, starts).astype(object)  # Python scalars
 
 
 def _ufunc_semigroup(name, op, dtype, single, combine, equal, fold) -> "Semigroup":
@@ -113,16 +107,8 @@ def _ufunc_semigroup(name, op, dtype, single, combine, equal, fold) -> "Semigrou
         single=single,
         reduce=lambda a: single(op.reduce(a)),
         fold=fold,
-        reduce_groups=_ufunc_groups(op),
         op=op,
     )
-
-
-def _idset_groups(w: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    out = np.empty(len(starts), dtype=object)
-    for i, (a, b) in enumerate(zip(starts.tolist(), [*starts[1:].tolist(), len(w)])):
-        out[i] = np.sort(w[a:b])  # member ids are unique: no dedupe
-    return out
 
 
 MAX_REAL = _ufunc_semigroup(
@@ -149,10 +135,9 @@ ID_SET = Semigroup(
     equal=lambda a, b: bool(np.array_equal(np.unique(_ids(a)), np.unique(_ids(b)))),
     weights=lambda points, weights=None: points.ids,
     single=lambda x: np.asarray([x], dtype=np.int64),
-    reduce=lambda a: _sorted_unique(a.astype(np.int64)),
+    reduce=lambda a: _sorted_unique(np.asarray(a, dtype=np.int64)),
     # concatenate once and deduplicate by one sort instead of pairwise unions
     fold=lambda values: _sorted_unique(np.concatenate([_ids(v) for v in values])),
-    reduce_groups=_idset_groups,
     op=None,  # an id-set is not one array element
 )
 

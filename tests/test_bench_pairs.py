@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -48,3 +49,19 @@ def test_worse_is_a_median_past_the_metric_bound():
     assert all(r["worse"] for r in bad.values())
     better = rows(1.0, 400.0, 10)  # moving the right way is never worse
     assert not any(r["worse"] for r in better.values())
+
+
+def test_base_is_recorded_as_a_commit_id(tmp_path):
+    def git(*args):
+        cmd = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args]
+        return subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True, check=True).stdout.strip()
+
+    git("init", "-q")
+    for i in range(2):
+        git("commit", "-q", "--allow-empty", "-m", f"c{i}")
+    head, parent = git("rev-parse", "--short", "HEAD"), git("rev-parse", "--short", "HEAD~1")
+    assert head != parent
+    assert bench_pairs.short_rev("HEAD", tmp_path) == head
+    assert bench_pairs.short_rev("HEAD~1", tmp_path) == parent
+    with pytest.raises(subprocess.CalledProcessError):
+        bench_pairs.short_rev("no-such-revision", tmp_path)

@@ -50,29 +50,35 @@ def test_build_input_guards():
         ir.build_ids(ir.uniform_random(2, 2, seed=0), 1, ir.MAX_REAL)
 
 
-def test_stored_values_match_scan_oracle():
-    pts = ir.uniform_random(64, 2, seed=7)
-    s = ir.build_ids(pts, 1, ir.ID_SET)
+def _check_blocks_against_scan(pts, s):
+    """Every block's row range holds its own boxes, in dim-0 order, and each
+    box's count and id-set (one row, then the block's rows at once) match
+    the scan."""
+    sums = s.sums
     checked = 0
-    for (orient, index), blk in s.blocks.items():
-        for r in range(len(blk)):
-            box = Box(tuple(blk.box_lo[r]), tuple(blk.box_hi[r]))
+    for (orient, index), (start, stop) in s.blocks.items():
+        assert start < stop and np.all(np.diff(sums.coords[start:stop, 0]) >= 0)
+        rows = np.arange(start, stop)
+        for r, batched in zip(rows.tolist(), sums.values[rows]):
+            box = Box(tuple(sums.box_lo[r]), tuple(sums.box_hi[r]))
             want = ir.scan_ids(pts, box)
-            assert blk.counts[r] == want.size
+            assert sums.counts[r] == want.size
             if want.size:
-                assert np.array_equal(blk.values[r], want)
+                assert np.array_equal(sums.values[r], want) and np.array_equal(batched, want)
+            else:
+                assert sums.values[r] is None and batched is None
             checked += 1
     assert checked == s.num_boxes
 
 
+def test_stored_values_match_scan_oracle():
+    pts = ir.uniform_random(64, 2, seed=7)
+    _check_blocks_against_scan(pts, ir.build_ids(pts, 1, ir.ID_SET))
+
+
 def test_stored_values_match_scan_oracle_d3k2():
     pts = ir.uniform_random(64, 3, seed=8)
-    s = ir.build_ids(pts, 2, ir.ID_SET)
-    for (orient, index), blk in s.blocks.items():
-        for r in range(len(blk)):
-            box = Box(tuple(blk.box_lo[r]), tuple(blk.box_hi[r]))
-            want = ir.scan_ids(pts, box)
-            assert blk.counts[r] == want.size
+    _check_blocks_against_scan(pts, ir.build_ids(pts, 2, ir.ID_SET))
 
 
 @pytest.mark.parametrize("name", ["max", "or", "idset"])
@@ -126,6 +132,15 @@ def test_malformed_queries_rejected():
         ir.query(s, Box((0.1, NEG_INF, NEG_INF), (0.5, 0.5, 0.5)))
 
 
+def _answer_piece(s, piece):
+    """A piece answered alone: its cover pass on a state whose containment
+    box is the piece itself (query() uses the whole query box instead,
+    letting sums straddle the split)."""
+    state = I._CoverState(s.sums, piece.lo, piece.hi, None)
+    I._cover_pieces(s, [piece], state)
+    return I._finish(s, state)
+
+
 def test_anchored_piece_empty_cover_only_singletons():
     pts = ir.uniform_random(256, 2, seed=5)
     s = ir.build_ids(pts, 1, ir.ID_SET)
@@ -135,8 +150,9 @@ def test_anchored_piece_empty_cover_only_singletons():
     pieces, so = ir.decompose_query(s, q)
     assert not so
     right = [p for p in pieces if p.orientation == ("R",)][0]
-    ans = ir.answer_anchored(s, right)
+    ans = _answer_piece(s, right)
     assert ans.sums_used == 0
+    assert np.array_equal(ans.value, ir.scan_ids(pts, Box(right.lo, right.hi)))
 
 
 def test_answer_anchored_matches_piece_scan():
@@ -150,7 +166,7 @@ def test_answer_anchored_matches_piece_scan():
         if so:
             continue
         for piece in pieces:
-            ans = ir.answer_anchored(s, piece)
+            ans = _answer_piece(s, piece)
             got = ans.value if ans.value is not None else np.empty(0, np.int64)
             want = ir.scan_ids(pts, Box(piece.lo, piece.hi))
             assert np.array_equal(got, want)
@@ -351,7 +367,7 @@ def test_greedy_cover_matches_dense_reference(m, d):
 def _scan_rows(sums, qlo, qhi, min_count, orient=None, spans=None, reach=None):
     """Reference ``_SumIndex.inside``: every row tested in block order."""
     keep = []
-    for (o, _), blk_start, blk_stop in sums.block_ranges:
+    for (o, _), (blk_start, blk_stop) in sums.blocks.items():
         for r in range(blk_start, blk_stop):
             lo, hi = sums.box_lo[r], sums.box_hi[r]
             ok = o == (orient or o) and sums.counts[r] >= min_count and np.all(lo >= qlo) and np.all(hi <= qhi)
@@ -373,11 +389,11 @@ def test_sum_index_matches_block_scan():
     found = 0
     for q in _uniform_queries(rng, 3, 2, 30):
         qlo, qhi = np.asarray(q.lo), np.asarray(q.hi)
-        want, start = [], 0
-        for (orient, index), blk in s.blocks.items():
-            ok = (blk.counts >= 2) & np.all(blk.box_lo >= qlo, axis=1) & np.all(blk.box_hi <= qhi, axis=1)
+        want = []
+        for start, stop in s.blocks.values():
+            blk = slice(start, stop)
+            ok = (sums.counts[blk] >= 2) & np.all(sums.box_lo[blk] >= qlo, axis=1) & np.all(sums.box_hi[blk] <= qhi, axis=1)
             want.extend(start + np.nonzero(ok)[0])
-            start += len(blk)
         assert sums.inside(qlo, qhi, 2).tolist() == want
         low = np.maximum(qlo, 0.0)
         reach = (low + 0.2 * (qhi - low), qhi - 0.3 * (qhi - low))
@@ -638,7 +654,10 @@ def test_cover_state_take_batch():
     state.take(rows[:0])
     assert state.used == rows[::-1].tolist()
     assert audit == [Box(tuple(sums.box_lo[r]), tuple(sums.box_hi[r])) for r in rows[::-1]]
-    assert all(v is sums.values[r] for v, r in zip(state.parts, rows[::-1]))
+    # no leftovers: the answer folds just the used sums' values, gathered at the end
+    ans = I._finish(s, state)
+    want = np.unique(np.concatenate([ir.scan_ids(pts, b) for b in audit]))
+    assert (ans.sums_used, ans.singletons_used) == (5, 0) and np.array_equal(ans.value, want)
     escaping = np.nonzero(np.any(sums.box_hi > q.hi, axis=1))[0][:1]
     with pytest.raises(AssertionError, match="used sum escapes the query box"):
         state.take(np.concatenate((rows[:2], escaping)))
@@ -815,7 +834,7 @@ def test_batched_candidates_match_per_tuple_inside(d, k):
     s = ir.build_ids(pts, k, ir.MAX_REAL)
     sums, h = s.sums, s.config.h
     family = np.empty((len(sums.counts), k), dtype=np.int64)
-    for (_, index), start, stop in sums.block_ranges:
+    for (_, index), (start, stop) in sums.blocks.items():
         family[start:stop] = index
     tuples_seen = rows_seen = narrowed = 0  # narrowed: the tuple's own filter drops pool rows
     for q in _uniform_queries(rng, d, k, 25):

@@ -42,21 +42,29 @@ def test_box_sums_match_scan(name, d):
         # chunk of 1: one box per chunk, and every non-trivial box larger than its chunk
         for chunk in (1, 7, 1 << 16):
             counts, values = box_sums(pts.coords, w, sg, lo, hi, chunk)
-            assert counts.dtype == np.int64 and values.dtype == object
-            for r in range(len(lo)):
+            assert counts.dtype == np.int64
+            # every box one by one, and all of them as one shuffled batch with repeats
+            # (id-sets are listed on demand, so the batch is one gather)
+            rows = np.concatenate((rng.permutation(len(lo)), rng.integers(0, len(lo), 9)))
+            batch = values[rows]
+            assert batch.dtype == object and len(batch) == len(rows)
+            for r, got_batched in zip(rows.tolist(), batch):
+                got = values[r]
                 if np.any(lo[r] > hi[r]):  # an inverted box holds nothing (Box refuses one)
-                    assert counts[r] == 0 and values[r] is None
+                    assert counts[r] == 0 and got is None and got_batched is None
                     continue
                 box = Box(tuple(lo[r]), tuple(hi[r]))
                 want = ir.scan_value(pts, box, sg, weights)
                 assert counts[r] == np.count_nonzero(ir.scan_mask(pts.coords, box))
                 if want is None:
-                    assert values[r] is None
+                    assert got is None and got_batched is None
                     continue
-                assert sg.equal(values[r], want) and type(values[r]) is type(want)
+                for v in (got, got_batched):
+                    assert sg.equal(v, want) and type(v) is type(want)
                 if name == "idset":
-                    assert values[r].dtype == np.int64 and np.array_equal(values[r], want)
-
+                    ids = ir.scan_ids(pts, box)
+                    for v in (got, got_batched):
+                        assert v.dtype == np.int64 and np.array_equal(v, ids)
 
 
 def _slice_test_boxes(rng, coords, count):
@@ -80,8 +88,8 @@ def _slice_test_boxes(rng, coords, count):
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 1000, 1023, 1025])
 def test_slice_values_match_expanded_members(name, d, n):
-    # max and or values come from per-level sparse tables, id-sets from
-    # expanded members: each box's value must be the reduce over its members
+    # max and or values come from per-level sparse tables, id-sets are listed
+    # from the tree on demand: each box's value must be the reduce over its members
     sg = ir.semigroup_by_name(name)
     rng = np.random.default_rng([n, d, len(name)])
     coords = rng.integers(0, 33, (n, d)) / 32  # ties in every dimension

@@ -89,24 +89,6 @@ def test_singleton_value_on_index_array_is_fold_of_singletons(name):
     assert singleton_value(sg, np.empty(0, dtype=np.int64), w) is stored_value(sg, np.empty(0, dtype=np.int64), w)
 
 
-@pytest.mark.parametrize("name", ["max", "or", "idset"])
-def test_reduce_groups_is_per_group_fold_of_singletons(name):
-    sg = ir.semigroup_by_name(name)
-    rng = np.random.default_rng(7)
-    w = _weights(sg, rng, 40)
-    for size in (0, 1, 7, 40):  # no groups at all included
-        members = rng.permutation(40)[:size]  # unique, as a stored sum's members are
-        cuts = np.flatnonzero(rng.random(size) < 0.3)
-        starts = np.unique(np.concatenate(([0], cuts))) if size else np.empty(0, dtype=np.intp)
-        got = sg.reduce_groups(w[members], starts)
-        assert len(got) == len(starts)
-        for g, idx in enumerate(np.split(members, starts[1:]) if size else []):
-            want = ir.combine_all([singleton_value(sg, int(i), w) for i in idx], sg)
-            assert sg.equal(got[g], want) and type(got[g]) is type(want)
-            if name == "idset":
-                assert got[g].dtype == np.int64 and np.array_equal(got[g], want)
-
-
 def test_idset_fold_matches_np_unique():
     rng = np.random.default_rng(6)
     big = 2**62
@@ -159,3 +141,17 @@ def test_nan_weights_are_refused():
         ir.scan_value(pts, ir.Box((0.0, ir.NEG_INF), (1.0, 1.0)), ir.MAX_REAL, w)
     w[17] = np.inf  # infinities are ordinary weights
     assert ir.scan_value(pts, ir.Box((0.0, ir.NEG_INF), (1.0, 1.0)), ir.MAX_REAL, w) == np.inf
+
+
+@pytest.mark.parametrize("sg", [ir.MAX_REAL, ir.BIT_OR64], ids=["max", "or"])
+@pytest.mark.parametrize("weights", [np.ones(10), np.arange(100.0), np.ones((64, 1)), np.ones((2, 64))], ids=["short", "long", "column", "2-d"])
+def test_weights_of_the_wrong_shape_are_refused(sg, weights):
+    # one weight per point: a short array used to raise a bare IndexError, a long one was silently cut
+    pts = ir.uniform_random(64, 2, seed=4)
+    with pytest.raises(ValueError, match="shape"):
+        sg.weights(pts, weights)
+    with pytest.raises(ValueError, match="shape"):
+        ir.build_ids(pts, 1, sg, weights=weights)
+    with pytest.raises(ValueError, match="shape"):
+        ir.build_dominance(pts, 16, sg, weights=weights)
+    assert sg.weights(pts, np.ones(64)).shape == (64,)
