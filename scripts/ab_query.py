@@ -1,7 +1,7 @@
 """In-process query A/B: a base revision's package against the working tree.
 
     python3 scripts/ab_query.py --base HEAD --workload uniform-2d uniform-3d-k2 \
-        --seed 7 11 [--passes 3] [--log2-n 10 --queries 50]
+        --seed 7 11 [--passes 3] [--log2-n 10 --queries 50] [--arrays]
 
 Exports the committed ``src/idemrange`` of ``--base`` with ``git archive``
 into a temporary directory, under the package name ``idemrange_base``, and
@@ -13,12 +13,14 @@ workload).
 It first checks every pair: each query is answered once on each side with
 the audit on, and answers, per-query ``(sums_used, singletons_used)``, the
 ordered audit boxes and ``s_plus`` are compared.  It exits 1 if any pair
-differs, before timing any.  Otherwise it times every query of each pair on
-both sides, alternating which side goes first per query, over ``--passes``
-passes, and prints the change/base ratios of the p50, p95 and mean query
-time.  So a perf change can show both its speed and that its answers and
-costs are the base's.  Structures are rebuilt for the timing, so only one
-pair's are held at a time.
+differs, before timing any.  With ``--arrays`` it also compares the stored
+sums array for array: the block map, each row's point, bounds and count,
+and every orientation's dim-0 view.  Otherwise it times every query of
+each pair on both sides, alternating which side goes first per query, over
+``--passes`` passes, and prints the change/base ratios of the p50, p95 and
+mean query time.  So a perf change can show both its speed and that its
+answers and costs are the base's.  Structures are rebuilt for the timing,
+so only one pair's are held at a time.
 """
 
 from __future__ import annotations
@@ -92,6 +94,17 @@ def differences(sides) -> list[str]:
     return out
 
 
+def array_differences(sides) -> list[str]:
+    """The stored-sum arrays in which the two sides' structures differ."""
+    b, c = (struct.sums for _, struct, _ in sides)
+    names = [] if list(b.blocks.items()) == list(c.blocks.items()) else ["blocks"]
+    names += [n for n in ("coords", "box_lo", "box_hi", "counts") if not np.array_equal(getattr(b, n), getattr(c, n))]
+    same_views = list(b.by_orient) == list(c.by_orient) and all(
+        np.array_equal(x, y) for o in b.by_orient for x, y in zip(b.by_orient[o], c.by_orient[o])
+    )
+    return [f"stored {n} differ" for n in names + ([] if same_views else ["by_orient"])]
+
+
 def timed(sides, passes: int) -> np.ndarray:
     """Per-query seconds, shape (2, passes * queries): base row, change row."""
     nq = len(sides[0][2])
@@ -114,6 +127,7 @@ def main(argv=None) -> int:
     ap.add_argument("--passes", type=int, default=3)
     ap.add_argument("--log2-n", type=int, help="point count 2^N instead of the workload's")
     ap.add_argument("--queries", type=int, help="number of queries instead of the workload's")
+    ap.add_argument("--arrays", action="store_true", help="also compare the stored sums array for array")
     args = ap.parse_args(argv)
 
     cases = [(workload, seed) for workload in args.workload for seed in args.seed]
@@ -122,11 +136,13 @@ def main(argv=None) -> int:
         try:
             differing = 0
             for workload, seed in cases:
-                diffs = differences(build_pair(base, workload, seed, args))
+                pair = build_pair(base, workload, seed, args)
+                diffs = differences(pair) + (array_differences(pair) if args.arrays else [])
                 for line in diffs[:20]:
                     print(line)
                 label = f"{workload} seed {seed}, base {args.base}"
-                print(f"{label}: {len(diffs)} differences" if diffs else f"{label}: answers, costs, audits and s_plus equal")
+                equal = ("stored arrays, " if args.arrays else "") + "answers, costs, audits and s_plus equal"
+                print(f"{label}: {len(diffs)} differences" if diffs else f"{label}: {equal}")
                 differing += bool(diffs)
             if differing:
                 print(f"{differing} of {len(cases)} (workload, seed) pairs differ; nothing timed")

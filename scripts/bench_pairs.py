@@ -55,6 +55,14 @@ def run_one(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     return json.loads(lines[-1])
 
 
+def progress(base: dict, change: dict) -> str:
+    """One pair's query_p50_ms and setup_s, base then change."""
+    return "  ".join(
+        f"{metric} base {base['metrics'][metric]['value']:.3f} change {change['metrics'][metric]['value']:.3f}"
+        for metric in ("query_p50_ms", "setup_s")
+    )
+
+
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
     """Per end-to-end metric of ``BENCHMARK.json`` (name, better, bound):
     base and change quartiles, wins of the change, gain and worse flags."""
@@ -98,8 +106,7 @@ def main(argv=None) -> int:
                     sides.reverse()
                 out = {name: run_one(checkout, workload, seed, args.seconds) for name, checkout in sides}
                 pairs.append((out["base"], out["change"]))
-                p50 = {name: out[name]["metrics"]["query_p50_ms"]["value"] for name in out}
-                print(f"{workload} seed {seed}: query_p50_ms base {p50['base']:.3f} change {p50['change']:.3f}", flush=True)
+                print(f"{workload} seed {seed}: {progress(out['base'], out['change'])}", flush=True)
             record["runs"][workload] = [{"seed": s, "base": b, "change": c} for s, (b, c) in zip(seeds, pairs)]
             failed = {side: sum(p[j]["failed"] for p in pairs) for j, side in enumerate(("base", "change"))}
             print(f"\n{workload}: {len(pairs)} pairs, failed queries base {failed['base']} change {failed['change']}")

@@ -13,7 +13,7 @@ from .errors import (
     TooLarge,
     Unsupported,
 )
-from .geometry import NEG_INF, Box, PointD, QueryAnswer, box_contains_point, box_volume
+from .geometry import NEG_INF, Box, QueryAnswer, box_contains_point, box_volume
 from .semigroup import (
     BIT_OR64,
     ID_SET,

@@ -2,9 +2,11 @@
 
 A base Hammersley set in [0,1]^(d+k) is sliced into h equal slabs along each
 of the last k axes; the cell contents projected to the first d coordinates
-give the family sets P_I, I in {1..h}^k.  Unions over contiguous index boxes
-inherit well-distribution from the base set; non-contiguous unions carry no
-guarantee and are not checked.
+give the family sets P_I, I in {1..h}^k.  One stable sort on each base
+point's raveled slab tuple groups the points by cell, and every set is a
+slice of the sorted arrays, so the build makes no pass per index.  Unions
+over contiguous index boxes inherit well-distribution from the base set;
+non-contiguous unions carry no guarantee and are not checked.
 """
 
 from __future__ import annotations
@@ -54,12 +56,17 @@ def build_cwd_family(N: int, h: int, k: int, d: int) -> CwdFamily:
     if base_n > 10**7:
         raise TooLarge(f"N * h^k = {base_n} exceeds 1e7")
     base = hammersley_wd(base_n, d + k)
-    # half-open slabs [l/h, (l+1)/h), last one closed
-    slab = np.minimum((base.coords[:, d:] * h).astype(np.int64), h - 1) + 1
-    sets = {}
-    for idx in itertools.product(range(1, h + 1), repeat=k):
-        mask = np.all(slab == np.asarray(idx), axis=1)
-        sets[idx] = WeightedPointSet(base.coords[mask][:, :d], base.ids[mask], base.weights[mask])
+    # half-open slabs [l/h, (l+1)/h), last one closed; a point's cell is its
+    # slab tuple raveled, so cells ascend in itertools.product order
+    slab = np.minimum((base.coords[:, d:] * h).astype(np.int64), h - 1)
+    cell = np.ravel_multi_index(tuple(slab.T), (h,) * k).astype(np.min_scalar_type(h**k - 1))
+    order = np.argsort(cell, kind="stable")  # a small integer key: radix sort, base order within a cell
+    ends = np.cumsum(np.bincount(cell, minlength=h**k)).tolist()
+    coords, ids, weights = base.coords[order, :d], base.ids[order], base.weights[order]
+    cells = itertools.product(range(1, h + 1), repeat=k)
+    sets = {
+        idx: WeightedPointSet(coords[a:b], ids[a:b], weights[a:b]) for idx, a, b in zip(cells, [0, *ends], ends)
+    }
     return CwdFamily(h=h, k=k, d=d, cell_size=N, sets=sets)
 
 

@@ -12,17 +12,9 @@ from typing import Any, Sequence
 
 from .errors import DimensionMismatch
 
-__all__ = ["NEG_INF", "PointD", "Box", "QueryAnswer", "box_contains_point", "box_volume"]
+__all__ = ["NEG_INF", "Box", "QueryAnswer", "box_contains_point", "box_volume"]
 
 NEG_INF = float("-inf")
-
-
-@dataclass(frozen=True)
-class PointD:
-    """A point of the unit cube with a unique id."""
-
-    coords: tuple[float, ...]
-    id: int
 
 
 @dataclass(frozen=True)
@@ -46,10 +38,9 @@ class Box:
 
 def box_contains_point(box: Box, point: Sequence[float]) -> bool:
     """Closed containment; -inf lower bounds always pass below."""
-    coords = point.coords if isinstance(point, PointD) else point
-    if len(coords) != box.dims:
-        raise DimensionMismatch(f"point has {len(coords)} dims, box has {box.dims}")
-    return all(l <= c <= h for l, c, h in zip(box.lo, coords, box.hi))
+    if len(point) != box.dims:
+        raise DimensionMismatch(f"point has {len(point)} dims, box has {box.dims}")
+    return all(l <= c <= h for l, c, h in zip(box.lo, point, box.hi))
 
 
 def box_volume(box: Box, clip_lo: float = 0.0) -> float:

@@ -5,10 +5,13 @@ rest.  Each point of a collectively well-distributed family, indexed by a
 depth tuple in {1..h}^k, is turned into an anchored box whose j-th side
 runs from the left boundary of the depth-i_j tree neighbor to the point
 (mirrored per orientation); the stored sum is the input weight inside that
-box.  Construction computes each block's boxes with array arithmetic, then
-fills the count and value (an id-set's on demand) of every box of every
-block in one batched ``rangetree.box_sums`` call.  A query splits at tree
-midpoints into up to 2^k anchored pieces; each piece is tiled by
+box.  Construction makes a fixed number of array passes, none per block
+or family index: the family sets are concatenated and sorted once by dim
+0 and once, stably, by set number; each of the 2^k orientations then
+masks the points that have their neighbor and computes all their boxes at
+once.  One batched ``rangetree.box_sums`` call fills the count and value
+(an id-set's on demand) of every box.  A query splits at tree midpoints
+into up to 2^k anchored pieces; each piece is tiled by
 balanced-prefix-cover intervals, candidate boxes are picked per cover
 pair, and the last d-k dimensions reduce to a dominance cover whose
 leftovers are singletons.
@@ -100,28 +103,24 @@ class _SumIndex:
 
     Rows are in block order: (orientation, then family index), then the
     dim-0 point coordinate; ``blocks`` maps each non-empty block's
-    (orientation, index) to its row range (start, stop).  ``box_lo`` and
-    ``box_hi`` hold each box's bounds; ``counts`` and ``values`` hold the
-    number and the semigroup sum of the input points inside each box, from
-    one ``box_sums`` call (``values[rows]`` gives several at once).
-    ``by_orient[o]`` is (rows, bounds, counts): the rows of orientation o
-    sorted by their dim-0 point coordinate, with their [lo | hi] bounds
-    copied dimension-major and their counts in that order.
+    (orientation, index) to its row range (start, stop).  ``coords`` holds
+    each box's family point, and ``box_lo`` and ``box_hi`` its bounds;
+    ``counts`` and ``values`` hold the number and the semigroup sum of the
+    input points inside each box, from one ``box_sums`` call
+    (``values[rows]`` gives several at once).  ``by_orient[o]`` is (rows,
+    bounds, counts): ``orient_rows[o]``, the rows of orientation o in dim-0
+    point order, with their [lo | hi] bounds copied dimension-major and
+    their counts in that order.
     """
 
-    def __init__(self, k: int, parts: list, point_coords: np.ndarray, w: np.ndarray, sg: Semigroup):
-        # parts: (orientation, index, coords, box_lo, box_hi) per non-empty block
-        ends = np.cumsum([0] + [len(p[2]) for p in parts]).tolist()
-        self.blocks = {(p[0], p[1]): (a, b) for p, a, b in zip(parts, ends, ends[1:])}
-        self.coords, self.box_lo, self.box_hi = (np.concatenate(c) for c in list(zip(*parts))[2:])
-        self.counts, self.values = box_sums(point_coords, w, sg, self.box_lo, self.box_hi)
-        self.by_orient = {}
-        for o in itertools.product((_R, _L), repeat=k):
-            blocks = [np.arange(a, b) for (orient, _), (a, b) in self.blocks.items() if orient == o]
-            rows = np.concatenate([np.empty(0, dtype=np.int64), *blocks])
-            rows = rows[np.argsort(self.coords[rows, 0], kind="stable")]
-            bounds = np.hstack((self.box_lo[rows], self.box_hi[rows])).T.copy()
-            self.by_orient[o] = rows, bounds, self.counts[rows]
+    def __init__(self, blocks: dict, coords, box_lo, box_hi, orient_rows: dict, point_coords, w, sg: Semigroup):
+        self.blocks = blocks
+        self.coords, self.box_lo, self.box_hi = coords, box_lo, box_hi
+        self.counts, self.values = box_sums(point_coords, w, sg, box_lo, box_hi)
+        self.by_orient = {
+            o: (rows, np.hstack((box_lo[rows], box_hi[rows])).T.copy(), self.counts[rows])
+            for o, rows in orient_rows.items()
+        }
 
     def inside(self, qlo, qhi, min_count: int, *, orient=None, spans=None, reach=None) -> np.ndarray:
         """Row ids, in block order, of the sums with at least ``min_count``
@@ -180,6 +179,53 @@ def box_of(x, index, orientation, trees: list[DyadicTree]) -> Box | None:
     return Box(tuple(lo), tuple(hi))
 
 
+def _anchored_boxes(family: CwdFamily, k: int):
+    """Every block's ``box_of`` boxes in a fixed number of array passes:
+    (blocks, coords, box_lo, box_hi, orient_rows) as ``_SumIndex`` takes them.
+
+    The family sets are concatenated and sorted once by dim 0, then stably
+    by set number, a small integer key (radix sort): that is block order
+    within any orientation.  Each orientation keeps, in that order, the
+    points that have the neighbor their box needs and computes all their
+    boxes at once; the inverse of the set-number sort lists its rows in
+    dim-0 order.
+    """
+    keys, sets = list(family.sets), list(family.sets.values())
+    set_no = np.repeat(np.arange(len(keys), dtype=np.min_scalar_type(len(keys) - 1)), [len(ps) for ps in sets])
+    coords = np.concatenate([ps.coords for ps in sets])
+    by_x0 = np.argsort(coords[:, 0], kind="stable")
+    by_set = np.argsort(set_no[by_x0], kind="stable")
+    order = by_x0[by_set]  # block order
+    coords, set_no = coords[order], set_no[order]
+    at_x0 = np.empty_like(by_set)
+    at_x0[by_set] = np.arange(by_set.size)  # block position of each dim-0 position
+    spans = (1 << np.asarray(keys, dtype=np.int64))[set_no]
+    ranks = np.minimum((coords[:, :k] * spans).astype(np.int64), spans - 1)
+    blocks, orient_rows, parts, start = {}, {}, [], 0
+    for orient in itertools.product((_R, _L), repeat=k):
+        defined = np.ones(len(coords), dtype=bool)
+        for j in range(k):
+            defined &= ranks[:, j] >= 1 if orient[j] == _R else ranks[:, j] <= spans[:, j] - 2
+        pts, r, w = coords[defined], ranks[defined], 1.0 / spans[defined]
+        box_lo = np.full(pts.shape, NEG_INF)
+        box_hi = pts.copy()
+        for j in range(k):
+            if orient[j] == _R:
+                box_lo[:, j] = (r[:, j] - 1) * w[:, j]  # anchor
+            else:
+                box_lo[:, j] = pts[:, j]
+                box_hi[:, j] = (r[:, j] + 2) * w[:, j]  # anchor
+        parts.append((pts, box_lo, box_hi))
+        sizes = np.bincount(set_no[defined], minlength=len(keys)).tolist()
+        ends = (start + np.cumsum(sizes)).tolist()
+        blocks.update(((orient, idx), (e - n, e)) for idx, n, e in zip(keys, sizes, ends) if n)
+        kept = at_x0[defined[at_x0]]  # block positions of the kept points, in dim-0 order
+        orient_rows[orient] = start + np.cumsum(defined)[kept] - 1
+        start += len(pts)
+    coords, box_lo, box_hi = (np.concatenate(c) for c in zip(*parts))
+    return blocks, coords, box_lo, box_hi, orient_rows
+
+
 class IdsStructure:
     def __init__(self, points: WeightedPointSet, sg: Semigroup, config: IdsConfig, weights=None):
         self.points = points
@@ -194,48 +240,10 @@ class IdsStructure:
     # -- construction -----------------------------------------------------
 
     def _build_blocks(self) -> None:
-        cfg = self.config
-        parts = []
-        for orient in itertools.product((_R, _L), repeat=cfg.k):
-            for index, ps in self.family.sets.items():
-                part = self._build_one_block(orient, index, ps)
-                if part is not None:
-                    parts.append(part)
-        self.sums = _SumIndex(cfg.k, parts, self.points.coords, self._w, self.sg)
+        boxes = _anchored_boxes(self.family, self.config.k)  # its temporaries are gone before box_sums runs
+        self.sums = _SumIndex(*boxes, self.points.coords, self._w, self.sg)
         self.blocks = self.sums.blocks
         self.num_boxes = len(self.sums.counts)
-
-    def _build_one_block(self, orient, index, ps: WeightedPointSet):
-        """The block's anchored boxes, sorted by the dim-0 point coordinate:
-        (orient, index, points, box_lo, box_hi), or None when no family point
-        has the neighbor its box needs."""
-        if len(ps) == 0:
-            return None
-        k = self.config.k
-        pts = ps.coords
-        spans = np.asarray([1 << dep for dep in index], dtype=np.int64)
-        ranks = np.minimum((pts[:, :k] * spans).astype(np.int64), spans - 1)
-        defined = np.ones(len(ps), dtype=bool)
-        for j in range(k):
-            if orient[j] == _R:
-                defined &= ranks[:, j] >= 1
-            else:
-                defined &= ranks[:, j] <= spans[j] - 2
-        if not np.any(defined):
-            return None
-        pts = pts[defined]
-        ranks = ranks[defined]
-        box_lo = np.full(pts.shape, NEG_INF)
-        box_hi = pts.copy()
-        for j in range(k):
-            w = 1.0 / spans[j]
-            if orient[j] == _R:
-                box_lo[:, j] = (ranks[:, j] - 1) * w  # anchor
-            else:
-                box_lo[:, j] = pts[:, j]
-                box_hi[:, j] = (ranks[:, j] + 2) * w  # anchor
-        order = np.argsort(pts[:, 0], kind="stable")
-        return orient, index, pts[order], box_lo[order], box_hi[order]
 
     # -- reporting ---------------------------------------------------------
 

@@ -115,13 +115,6 @@ class HardQuery:
         hi = self.x + (self.y,)
         return Box(lo, hi)
 
-    @property
-    def dot(self) -> tuple[float, ...]:
-        return self.x + (self.y,)
-
-    def marker_extent(self, i: int) -> tuple[float, float]:
-        return self.x_left[i], self.x[i]
-
 
 def sample_hard_query(rng: np.random.Generator, trees) -> HardQuery:
     """Uniform (x_i, z_i) in each representative square; y uniform."""

@@ -68,3 +68,18 @@ def test_one_differing_pair_fails_the_run_untimed(monkeypatch, capsys):
     assert f"uniform-2d seed 3, base HEAD: {EQUAL}" in out
     assert "uniform-3d-k2 seed 3, base HEAD: 12 differences" in out
     assert "1 of 2 (workload, seed) pairs differ" in out and "ratio" not in out
+
+
+def test_arrays_compares_the_stored_sums(monkeypatch, capsys):
+    assert ab_query.main([*TINY, "--workload", "uniform-3d-k2", "--seed", "3", "--arrays"]) == 0
+    assert "stored arrays, answers, costs, audits and s_plus equal" in capsys.readouterr().out
+    real = idemrange.build_ids
+
+    def build_ids(*args, **kwargs):
+        struct = real(*args, **kwargs)
+        struct.sums.blocks = dict(reversed(struct.sums.blocks.items()))  # queries never read it
+        return struct
+
+    monkeypatch.setattr(idemrange, "build_ids", build_ids)
+    assert ab_query.main([*TINY, "--workload", "uniform-3d-k2", "--seed", "3", "--arrays"]) == 1
+    assert "stored blocks differ\nuniform-3d-k2 seed 3, base HEAD: 1 differences" in capsys.readouterr().out

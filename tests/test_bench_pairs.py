@@ -65,3 +65,11 @@ def test_base_is_recorded_as_a_commit_id(tmp_path):
     assert bench_pairs.short_rev("HEAD~1", tmp_path) == parent
     with pytest.raises(subprocess.CalledProcessError):
         bench_pairs.short_rev("no-such-revision", tmp_path)
+
+
+def test_progress_line_shows_p50_and_setup():
+    def run(p50, setup):
+        return {"metrics": {"query_p50_ms": {"value": p50}, "setup_s": {"value": setup}}}
+
+    line = bench_pairs.progress(run(1.5, 0.0551), run(1.25, 0.0249))
+    assert line == "query_p50_ms base 1.500 change 1.250  setup_s base 0.055 change 0.025"

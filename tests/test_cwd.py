@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,25 @@ def test_build_counts_1d():
     assert sorted(fam.sets) == [(1,), (2,)]
     for idx in fam.sets:
         assert abs(len(fam.sets[idx]) - 64) <= 16
+
+
+@pytest.mark.parametrize(
+    "N, h, k, d, empty", [(64, 2, 1, 1, 0), (3, 5, 1, 3, 0), (1, 15, 2, 2, 45), (2, 3, 2, 3, 0), (1, 4, 3, 2, 17)]
+)
+def test_build_matches_mask_definition(N, h, k, d, empty):
+    """Each set holds the base points whose slab tuple is its index, in
+    base order, projected to the first d coordinates; empty cells stay."""
+    fam = ir.build_cwd_family(N, h, k, d)
+    base = ir.hammersley_wd(N * h**k, d + k)
+    slab = np.minimum((base.coords[:, d:] * h).astype(np.int64), h - 1) + 1
+    assert list(fam.sets) == list(itertools.product(range(1, h + 1), repeat=k))
+    for idx, ps in fam.sets.items():
+        mask = np.all(slab == idx, axis=1)
+        assert np.array_equal(ps.coords, base.coords[mask, :d])
+        assert np.array_equal(ps.ids, base.ids[mask])
+        assert np.array_equal(ps.weights, base.weights[mask])
+    assert sum(len(ps) == 0 for ps in fam.sets.values()) == empty
+    assert fam.total_points() == N * h**k
 
 
 def test_build_single_cell_is_whole_projection():

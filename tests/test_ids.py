@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 
@@ -40,6 +41,56 @@ def test_build_reports_and_family_shape():
     assert small.config.h == 4 and small.config.N == 4
     assert len(small.family.sets) == 4
     assert small.family.total_points() == 16
+
+
+@pytest.mark.parametrize("d, k, n", [(2, 1, 512), (3, 1, 512), (3, 2, 1024)])
+def test_stored_boxes_match_box_of(monkeypatch, d, k, n):
+    """Every stored row equals ``box_of`` of its family point bit for bit;
+    the points left out are those ``box_of`` rejects; rows run in block
+    order, each block by dim 0 with ties in family order.  A fifth of the
+    family points are snapped onto dyadic boundaries r/2^dep (0 and 1
+    included) in the two-sided dimensions, which also ties many on dim 0."""
+    real = I.build_cwd_family
+    rng = np.random.default_rng(n + k)
+
+    def snapped(*args):
+        fam = real(*args)
+        sets = {}
+        for index, ps in fam.sets.items():
+            c = ps.coords.copy()
+            scale = 2.0 ** rng.integers(1, fam.h + 1, size=(len(c), k))
+            snap = rng.random(len(c)) < 0.2
+            c[snap, :k] = np.round(c[snap, :k] * scale[snap]) / scale[snap]
+            sets[index] = ir.WeightedPointSet(c, ps.ids, ps.weights)
+        return dataclasses.replace(fam, sets=sets)
+
+    monkeypatch.setattr(I, "build_cwd_family", snapped)
+    s = ir.build_ids(ir.uniform_random(n, d, seed=n), k, ir.MAX_REAL)
+    sums, dyadic_boundary, left_out, row, nonempty = s.sums, 0, 0, 0, 0
+    for orient in itertools.product("RL", repeat=k):
+        for index, ps in s.family.sets.items():
+            dyadic_boundary += int(np.sum(np.all(ps.coords[:, :k] * 2.0 ** np.asarray(index) % 1 == 0, axis=1)))
+            order = np.argsort(ps.coords[:, 0], kind="stable")
+            boxes = [(x, I.box_of(x, index, orient, s.trees)) for x in ps.coords[order]]
+            kept = [(x, box) for x, box in boxes if box is not None]
+            left_out += len(boxes) - len(kept)
+            if not kept:
+                assert (orient, index) not in s.blocks
+                continue
+            assert s.blocks[orient, index] == (row, row + len(kept))
+            blk = slice(row, row + len(kept))
+            assert sums.coords[blk].tobytes() == np.array([x for x, _ in kept]).tobytes()
+            assert sums.box_lo[blk].tobytes() == np.array([box.lo for _, box in kept]).tobytes()
+            assert sums.box_hi[blk].tobytes() == np.array([box.hi for _, box in kept]).tobytes()
+            row += len(kept)
+            nonempty += 1
+    assert row == s.num_boxes and nonempty == len(s.blocks)
+    assert dyadic_boundary > 0 and left_out > 0
+    for orient, (rows, bounds, counts) in sums.by_orient.items():
+        in_orient = [r for (o, _), (a, b) in s.blocks.items() if o == orient for r in range(a, b)]
+        assert rows.tolist() == sorted(in_orient, key=lambda r: sums.coords[r, 0])  # stable: block order on ties
+        assert bounds.tobytes() == np.hstack((sums.box_lo[rows], sums.box_hi[rows])).T.tobytes()
+        assert np.array_equal(counts, sums.counts[rows])
 
 
 def test_build_input_guards():
@@ -415,15 +466,17 @@ def test_sum_index_edge_layouts():
     blocks, and dim-0 windows that hold no key."""
     rng = np.random.default_rng(25)
     pts = rng.integers(0, 8, (64, 2)) / 8
-    parts = []
+    blocks, chosen = {}, []
     for index in (1, 2, 3):
         coords = pts[rng.choice(64, 12, replace=False)]
-        coords = coords[np.argsort(coords[:, 0], kind="stable")]
-        lo, hi = coords.copy(), coords.copy()
-        hi[:, 0] += 1.0 / (1 << index)
-        lo[:, 1] = NEG_INF
-        parts.append((("L",), (index,), coords, lo, hi))
-    sums = I._SumIndex(1, parts, pts, np.arange(64), ir.ID_SET)
+        blocks[("L",), (index,)] = (12 * len(chosen), 12 * len(chosen) + 12)
+        chosen.append(coords[np.argsort(coords[:, 0], kind="stable")])
+    coords = np.concatenate(chosen)
+    lo, hi = coords.copy(), coords.copy()
+    hi[:, 0] += 1.0 / (1 << np.repeat([1, 2, 3], 12))
+    lo[:, 1] = NEG_INF
+    orient_rows = {("R",): np.empty(0, dtype=np.int64), ("L",): np.argsort(coords[:, 0], kind="stable")}
+    sums = I._SumIndex(blocks, coords, lo, hi, orient_rows, pts, np.arange(64), ir.ID_SET)
     assert sums.by_orient[("R",)][0].size == 0
     x0 = sums.coords[:, 0]
     assert np.unique(x0).size < x0.size
