@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Fail on any branch on a semigroup's name or any read of it outside
-# semigroup.py, on an identity test against a semigroup constant, or on a
-# read of ``Semigroup.op`` outside semigroup.py and rangetree.py; then run
-# the Tier-1 test suite and the benchmark's smoke test.
+# semigroup.py, on an identity test against a semigroup constant, on a
+# read of ``Semigroup.op`` outside semigroup.py and rangetree.py, or on an
+# object array in src/idemrange; then run the Tier-1 test suite and the
+# benchmark's smoke test.
 #
 #     sh scripts/check.sh
 #
@@ -37,6 +38,12 @@ fi
 # only rangetree.py may decide it
 if grep -rnE --exclude=semigroup.py --exclude=rangetree.py "\.op\b" src/idemrange; then
     echo "check.sh: .op read outside semigroup.py and rangetree.py (listed above)" >&2
+    exit 1
+fi
+# a stored sum is a weight array for every semigroup (rangetree.box_sums): an object
+# array of values would bring back per-element Python folds
+if grep -rnE "dtype=object|astype\(object\)" src/idemrange; then
+    echo "check.sh: object array in src/idemrange (listed above)" >&2
     exit 1
 fi
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors

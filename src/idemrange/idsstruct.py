@@ -33,13 +33,19 @@ go to the leftovers under one mask, and only the other tuples meet the
 dominance cover.  ``inside`` also finds the sums that absorb leftovers and
 the exact-cover oracle's sums.
 
-The query tail works on arrays.  Leftovers that a used sum covers are
+A query computes its cover first, as two arrays: the used sum rows and
+the leftover point indices.  Leftovers that a used sum covers are
 dropped, and a greedy reuses stored sums that absorb two or more of the
-rest.  The greedy first drops every box that holds fewer than two
-leftovers in some single dimension (two ``searchsorted`` calls per
-dimension); both steps then test containment as uint64 bit rows
-(``_inside_bits``).  The final leftovers enter the fold as one batched
-``singleton_value`` (the cost still counts each of them).
+rest (``_compress``).  The greedy first drops every box that holds fewer
+than two leftovers in some single dimension (two ``searchsorted`` calls
+per dimension); both steps then test containment as uint64 bit rows
+(``_inside_bits``).  ``query`` then checks, once over all rows, that
+every used sum sits inside the query, and one ``_evaluate`` folds the
+cover: ``sg.reduce`` of the used sums' weights (``box_sums``' value
+contract), and the final leftovers as one batched ``singleton_value``
+(the cost still counts each of them).  An id-set query so sorts its ids
+at most three times, whatever the number of sums it uses.  A query with
+no midpoint split is a cover with no rows.
 
 Query bounds may reach outside the unit cube the trees span: the split is
 found on clipped bounds, the pieces keep the raw ones, and points beyond
@@ -106,11 +112,11 @@ class _SumIndex:
     (orientation, index) to its row range (start, stop).  ``coords`` holds
     each box's family point, and ``box_lo`` and ``box_hi`` its bounds;
     ``counts`` and ``values`` hold the number and the semigroup sum of the
-    input points inside each box, from one ``box_sums`` call
-    (``values[rows]`` gives several at once).  ``by_orient[o]`` is (rows,
-    bounds, counts): ``orient_rows[o]``, the rows of orientation o in dim-0
-    point order, with their [lo | hi] bounds copied dimension-major and
-    their counts in that order.
+    input points inside each box, from one ``box_sums`` call:
+    ``sg.reduce(values[rows])`` is the sum of the boxes ``rows``.
+    ``by_orient[o]`` is (rows, bounds, counts): ``orient_rows[o]``, the
+    rows of orientation o in dim-0 point order, with their [lo | hi] bounds
+    copied dimension-major and their counts in that order.
     """
 
     def __init__(self, blocks: dict, coords, box_lo, box_hi, orient_rows: dict, point_coords, w, sg: Semigroup):
@@ -270,10 +276,7 @@ class AnchoredPiece:
     orientation: tuple[str, ...]
     lo: tuple[float, ...]
     hi: tuple[float, ...]
-    vprime: tuple[Node, ...]
-    vnodes: tuple[Node, ...]  # child of vprime on the piece's side
-    query_lo: tuple[float, ...]
-    query_hi: tuple[float, ...]
+    vnodes: tuple[Node, ...]  # per dimension, the split node's child on the piece's side
 
 
 def _validate_query(struct: IdsStructure, q: Box):
@@ -320,27 +323,16 @@ def decompose_query(struct: IdsStructure, q: Box):
         splits.append((found, tree.m(found)))
     pieces = []
     for orient in itertools.product((_L, _R), repeat=cfg.k):
-        plo, phi, vprime, vnodes = list(q.lo), list(q.hi), [], []
+        plo, phi, vnodes = list(q.lo), list(q.hi), []
         for i, side in enumerate(orient):
             vp, mid = splits[i]
-            vprime.append(vp)
             if side == _L:
                 phi[i] = mid
                 vnodes.append(struct.trees[i].left_child(vp))
             else:
                 plo[i] = mid
                 vnodes.append(struct.trees[i].right_child(vp))
-        pieces.append(
-            AnchoredPiece(
-                orientation=orient,
-                lo=tuple(plo),
-                hi=tuple(phi),
-                vprime=tuple(vprime),
-                vnodes=tuple(vnodes),
-                query_lo=tuple(q.lo),
-                query_hi=tuple(q.hi),
-            )
-        )
+        pieces.append(AnchoredPiece(orientation=orient, lo=tuple(plo), hi=tuple(phi), vnodes=tuple(vnodes)))
     return pieces, False
 
 
@@ -401,30 +393,14 @@ def _tuple_candidates(sums: _SumIndex, orient, a: np.ndarray, b: np.ndarray, qlo
     return pool, mask
 
 
-class _CoverState:
-    """Accumulates one query's cover: used sum rows and leftovers."""
-
-    def __init__(self, sums: _SumIndex, qlo, qhi, audit):
-        self.sums = sums
-        self.qlo = np.asarray(qlo)
-        self.qhi = np.asarray(qhi)
-        self.audit = audit
-        self.used: list[int] = []
-        self.leftover: list = []
-
-    def take(self, rows: np.ndarray) -> None:
-        """Use the stored sums ``rows``, in order; each must sit inside the query."""
-        lo, hi = self.sums.box_lo[rows], self.sums.box_hi[rows]
-        if self.audit is not None:
-            self.audit.extend(Box(tuple(a), tuple(b)) for a, b in zip(lo.tolist(), hi.tolist()))
-        if np.any(lo < self.qlo) or np.any(hi > self.qhi):
-            raise AssertionError("used sum escapes the query box")
-        self.used.extend(rows.tolist())
+_NONE = np.empty(0, dtype=np.int64)
 
 
-def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], state: _CoverState) -> None:
+def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], qlo: np.ndarray, qhi: np.ndarray):
     """Per-tuple dominance covers of all anchored pieces in one pass (no
-    singletons yet).  The pieces tile the state's containment box.
+    compression yet).  The pieces tile the containment box [qlo, qhi].
+    Returns (rows, leftover): the used sum rows, in (piece, tuple) order,
+    and the indices of the points no used sum covers.
 
     One grid gather takes the box's points.  Each (dimension, side) cover is
     built once, if some point lies on that side, and labels only the points
@@ -437,9 +413,9 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], state: _Cov
     the rest meet ``dominance_cover``.
     """
     k = struct.config.k
-    target_idx = struct.grid.points_in_box(state.qlo, state.qhi)
+    target_idx = struct.grid.points_in_box(qlo, qhi)
     if target_idx.size == 0:
-        return
+        return _NONE, _NONE
     side_piece = {}  # (dim, side) -> a piece on that side
     for piece in pieces:
         for i, side in enumerate(piece.orientation):
@@ -465,9 +441,9 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], state: _Cov
         ent = ent[on]
         labels = [c[on] for c in labels] + [lab]
     singles = np.any(np.stack(labels) == -1, axis=0)
-    state.leftover.append(target_idx[ent[singles]])  # leaf-tail points
+    leftover = [target_idx[ent[singles]]]  # leaf-tail points
     if singles.all():
-        return
+        return _NONE, leftover[0]
     ent = ent[~singles]
     grouped = target_idx[ent]
     width = [1] * k
@@ -485,17 +461,19 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], state: _Cov
     for t0, t1 in zip(piece_starts.tolist(), [*piece_starts[1:].tolist(), len(tuples)]):
         orient = orients[tuples[t0, 0]]
         ab = np.stack([spans[i, side][tuples[t0:t1, 1 + i]] for i, side in enumerate(orient)], axis=1)
-        lookups.append((t0, *_tuple_candidates(struct.sums, orient, ab[..., 0], ab[..., 1], state.qlo, state.qhi)))
+        lookups.append((t0, *_tuple_candidates(struct.sums, orient, ab[..., 0], ab[..., 1], qlo, qhi)))
     has_candidates = np.concatenate([mask.any(axis=1) for _, _, mask in lookups])
-    state.leftover.append(grouped[order[~np.repeat(has_candidates, sizes)]])  # nothing to dominate with
+    leftover.append(grouped[order[~np.repeat(has_candidates, sizes)]])  # nothing to dominate with
     gproj = tcoords[ent][:, k:]
+    used = [_NONE]
     for t0, pool, mask in lookups:
         for t in np.flatnonzero(has_candidates[t0 : t0 + len(mask)]).tolist():
             rows = order[starts[t0 + t] : starts[t0 + t] + sizes[t0 + t]]
             cand_rows = pool[mask[t]]
-            m_idx, covered, used = dominance_cover(struct.sums.coords[cand_rows, k:], gproj[rows])
-            state.take(cand_rows[m_idx[used]])
-            state.leftover.append(grouped[rows[~covered]])
+            m_idx, covered, took = dominance_cover(struct.sums.coords[cand_rows, k:], gproj[rows])
+            used.append(cand_rows[m_idx[took]])
+            leftover.append(grouped[rows[~covered]])
+    return np.concatenate(used), np.concatenate(leftover)
 
 
 # (box, point) cells tested at once while building containment bit rows
@@ -568,10 +546,12 @@ def _greedy_cover(pts: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray, chunk
     return picks, _unpack(alive, m)
 
 
-def _compress(struct: IdsStructure, state: _CoverState) -> np.ndarray:
-    """Resolve leftovers: drop those a used sum already covers, reuse any
-    stored sum inside the query that absorbs two or more of the rest
-    (``_greedy_cover``), then fall back to singletons.
+def _compress(struct: IdsStructure, rows: np.ndarray, leftover: np.ndarray, qlo: np.ndarray, qhi: np.ndarray):
+    """Resolve leftovers: drop those a used sum ``rows`` already covers,
+    reuse any stored sum inside the query [qlo, qhi] that absorbs two or
+    more of the rest (``_greedy_cover``), then fall back to singletons.
+    Returns the cover (rows, leftover): ``rows`` followed by the greedy's
+    picks, and the points left as singletons.
 
     Both steps test containment as bit rows (``_inside_bits``).  The pool
     is one flat-index lookup: sums with two or more members inside the
@@ -581,55 +561,59 @@ def _compress(struct: IdsStructure, state: _CoverState) -> np.ndarray:
     unaffected because absorption is a full-coordinate box test against
     sums already known to sit inside the query.
     """
-    leftover_idx = np.concatenate([np.empty(0, dtype=np.int64), *state.leftover])
-    pts = struct.points.coords[leftover_idx]
+    pts = struct.points.coords[leftover]
     sums = struct.sums
-    if state.used and leftover_idx.size:
-        used = np.asarray(state.used)
-        covered = _unpack(np.bitwise_or.reduce(_inside_bits(pts, sums.box_lo[used], sums.box_hi[used])), len(pts))
-        leftover_idx, pts = leftover_idx[~covered], pts[~covered]
-    if leftover_idx.size < 2:
-        return leftover_idx
-    rows = sums.inside(state.qlo, state.qhi, 2, reach=(pts.min(axis=0), pts.max(axis=0)))
-    picks, uncovered = _greedy_cover(pts, sums.box_lo[rows], sums.box_hi[rows])
-    state.take(rows[picks])
-    return leftover_idx[uncovered]
+    if rows.size and leftover.size:
+        covered = _unpack(np.bitwise_or.reduce(_inside_bits(pts, sums.box_lo[rows], sums.box_hi[rows])), len(pts))
+        leftover, pts = leftover[~covered], pts[~covered]
+    if leftover.size < 2:
+        return rows, leftover
+    pool = sums.inside(qlo, qhi, 2, reach=(pts.min(axis=0), pts.max(axis=0)))
+    picks, uncovered = _greedy_cover(pts, sums.box_lo[pool], sums.box_hi[pool])
+    return np.concatenate((rows, pool[picks])), leftover[uncovered]
 
 
-def _finish(struct: IdsStructure, state: _CoverState) -> QueryAnswer:
-    leftover_idx = _compress(struct, state)
-    parts = list(struct.sums.values[np.asarray(state.used, dtype=np.int64)])  # one gather for every used sum
-    if leftover_idx.size:
-        parts.append(singleton_value(struct.sg, leftover_idx, struct._w))
+def _evaluate(struct: IdsStructure, rows: np.ndarray, leftover: np.ndarray) -> QueryAnswer:
+    """Fold a cover: one ``reduce`` of the stored sums ``rows`` (one gather
+    of their weights), one of the singletons ``leftover``, then the two."""
+    parts = [struct.sg.reduce(struct.sums.values[rows])] if rows.size else []
+    if leftover.size:
+        parts.append(singleton_value(struct.sg, leftover, struct._w))
     value = fold_values(parts, struct.sg) if parts else None
-    return QueryAnswer(value, sums_used=len(state.used), singletons_used=int(leftover_idx.size))
+    return QueryAnswer(value, sums_used=int(rows.size), singletons_used=int(leftover.size))
 
 
-def _singleton_only_answer(struct: IdsStructure, q: Box) -> QueryAnswer:
-    idx = struct.grid.points_in_box(q.lo, q.hi)
-    return QueryAnswer(singleton_value(struct.sg, idx, struct._w), sums_used=0, singletons_used=int(idx.size))
+# sums of fewer members never beat singletons
+_MIN_MEMBERS = 2
 
 
-def usable_sums(struct: IdsStructure, q: Box, min_members: int = 2):
-    """Stored sums whose box sits inside q, as (value, box, count) triples.
-
-    The exact-cover oracle takes these as its available sums; sums covering
-    fewer than ``min_members`` points never beat singletons.
-    """
+def usable_sums(struct: IdsStructure, q: Box):
+    """Stored sums of two or more members whose box sits inside q, as
+    (value, box, count) triples: the exact-cover oracle's available sums."""
     sums = struct.sums
-    rows = sums.inside(np.asarray(q.lo), np.asarray(q.hi), min_members)
-    return [(sums.values[r], Box(tuple(sums.box_lo[r]), tuple(sums.box_hi[r])), int(sums.counts[r])) for r in rows]
+    rows = sums.inside(np.asarray(q.lo), np.asarray(q.hi), _MIN_MEMBERS)
+    reduce, lo, hi = struct.sg.reduce, sums.box_lo, sums.box_hi
+    return [(reduce(sums.values[[r]]), Box(tuple(lo[r]), tuple(hi[r])), int(sums.counts[r])) for r in rows.tolist()]
 
 
 def query(struct: IdsStructure, q: Box, return_audit: bool = False):
-    """Anchored-piece covers plus one shared compression pass (or the
-    singleton fallback when no midpoint splits the query)."""
-    audit: list | None = [] if return_audit else None
+    """Compute the query's cover, then fold it (``_evaluate``).
+
+    The cover is the anchored-piece covers plus one shared compression
+    pass, or every point inside q as a singleton when no midpoint splits
+    the query.  Every used sum must sit inside q; the audit lists their
+    boxes in use order.
+    """
     pieces, singleton_only = decompose_query(struct, q)
+    qlo, qhi = np.asarray(q.lo), np.asarray(q.hi)
     if singleton_only:
-        ans = _singleton_only_answer(struct, q)
-        return (ans, audit) if return_audit else ans
-    state = _CoverState(struct.sums, pieces[0].query_lo, pieces[0].query_hi, audit)
-    _cover_pieces(struct, pieces, state)
-    ans = _finish(struct, state)
-    return (ans, audit) if return_audit else ans
+        rows, leftover = _NONE, struct.grid.points_in_box(qlo, qhi)
+    else:
+        rows, leftover = _compress(struct, *_cover_pieces(struct, pieces, qlo, qhi), qlo, qhi)
+    lo, hi = struct.sums.box_lo[rows], struct.sums.box_hi[rows]
+    if np.any(lo < qlo) or np.any(hi > qhi):
+        raise AssertionError("used sum escapes the query box")
+    ans = _evaluate(struct, rows, leftover)
+    if not return_audit:
+        return ans
+    return ans, [Box(tuple(a), tuple(b)) for a, b in zip(lo.tolist(), hi.tolist())]

@@ -2,7 +2,10 @@
 
 ``box_sums`` gives, for many closed boxes at once, the number of points
 inside each box and the semigroup sum of their weights.  Both structures
-fill their stored sums with it.
+fill their stored sums with it.  The sums come as one value contract for
+every semigroup: for an int array ``rows``, ``values[rows]`` is a weight
+array whose ``sg.reduce`` is the sum of those boxes, so a query folds all
+its stored sums with one ``reduce``.
 
 The tree is the classic static range tree (Bentley, "Multidimensional
 divide-and-conquer", CACM 1980; Lueker, "A data structure for orthogonal
@@ -21,7 +24,7 @@ semigroup choose one.
 
 - Points of at most two dimensions, under a semigroup with an array ``op``
   (max, or).  A box holds exactly the members of its slices, so its count
-  is the sum of their widths.  Its value folds one value per slice, read
+  is the sum of their widths.  Its stored weight folds one per slice, read
   from a sparse table of the slice's level (Bender and Farach-Colton, "The
   LCA problem revisited", LATIN 2000): with 2^j <= w, the slice [s, s + w)
   has op(T_j[s], T_j[s + w - 2^j]) from two overlapping halves, which an
@@ -31,9 +34,10 @@ semigroup choose one.
   ``members`` expands to the box's members, dropping for d >= 3 those a
   slice holds outside the box in dims 2.. .  A d >= 3 build lists members
   in chunks of about ``_CHUNK_PAIRS`` (box, member) pairs for the counts
-  and, with ``op``, the values.  Without ``op`` (id-sets) no value is
-  stored: indexing ``_Reported`` lists and reduces a box's members then,
-  in O(log n + output) for d <= 2.  Lookups are free in the cost model.
+  and, with ``op``, the stored weights.  Without ``op`` (id-sets) no
+  value is stored: indexing ``_Reported`` lists the boxes' member weights
+  then, in O(log n + output) per box for d <= 2, and the caller's one
+  ``reduce`` sorts them once.  Lookups are free in the cost model.
 """
 
 from __future__ import annotations
@@ -142,10 +146,7 @@ def _slice_sums(levels, w: np.ndarray, op: np.ufunc, m: int):
         for b, bv, bw in ((box[:cut], v[:cut], width[:cut]), (box[cut:], v[cut:], width[cut:])):
             acc[b] = np.where(counts[b] > 0, op(acc[b], bv), bv)
             counts[b] += bw
-    values = np.empty(m, dtype=object)
-    full = np.flatnonzero(counts)
-    values[full] = acc[full].astype(object)  # Python scalars, as Semigroup.reduce gives
-    return counts, values
+    return counts, acc
 
 
 def _ranges(starts: np.ndarray, widths: np.ndarray):
@@ -161,17 +162,16 @@ class _Reported:
     """Every box's slices, kept to list its members later: the box values
     of a semigroup without an array ``op``, reported on demand.
 
-    ``values[r]`` is ``sg.reduce`` of box r's member weights (an id-set:
-    its sorted member ids), or None for an empty box; ``values[rows]``, for
-    an integer array, is an object array from one ``members`` call.
+    ``values[rows]``, for an integer array, is the member weights of those
+    boxes end to end (an id-set: their member ids, unsorted, a point once
+    per box that holds it), from one ``members`` call.
 
     ``w_slot`` and ``cols`` hold the weight and the dims-2.. coordinates of
     the point at each slot, level after level.  Box r owns the slices
     ``first[r]`` to ``first[r + 1]`` of ``start`` (a slot) and ``width``.
     """
 
-    def __init__(self, levels, coords: np.ndarray, w: np.ndarray, sg: Semigroup, box_lo: np.ndarray, box_hi: np.ndarray):
-        self.sg = sg
+    def __init__(self, levels, coords: np.ndarray, w: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray):
         n = len(coords)
         slots = n * ((n - 1).bit_length() + 1)
         idx = np.int32 if max(slots, len(box_lo)) <= np.iinfo(np.int32).max else np.int64  # halves what is kept
@@ -214,23 +214,21 @@ class _Reported:
         return self.w_slot[pos], ends
 
     def __getitem__(self, rows):
-        w, ends = self.members(np.atleast_1d(rows))
-        out = np.empty(len(ends) - 1, dtype=object)
-        for i, (a, b) in enumerate(zip(ends[:-1].tolist(), ends[1:].tolist())):
-            if b > a:
-                out[i] = self.sg.reduce(w[a:b])
-        return out if np.ndim(rows) else out[0]
+        return self.members(np.atleast_1d(rows))[0]
 
 
 def box_sums(coords, w, sg: Semigroup, box_lo, box_hi, chunk_pairs: int = _CHUNK_PAIRS):
     """Per closed box [lo, hi]: the number of points inside and the
     semigroup sum of their weights ``w``.
 
-    Returns (counts, values): an int64 array, and the values, None for an
-    empty box: an object array of Python scalars under a semigroup with an
-    array ``op``, else a read-only ``_Reported`` view indexed the same way.
-    ``chunk_pairs`` bounds the (box, member) pairs a d >= 3 build expands
-    at once.
+    Returns (counts, values).  ``counts`` is an int64 array; a box is
+    empty iff its count is 0, and an empty box's value is never to be read.
+    For an int array ``rows`` (repeats allowed), ``values[rows]`` is a
+    weight array whose ``sg.reduce`` is the sum of those boxes: under a
+    semigroup with an array ``op``, ``values`` is one weight per box; else
+    it is a read-only ``_Reported`` view that lists the boxes' member
+    weights.  ``chunk_pairs`` bounds the (box, member) pairs a d >= 3 build
+    expands at once.
     """
     coords = np.asarray(coords, dtype=np.float64)
     box_lo = np.asarray(box_lo, dtype=np.float64)
@@ -240,9 +238,9 @@ def box_sums(coords, w, sg: Semigroup, box_lo, box_hi, chunk_pairs: int = _CHUNK
     levels = _level_slices(coords, box_lo, box_hi)
     if coords.shape[1] <= 2 and sg.op is not None:
         return _slice_sums(levels, w, sg.op, m)
-    slices = _Reported(levels, coords, w, sg, box_lo, box_hi)
+    slices = _Reported(levels, coords, w, box_lo, box_hi)
     counts = np.diff(np.concatenate(([0], np.cumsum(slices.width)))[slices.first])  # exact for d <= 2
-    values = np.empty(m, dtype=object) if sg.op is not None else slices
+    values = np.zeros(m, dtype=w.dtype) if sg.op is not None else slices
     if coords.shape[1] > 2:  # counts, and numeric values, from the members in chunks cut at box boundaries
         before = np.concatenate(([0], np.cumsum(counts)))
         b0 = 0
@@ -252,6 +250,6 @@ def box_sums(coords, w, sg: Semigroup, box_lo, box_hi, chunk_pairs: int = _CHUNK
             counts[b0:b1] = np.diff(ends)
             if sg.op is not None:
                 full = np.flatnonzero(counts[b0:b1])
-                values[b0 + full] = sg.op.reduceat(wm, ends[full]).astype(object)  # Python scalars
+                values[b0 + full] = sg.op.reduceat(wm, ends[full])
             b0 = b1
     return counts, values

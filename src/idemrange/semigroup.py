@@ -6,6 +6,12 @@ semigroups ship: real max, bitwise-or on 64-bit masks, and id-set union.
 The id-set semigroup is the verification instrument: combining the id-sets
 of a correct cover reproduces exactly the ids inside the query.
 
+Structures hand the fold weight arrays, not values.  A set of stored sums
+gives one weight array, its stored weights for max and or and its members'
+ids for id-sets, and ``reduce`` of that array is the sum of those sums: by
+idempotence, a point held by two of them counts once either way.  A query
+folds at most two parts, its sums' ``reduce`` and its singletons'.
+
 All that depends on the semigroup lives on its ``Semigroup`` object, so
 adding one is one ``Semigroup(...)`` definition.
 """
@@ -30,7 +36,6 @@ __all__ = [
     "semigroup_by_name",
     "combine_all",
     "fold_values",
-    "stored_value",
     "singleton_value",
 ]
 
@@ -46,8 +51,9 @@ class Semigroup:
     ``op`` is the binary ufunc on weight arrays (``np.maximum``,
     ``np.bitwise_or``), or None when a value is not one array element
     (id-sets).  ``reduce`` of a numeric semigroup is built from it, and
-    ``rangetree.box_sums`` stores values made with it; without it,
-    ``box_sums`` stores no value and reduces a box's members when asked.
+    ``rangetree.box_sums`` stores one weight per box made with it; without
+    it, ``box_sums`` stores no value and lists a box's members' weights
+    when asked.  Either way ``reduce`` of what it gives is the boxes' sum.
     """
 
     name: str
@@ -176,22 +182,17 @@ def fold_values(values: Iterable[Any], sg: Semigroup) -> Any:
     return sg.fold(values)
 
 
-def stored_value(sg: Semigroup, members: np.ndarray, w: np.ndarray):
-    """Value of a stored sum over member indices; None contributes nothing."""
-    return sg.reduce(w[members]) if members.size else None
-
-
 _ndarray = np.ndarray
 
 
 def singleton_value(sg: Semigroup, idx, w: np.ndarray):
     """Value of the singleton at index ``idx``.
 
-    Given a 1-D index array instead, one value: the semigroup sum of those
-    singletons, as ``stored_value`` builds a stored sum (an id-set also
-    drops repeated indices), or None when the array is empty.  The cost
-    model still counts one singleton per index.
+    Given a 1-D index array instead, one value: ``sg.reduce`` of those
+    singletons' weights (an id-set also drops repeated indices), or None
+    when the array is empty.  The cost model still counts one singleton
+    per index.
     """
     if isinstance(idx, _ndarray):  # a global, not np.ndim: the oracle calls this once per point
-        return stored_value(sg, idx, w)
+        return sg.reduce(w[idx]) if idx.size else None
     return sg.single(w[idx])

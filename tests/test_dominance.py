@@ -45,9 +45,10 @@ def test_build_stored_values_match_scan():
     for s_idx in range(2):
         dominated = np.all(pts.coords <= ds.samples[s_idx], axis=1)
         if dominated.any():
-            assert ds.values[s_idx] == pytest.approx(float(pts.weights[dominated].max()))
+            got = ds.sg.reduce(ds.values[[s_idx]])
+            assert got == pytest.approx(float(pts.weights[dominated].max())) and type(got) is float
         else:
-            assert ds.values[s_idx] is None
+            assert ds.counts[s_idx] == 0
 
 
 @pytest.mark.parametrize("name", ["max", "or", "idset"])
@@ -59,7 +60,10 @@ def test_stored_values_and_answers_match_scan_value(name):
     corners = np.vstack((ds.samples, np.random.default_rng(13).random((30, 2))))
     for i, corner in enumerate(corners):
         want = ir.scan_value(pts, ir.Box((ir.NEG_INF, ir.NEG_INF), tuple(corner)), sg, weights)
-        got = ds.values[i] if i < ds.num_sums else ir.dominance_query(ds, corner).value
+        if i < ds.num_sums and want is None:
+            assert ds.counts[i] == 0
+            continue
+        got = sg.reduce(ds.values[[i]]) if i < ds.num_sums else ir.dominance_query(ds, corner).value
         if want is None:
             assert got is None
         else:

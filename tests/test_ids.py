@@ -105,20 +105,23 @@ def _check_blocks_against_scan(pts, s):
     """Every block's row range holds its own boxes, in dim-0 order, and each
     box's count and id-set (one row, then the block's rows at once) match
     the scan."""
-    sums = s.sums
+    sums, sg = s.sums, s.sg
     checked = 0
     for (orient, index), (start, stop) in s.blocks.items():
         assert start < stop and np.all(np.diff(sums.coords[start:stop, 0]) >= 0)
         rows = np.arange(start, stop)
-        for r, batched in zip(rows.tolist(), sums.values[rows]):
+        block_ids = []
+        for r in rows.tolist():
             box = Box(tuple(sums.box_lo[r]), tuple(sums.box_hi[r]))
             want = ir.scan_ids(pts, box)
             assert sums.counts[r] == want.size
             if want.size:
-                assert np.array_equal(sums.values[r], want) and np.array_equal(batched, want)
-            else:
-                assert sums.values[r] is None and batched is None
+                assert np.array_equal(sg.reduce(sums.values[[r]]), want)
+                block_ids.append(want)
             checked += 1
+        full = rows[sums.counts[rows] > 0]
+        if full.size:
+            assert np.array_equal(sg.reduce(sums.values[full]), np.unique(np.concatenate(block_ids)))
     assert checked == s.num_boxes
 
 
@@ -141,11 +144,12 @@ def test_stored_values_match_scan_value(name, d, k):
     sums = ir.build_ids(pts, k, sg, weights=weights).sums
     for r in range(len(sums.counts)):
         box = Box(tuple(sums.box_lo[r]), tuple(sums.box_hi[r]))
-        got, want = sums.values[r], ir.scan_value(pts, box, sg, weights)
+        want = ir.scan_value(pts, box, sg, weights)
         assert sums.counts[r] == np.count_nonzero(ir.scan_mask(pts.coords, box))
         if want is None:
-            assert got is None
+            assert sums.counts[r] == 0
         else:
+            got = sg.reduce(sums.values[[r]])
             assert sg.equal(got, want) and type(got) is type(want)
             if name == "idset":
                 assert got.dtype == np.int64 and np.array_equal(got, want)
@@ -184,12 +188,13 @@ def test_malformed_queries_rejected():
 
 
 def _answer_piece(s, piece):
-    """A piece answered alone: its cover pass on a state whose containment
-    box is the piece itself (query() uses the whole query box instead,
-    letting sums straddle the split)."""
-    state = I._CoverState(s.sums, piece.lo, piece.hi, None)
-    I._cover_pieces(s, [piece], state)
-    return I._finish(s, state)
+    """A piece answered alone: its cover pass and compression with the
+    piece itself as containment box (query() uses the whole query box
+    instead, letting sums straddle the split), then the fold."""
+    lo, hi = np.asarray(piece.lo), np.asarray(piece.hi)
+    rows, leftover = I._compress(s, *I._cover_pieces(s, [piece], lo, hi), lo, hi)
+    assert np.all(s.sums.box_lo[rows] >= lo) and np.all(s.sums.box_hi[rows] <= hi)
+    return I._evaluate(s, rows, leftover)
 
 
 def test_anchored_piece_empty_cover_only_singletons():
@@ -333,10 +338,34 @@ def test_usable_sums_helper():
     s = ir.build_ids(pts, 1, ir.ID_SET)
     q = Box((0.1, NEG_INF), (0.9, 0.9))
     sums = ir.idsstruct.usable_sums(s, q)
+    assert sums
     for ids, box, count in sums:
         assert count >= 2 and count == len(ids)
+        assert np.array_equal(ids, ir.scan_ids(pts, box))
         assert all(bl >= ql for bl, ql in zip(box.lo, q.lo))
         assert all(bh <= qh for bh, qh in zip(box.hi, q.hi))
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 2)])
+def test_idset_query_sorts_once_per_part(monkeypatch, d, k):
+    """An id-set answer sorts its ids at most three times, however many sums
+    it uses: once for all used sums' members, once for the singletons, once
+    in the fold of the two."""
+    pts = ir.uniform_random(1024, d, seed=25)
+    s = ir.build_ids(pts, k, ir.ID_SET)
+    calls = []
+    real = ir.semigroup._sorted_unique
+    monkeypatch.setattr(ir.semigroup, "_sorted_unique", lambda ids: calls.append(1) or real(ids))
+    many = 0
+    for q in _uniform_queries(np.random.default_rng(26), d, k, 40):
+        calls.clear()
+        ans = ir.query(s, q)
+        got = ans.value if ans.value is not None else np.empty(0, np.int64)
+        assert np.array_equal(got, ir.scan_ids(pts, q))
+        if ans.sums_used >= 5:
+            assert len(calls) <= 3, (ans.sums_used, len(calls))
+            many += 1
+    assert many >= 10
 
 
 def _uniform_queries(rng, d, k, count):
@@ -694,26 +723,25 @@ def test_greedy_prefilter_keeps_boxes_with_two_per_dimension(monkeypatch):
     assert np.array_equal(got_lo, lo[want]) and np.array_equal(got_hi, hi[want])
 
 
-def test_cover_state_take_batch():
+def test_query_checks_audits_and_folds_cover_rows(monkeypatch):
     pts = ir.uniform_random(256, 2, seed=24)
     s = ir.build_ids(pts, 1, ir.ID_SET)
     sums = s.sums
     q = Box((0.1, NEG_INF), (0.9, 0.8))
     rows = sums.inside(np.asarray(q.lo), np.asarray(q.hi), 1)[:5]
     assert rows.size == 5
-    audit = []
-    state = I._CoverState(sums, q.lo, q.hi, audit)
-    state.take(rows[::-1])
-    state.take(rows[:0])
-    assert state.used == rows[::-1].tolist()
+    none = np.empty(0, dtype=np.int64)
+    monkeypatch.setattr(I, "_cover_pieces", lambda *args: (rows[::-1], none))
+    ans, audit = ir.query(s, q, return_audit=True)
     assert audit == [Box(tuple(sums.box_lo[r]), tuple(sums.box_hi[r])) for r in rows[::-1]]
     # no leftovers: the answer folds just the used sums' values, gathered at the end
-    ans = I._finish(s, state)
     want = np.unique(np.concatenate([ir.scan_ids(pts, b) for b in audit]))
     assert (ans.sums_used, ans.singletons_used) == (5, 0) and np.array_equal(ans.value, want)
+    assert I._evaluate(s, rows[:0], none).value is None
     escaping = np.nonzero(np.any(sums.box_hi > q.hi, axis=1))[0][:1]
+    monkeypatch.setattr(I, "_cover_pieces", lambda *args: (np.concatenate((rows[:2], escaping)), none))
     with pytest.raises(AssertionError, match="used sum escapes the query box"):
-        state.take(np.concatenate((rows[:2], escaping)))
+        ir.query(s, q)
 
 
 def _off_cube_points(rng, n, d, h):

@@ -4,6 +4,7 @@ import pytest
 import idemrange as ir
 from idemrange import Box
 from idemrange.rangetree import _level_slices, box_sums
+from idemrange.semigroup import fold_values
 
 
 def _points(rng, n, d):
@@ -46,25 +47,26 @@ def test_box_sums_match_scan(name, d):
             # every box one by one, and all of them as one shuffled batch with repeats
             # (id-sets are listed on demand, so the batch is one gather)
             rows = np.concatenate((rng.permutation(len(lo)), rng.integers(0, len(lo), 9)))
-            batch = values[rows]
-            assert batch.dtype == object and len(batch) == len(rows)
-            for r, got_batched in zip(rows.tolist(), batch):
-                got = values[r]
+            assert values[rows].dtype == w.dtype  # weights, never an object array
+            per_row = []
+            for r in rows.tolist():
                 if np.any(lo[r] > hi[r]):  # an inverted box holds nothing (Box refuses one)
-                    assert counts[r] == 0 and got is None and got_batched is None
+                    assert counts[r] == 0
                     continue
                 box = Box(tuple(lo[r]), tuple(hi[r]))
                 want = ir.scan_value(pts, box, sg, weights)
                 assert counts[r] == np.count_nonzero(ir.scan_mask(pts.coords, box))
                 if want is None:
-                    assert got is None and got_batched is None
+                    assert counts[r] == 0
                     continue
-                for v in (got, got_batched):
-                    assert sg.equal(v, want) and type(v) is type(want)
+                got = sg.reduce(values[[r]])
+                assert sg.equal(got, want) and type(got) is type(want)
                 if name == "idset":
-                    ids = ir.scan_ids(pts, box)
-                    for v in (got, got_batched):
-                        assert v.dtype == np.int64 and np.array_equal(v, ids)
+                    assert got.dtype == np.int64 and np.array_equal(got, ir.scan_ids(pts, box))
+                per_row.append(got)
+            # the batch's reduce is the fold of its boxes' values (an empty box is never read)
+            got, want = sg.reduce(values[rows[counts[rows] > 0]]), fold_values(per_row, sg)
+            assert sg.equal(got, want) and type(got) is type(want)
 
 
 def _slice_test_boxes(rng, coords, count):
@@ -106,10 +108,10 @@ def test_slice_values_match_expanded_members(name, d, n):
 
     counts, values = box_sums(coords, w, sg, lo, hi)
     member_counts, members = box_sums(coords, pts.ids, ir.ID_SET, lo, hi)
-    assert np.array_equal(counts, member_counts)
+    assert np.array_equal(counts, member_counts) and values.dtype == w.dtype
     for r in range(len(lo)):
-        if members[r] is None:
-            assert counts[r] == 0 and values[r] is None
+        if members[[r]].size == 0:
+            assert counts[r] == 0
             continue
-        want = sg.reduce(w[members[r]])
-        assert values[r] == want and type(values[r]) is type(want)
+        want, got = sg.reduce(w[members[[r]]]), sg.reduce(values[[r]])
+        assert got == want and type(got) is type(want)

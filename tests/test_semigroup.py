@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import idemrange as ir
-from idemrange.semigroup import fold_values, singleton_value, stored_value
+from idemrange.semigroup import fold_values, singleton_value
 
 
 def _random_values(sg, rng, count):
@@ -84,9 +84,8 @@ def test_singleton_value_on_index_array_is_fold_of_singletons(name):
         assert type(got) is type(want)
         if name == "idset":
             assert got.dtype == np.int64 and np.array_equal(got, want)
-    # the empty sum is absent, as for an empty stored sum
+    # the empty sum is absent
     assert singleton_value(sg, np.empty(0, dtype=np.int64), w) is None
-    assert singleton_value(sg, np.empty(0, dtype=np.int64), w) is stored_value(sg, np.empty(0, dtype=np.int64), w)
 
 
 def test_idset_fold_matches_np_unique():
