@@ -15,7 +15,8 @@ the audit on, and answers, per-query ``(sums_used, singletons_used)``, the
 ordered audit boxes and ``s_plus`` are compared.  It exits 1 if any pair
 differs, before timing any.  With ``--arrays`` it also compares the stored
 sums array for array: the block map, each row's point, bounds and count,
-and every orientation's dim-0 view.  Otherwise it times every query of
+and every orientation's dim-0 view (its orientations, and each one's
+fields, count and arrays).  Otherwise it times every query of
 each pair on both sides, alternating which side goes first per query, over
 ``--passes`` passes, and prints the change/base ratios of the p50, p95 and
 mean query time.  So a perf change can show both its speed and that its
@@ -100,7 +101,9 @@ def array_differences(sides) -> list[str]:
     names = [] if list(b.blocks.items()) == list(c.blocks.items()) else ["blocks"]
     names += [n for n in ("coords", "box_lo", "box_hi", "counts") if not np.array_equal(getattr(b, n), getattr(c, n))]
     same_views = list(b.by_orient) == list(c.by_orient) and all(
-        np.array_equal(x, y) for o in b.by_orient for x, y in zip(b.by_orient[o], c.by_orient[o])
+        len(b.by_orient[o]) == len(c.by_orient[o])  # a field added or dropped is a difference
+        and all(np.array_equal(x, y) for x, y in zip(b.by_orient[o], c.by_orient[o]))
+        for o in b.by_orient
     )
     return [f"stored {n} differ" for n in names + ([] if same_views else ["by_orient"])]
 

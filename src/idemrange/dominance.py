@@ -22,7 +22,8 @@ __all__ = ["maxima", "DominanceStructure", "build_dominance", "dominance_query",
 
 
 def maxima(coords: np.ndarray) -> np.ndarray:
-    """Indices of points not strictly dominated by another point of the set."""
+    """Indices of points not strictly dominated by another point of the set;
+    of several equal points, only the first."""
     coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
     m, dd = coords.shape
     if m == 0:
@@ -35,13 +36,15 @@ def maxima(coords: np.ndarray) -> np.ndarray:
         ys = coords[order, 1]
         prev_max = np.concatenate(([-np.inf], np.maximum.accumulate(ys)[:-1]))
         return np.sort(order[ys > prev_max]).astype(np.int64)
-    # generic quadratic check
+    # generic quadratic check: a point dominated strictly, or equal to an earlier one, is dropped
     out = []
+    earlier = np.zeros(m, dtype=bool)
     for i in range(m):
         ge = np.all(coords >= coords[i], axis=1)
         gt = np.any(coords > coords[i], axis=1)
-        if not np.any(ge & gt):
+        if not np.any(ge & (gt | earlier)):
             out.append(i)
+        earlier[i] = True
     return np.asarray(out, dtype=np.int64)
 
 
@@ -73,6 +76,7 @@ class DominanceStructure:
         self.points = points
         self.sg = sg
         self.samples = samples
+        self.sample_cols = np.ascontiguousarray(samples.T)  # one contiguous array per dimension
         self._w = weights  # sg.weights: ids themselves for idset
         self.grid = GridIndex(points.coords)
         self.counts, self.values = box_sums(points.coords, self._w, sg, np.full_like(samples, -np.inf), samples)
@@ -117,7 +121,10 @@ def dominance_query(ds: DominanceStructure, q) -> QueryAnswer:
     target_idx = ds.grid.points_in_box(np.full(ds.points.d, -np.inf), q)
     if target_idx.size == 0:
         return QueryAnswer(None, 0, 0)
-    live = np.nonzero(np.all(ds.samples <= q, axis=1) & (ds.counts >= 1))[0]
+    live = ds.counts >= 1
+    for col, b in zip(ds.sample_cols, q):
+        live &= col <= b
+    live = np.flatnonzero(live)
     m_idx, covered, used = dominance_cover(ds.samples[live], ds.points.coords[target_idx])
     used_global = live[m_idx]
     parts = [ds.sg.reduce(ds.values[used_global])] if used_global.size else []  # one gather for every used sum

@@ -5,8 +5,9 @@ not semigroup additions, so they are free in the cost model.  Points are
 sorted by their flat cell id (row-major); a box lookup lists the flat ids
 of the first cell of every row of its cell range along the last dimension,
 finds each row's run of points with two ``searchsorted`` calls, and gathers
-all runs at once.  Coordinates outside the unit cube, infinities included,
-fall in the edge cells.
+all runs at once; the gathered points are then tested one contiguous
+coordinate column at a time.  Coordinates outside the unit cube,
+infinities included, fall in the edge cells.
 """
 
 from __future__ import annotations
@@ -16,15 +17,18 @@ import numpy as np
 __all__ = ["GridIndex"]
 
 
+def _cells_per_dim(n: int, d: int) -> int:
+    """Cells per dimension: about one point per cell."""
+    return max(1, int(round(max(n, 1) ** (1.0 / d))))
+
+
 class GridIndex:
-    def __init__(self, coords: np.ndarray, cells_per_dim: int | None = None):
+    def __init__(self, coords: np.ndarray):
         coords = np.atleast_2d(coords)
-        self.coords = coords
+        self.cols = np.ascontiguousarray(coords.T)  # one contiguous array per dimension
         n, d = coords.shape
         self.d = d
-        if cells_per_dim is None:
-            cells_per_dim = max(1, int(round(max(n, 1) ** (1.0 / d))))
-        self.g = cells_per_dim
+        self.g = _cells_per_dim(n, d)
         # clip before the int conversion: a cast of |x * g| >= 2^63 overflows
         cell = np.clip(coords * self.g, 0.0, self.g - 1.0).astype(np.int64)
         flat = np.zeros(n, dtype=np.int64)
@@ -57,10 +61,8 @@ class GridIndex:
     def points_in_box(self, lo, hi) -> np.ndarray:
         """Indices of points inside the closed box (lo entries may be -inf)."""
         cand = self.candidates_in_box(lo, hi)
-        if cand.size == 0:
-            return cand
-        pts = self.coords[cand]
-        lo_arr = np.asarray(lo, dtype=np.float64)
-        hi_arr = np.asarray(hi, dtype=np.float64)
-        mask = np.all((pts >= lo_arr) & (pts <= hi_arr), axis=1)
-        return cand[mask]
+        keep = np.ones(cand.size, dtype=bool)
+        for col, l, h in zip(self.cols, lo, hi):
+            x = col[cand]
+            keep &= (x >= l) & (x <= h)
+        return cand[keep]

@@ -22,16 +22,19 @@ entries by (piece, label tuple).  A point on a split midpoint lies on both
 closed sides and so joins every piece that holds it.
 
 All stored sums live in one flat index, ``_SumIndex``, which also keeps
-each orientation's rows sorted by dim 0 with their bounds dimension-major.
-Its one primitive, ``inside``, finds the sums inside a box: one contiguous
-dim-0 slice per orientation, tested one column at a time, and row ids
-merged into block order, so ties break as a per-block scan would break
-them.  Each piece makes one ``inside`` call with the loosest spans of all
-its cover tuples; a (tuple x row) mask of the spans then gives each tuple
-its candidates, still in block order.  The targets of every tuple with none
-go to the leftovers under one mask, and only the other tuples meet the
-dominance cover.  ``inside`` also finds the sums that absorb leftovers and
-the exact-cover oracle's sums.
+each orientation's non-empty rows sorted by dim 0 with their bounds
+dimension-major.  Its one primitive, ``inside(qlo, qhi)``, finds the
+non-empty sums inside a box: one contiguous dim-0 slice per orientation,
+tested one column at a time, and row ids merged into block order, so ties
+break as a per-block scan would break them.  A query makes one ``inside``
+call over its whole box, and every other lookup filters that one sorted
+pool.  A piece's candidates are the pool rows of its orientation, one
+contiguous slice found with two ``searchsorted`` calls; a (tuple x row)
+mask of the spans then gives each of its cover tuples its candidates,
+still in block order.  The targets of every tuple with none go to the
+leftovers under one mask, and only the other tuples meet the dominance
+cover.  The compression and the exact-cover oracle draw on the pool rows
+with two or more members.
 
 A query computes its cover first, as two arrays: the used sum rows and
 the leftover point indices.  Leftovers that a used sum covers are
@@ -109,54 +112,44 @@ class _SumIndex:
 
     Rows are in block order: (orientation, then family index), then the
     dim-0 point coordinate; ``blocks`` maps each non-empty block's
-    (orientation, index) to its row range (start, stop).  ``coords`` holds
-    each box's family point, and ``box_lo`` and ``box_hi`` its bounds;
-    ``counts`` and ``values`` hold the number and the semigroup sum of the
-    input points inside each box, from one ``box_sums`` call:
+    (orientation, index) to its row range (start, stop), and ``orient_span``
+    each orientation to the row range [start, stop) of all its blocks.
+    ``coords`` holds each box's family point, and ``box_lo`` and ``box_hi``
+    its bounds; ``counts`` and ``values`` hold the number and the semigroup
+    sum of the input points inside each box, from one ``box_sums`` call:
     ``sg.reduce(values[rows])`` is the sum of the boxes ``rows``.
-    ``by_orient[o]`` is (rows, bounds, counts): ``orient_rows[o]``, the
-    rows of orientation o in dim-0 point order, with their [lo | hi] bounds
-    copied dimension-major and their counts in that order.
+    ``by_orient[o]`` is (rows, bounds): the rows of orientation o that hold
+    a point, in dim-0 point order, with their [lo | hi] bounds copied
+    dimension-major.
     """
 
     def __init__(self, blocks: dict, coords, box_lo, box_hi, orient_rows: dict, point_coords, w, sg: Semigroup):
         self.blocks = blocks
         self.coords, self.box_lo, self.box_hi = coords, box_lo, box_hi
         self.counts, self.values = box_sums(point_coords, w, sg, box_lo, box_hi)
-        self.by_orient = {
-            o: (rows, np.hstack((box_lo[rows], box_hi[rows])).T.copy(), self.counts[rows])
-            for o, rows in orient_rows.items()
-        }
+        self.by_orient, self.orient_span = {}, {}
+        for o, rows in orient_rows.items():
+            # ``rows`` holds each row of its orientation's contiguous range once
+            self.orient_span[o] = (int(rows.min()), int(rows.max()) + 1) if rows.size else (0, 0)
+            rows = rows[self.counts[rows] >= 1]
+            self.by_orient[o] = (rows, np.hstack((box_lo[rows], box_hi[rows])).T.copy())
 
-    def inside(self, qlo, qhi, min_count: int, *, orient=None, spans=None, reach=None) -> np.ndarray:
-        """Row ids, in block order, of the sums with at least ``min_count``
-        members whose box sits inside the closed box [qlo, qhi].
-
-        Optional filters: ``orient`` keeps one orientation; ``spans`` =
-        (a, b) keeps boxes with lo <= a and hi >= b in the first len(a)
-        dims; ``reach`` = (lmin, lmax) keeps boxes meeting it.
-        """
-        # every filter is a range on the [lo | hi] row, floor <= row <= ceil;
-        # as lo <= hi, a box inside the query has both ends in [qlo, qhi]
+    def inside(self, qlo, qhi) -> np.ndarray:
+        """Row ids, in block order, of the sums that hold a point and whose
+        box sits inside the closed box [qlo, qhi]."""
+        # as lo <= hi, a box is inside iff lo >= qlo and hi <= qhi; the key column
+        # (a row's dim-0 point coordinate: its box's hi end (R) or lo end (L)) gets both
         d = len(qlo)
-        floor, ceil = np.concatenate((qlo, qlo)), np.concatenate((qhi, qhi))
-        if spans is not None:
-            k = len(spans[0])
-            ceil[:k] = np.minimum(ceil[:k], spans[0])
-            floor[d : d + k] = np.maximum(floor[d : d + k], spans[1])
-        if reach is not None:
-            floor[d:] = np.maximum(floor[d:], reach[0])
-            ceil[:d] = np.minimum(ceil[:d], reach[1])
         found = []
-        for o in self.by_orient if orient is None else [orient]:
-            rows, bounds, counts = self.by_orient[o]
-            # the sort key, a row's dim-0 point coordinate, is its box's hi end (R) or lo end (L)
+        for o, (rows, bounds) in self.by_orient.items():
             key = d if o[0] == _R else 0
-            s = slice(np.searchsorted(bounds[key], floor[key]), np.searchsorted(bounds[key], ceil[key], side="right"))
-            ok = counts[s] >= min_count
-            for c in range(2 * d):
-                if c != key:  # the slice already bounds the key column
-                    ok &= (bounds[c, s] >= floor[c]) & (bounds[c, s] <= ceil[c])
+            s = slice(np.searchsorted(bounds[key], qlo[0]), np.searchsorted(bounds[key], qhi[0], side="right"))
+            ok = np.ones(s.stop - s.start, dtype=bool)
+            for c in range(d):
+                if c != key:
+                    ok &= bounds[c, s] >= qlo[c]
+                if d + c != key:
+                    ok &= bounds[d + c, s] <= qhi[c]
             found.append(rows[s][ok])
         return np.sort(np.concatenate(found))
 
@@ -372,33 +365,39 @@ def _piece_segments(struct: IdsStructure, piece: AnchoredPiece, i: int):
     return np.asarray(seg_lo), np.asarray(labels), np.asarray(spans).reshape(-1, 2)
 
 
-def _tuple_candidates(sums: _SumIndex, orient, a: np.ndarray, b: np.ndarray, qlo, qhi):
+def _tuple_candidates(sums: _SumIndex, pool: np.ndarray, orient, a: np.ndarray, b: np.ndarray):
     """Usable stored sums of every cover-pair tuple of one piece orientation.
 
-    Row t of ``a`` and ``b`` holds tuple t's u-interval ends, one column per
-    two-sided dimension.  A sum works for a tuple iff its box spans the
-    tuple's interval in every two-sided dimension and sits inside the
-    containment box [qlo, qhi]; coverage of a target then reduces to
-    dominance in the remaining dimensions.
+    ``pool`` holds the rows, in block order, of the non-empty sums inside
+    the containment box.  Row t of ``a`` and ``b`` holds tuple t's
+    u-interval ends, one column per two-sided dimension.  A pool sum works
+    for a tuple iff it has the piece's orientation and its box spans the
+    tuple's interval in every two-sided dimension; coverage of a target
+    then reduces to dominance in the remaining dimensions.
 
-    One flat-index lookup with the loosest spans over the tuples gives a
-    pool that every tuple's own spans narrow; returns (pool rows in block
-    order, tuple x pool mask), so tuple t's candidates are ``pool[mask[t]]``.
+    The orientation's pool rows are one contiguous slice of the pool (two
+    ``searchsorted`` calls), which every tuple's own spans narrow; returns
+    (slice rows in block order, tuple x slice mask), so tuple t's
+    candidates are ``rows[mask[t]]``.
     """
-    pool = sums.inside(qlo, qhi, 1, orient=orient, spans=(a.max(axis=0), b.min(axis=0)))
-    mask = np.ones((len(a), pool.size), dtype=bool)
+    rows = pool[slice(*np.searchsorted(pool, sums.orient_span[orient]))]
+    mask = np.ones((len(a), rows.size), dtype=bool)
     for j in range(a.shape[1]):
-        mask &= sums.box_lo[pool, j] <= a[:, j, None]
-        mask &= sums.box_hi[pool, j] >= b[:, j, None]
-    return pool, mask
+        mask &= sums.box_lo[rows, j] <= a[:, j, None]
+        mask &= sums.box_hi[rows, j] >= b[:, j, None]
+    return rows, mask
 
 
 _NONE = np.empty(0, dtype=np.int64)
 
+# sums of fewer members never beat singletons
+_MIN_MEMBERS = 2
 
-def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], qlo: np.ndarray, qhi: np.ndarray):
+
+def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], pool, qlo: np.ndarray, qhi: np.ndarray):
     """Per-tuple dominance covers of all anchored pieces in one pass (no
-    compression yet).  The pieces tile the containment box [qlo, qhi].
+    compression yet).  The pieces tile the containment box [qlo, qhi], and
+    ``pool`` holds the non-empty sums inside it (``_SumIndex.inside``).
     Returns (rows, leftover): the used sum rows, in (piece, tuple) order,
     and the indices of the points no used sum covers.
 
@@ -408,9 +407,9 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], qlo: np.nda
     every piece whose closed side holds it.  Each (point, piece) entry is
     keyed by (piece, label tuple), raveled so that tuples, and with them
     used sums, run in piece order (that of ``decompose_query``), then tuple
-    order.  One ``inside`` lookup per piece finds every tuple's candidates;
-    the targets of tuples with none go to the leftovers at once, and only
-    the rest meet ``dominance_cover``.
+    order.  Each piece's slice of the pool gives every tuple's candidates
+    (``_tuple_candidates``); the targets of tuples with none go to the
+    leftovers at once, and only the rest meet ``dominance_cover``.
     """
     k = struct.config.k
     target_idx = struct.grid.points_in_box(qlo, qhi)
@@ -461,7 +460,7 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], qlo: np.nda
     for t0, t1 in zip(piece_starts.tolist(), [*piece_starts[1:].tolist(), len(tuples)]):
         orient = orients[tuples[t0, 0]]
         ab = np.stack([spans[i, side][tuples[t0:t1, 1 + i]] for i, side in enumerate(orient)], axis=1)
-        lookups.append((t0, *_tuple_candidates(struct.sums, orient, ab[..., 0], ab[..., 1], qlo, qhi)))
+        lookups.append((t0, *_tuple_candidates(struct.sums, pool, orient, ab[..., 0], ab[..., 1])))
     has_candidates = np.concatenate([mask.any(axis=1) for _, _, mask in lookups])
     leftover.append(grouped[order[~np.repeat(has_candidates, sizes)]])  # nothing to dominate with
     gproj = tcoords[ent][:, k:]
@@ -480,17 +479,17 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], qlo: np.nda
 _CHUNK_CELLS = 1 << 16
 
 
-def _inside_bits(pts: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray, chunk_cells: int = _CHUNK_CELLS):
+def _inside_bits(pts: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray):
     """Closed containment of ``pts`` in each box as a row of uint64 bit words:
     bit i of a row is set iff point i lies in that box, padding bits never.
 
     One dense compare per dimension on the points' contiguous columns,
-    about ``chunk_cells`` (box, point) cells and at least one box at a time.
+    about ``_CHUNK_CELLS`` (box, point) cells and at least one box at a time.
     """
     m = len(pts)
     cols = np.ascontiguousarray(pts.T)
     bits = np.empty((len(box_lo), -(-m // 64)), dtype=np.uint64)
-    step = max(1, chunk_cells // max(m, 1))
+    step = max(1, _CHUNK_CELLS // max(m, 1))
     cells = np.zeros((min(step, len(box_lo)), bits.shape[1] * 64), dtype=bool)  # padding columns stay False
     for s0 in range(0, len(box_lo), step):
         lo, hi = box_lo[s0 : s0 + step], box_hi[s0 : s0 + step]
@@ -508,7 +507,7 @@ def _unpack(word_row: np.ndarray, m: int) -> np.ndarray:
     return np.unpackbits(word_row.view(np.uint8), count=m, bitorder="little").astype(bool)
 
 
-def _greedy_cover(pts: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray, chunk_cells: int = _CHUNK_CELLS):
+def _greedy_cover(pts: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray):
     """Greedy cover of ``pts`` by boxes: while some box holds two or more
     uncovered points, take the first box holding the most.  Returns (picked
     box rows in pick order, per-point uncovered mask).
@@ -527,7 +526,7 @@ def _greedy_cover(pts: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray, chunk
     for j in range(pts.shape[1]):
         keep &= np.searchsorted(srt[:, j], box_hi[:, j], side="right") - np.searchsorted(srt[:, j], box_lo[:, j]) >= 2
     rows = np.flatnonzero(keep)
-    bits = _inside_bits(pts, box_lo[rows], box_hi[rows], chunk_cells)
+    bits = _inside_bits(pts, box_lo[rows], box_hi[rows])
     gains = np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
     keep = gains >= 2
     rows, bits, gains = rows[keep], bits[keep], gains[keep]
@@ -546,20 +545,20 @@ def _greedy_cover(pts: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray, chunk
     return picks, _unpack(alive, m)
 
 
-def _compress(struct: IdsStructure, rows: np.ndarray, leftover: np.ndarray, qlo: np.ndarray, qhi: np.ndarray):
+def _compress(struct: IdsStructure, pool: np.ndarray, rows: np.ndarray, leftover: np.ndarray):
     """Resolve leftovers: drop those a used sum ``rows`` already covers,
-    reuse any stored sum inside the query [qlo, qhi] that absorbs two or
-    more of the rest (``_greedy_cover``), then fall back to singletons.
-    Returns the cover (rows, leftover): ``rows`` followed by the greedy's
-    picks, and the points left as singletons.
+    reuse any sum of ``pool`` (the non-empty sums inside the query) that
+    absorbs two or more of the rest (``_greedy_cover``), then fall back to
+    singletons.  Returns the cover (rows, leftover): ``rows`` followed by
+    the greedy's picks, and the points left as singletons.
 
-    Both steps test containment as bit rows (``_inside_bits``).  The pool
-    is one flat-index lookup: sums with two or more members inside the
-    query that meet the leftovers' bounding box, which the greedy narrows
-    to boxes holding two or more leftovers per dimension before any
-    containment test.  Strictly reduces cost; exactness and containment are
-    unaffected because absorption is a full-coordinate box test against
-    sums already known to sit inside the query.
+    Both steps test containment as bit rows (``_inside_bits``).  The greedy
+    sees the pool's sums with two or more members, and narrows them to
+    boxes holding two or more leftovers in every single dimension (so
+    meeting the leftovers' bounding box) before any containment test.  Strictly reduces cost;
+    exactness and containment are unaffected because absorption is a
+    full-coordinate box test against sums already known to sit inside the
+    query.
     """
     pts = struct.points.coords[leftover]
     sums = struct.sums
@@ -568,7 +567,7 @@ def _compress(struct: IdsStructure, rows: np.ndarray, leftover: np.ndarray, qlo:
         leftover, pts = leftover[~covered], pts[~covered]
     if leftover.size < 2:
         return rows, leftover
-    pool = sums.inside(qlo, qhi, 2, reach=(pts.min(axis=0), pts.max(axis=0)))
+    pool = pool[sums.counts[pool] >= _MIN_MEMBERS]
     picks, uncovered = _greedy_cover(pts, sums.box_lo[pool], sums.box_hi[pool])
     return np.concatenate((rows, pool[picks])), leftover[uncovered]
 
@@ -583,15 +582,12 @@ def _evaluate(struct: IdsStructure, rows: np.ndarray, leftover: np.ndarray) -> Q
     return QueryAnswer(value, sums_used=int(rows.size), singletons_used=int(leftover.size))
 
 
-# sums of fewer members never beat singletons
-_MIN_MEMBERS = 2
-
-
 def usable_sums(struct: IdsStructure, q: Box):
     """Stored sums of two or more members whose box sits inside q, as
     (value, box, count) triples: the exact-cover oracle's available sums."""
     sums = struct.sums
-    rows = sums.inside(np.asarray(q.lo), np.asarray(q.hi), _MIN_MEMBERS)
+    rows = sums.inside(np.asarray(q.lo), np.asarray(q.hi))
+    rows = rows[sums.counts[rows] >= _MIN_MEMBERS]
     reduce, lo, hi = struct.sg.reduce, sums.box_lo, sums.box_hi
     return [(reduce(sums.values[[r]]), Box(tuple(lo[r]), tuple(hi[r])), int(sums.counts[r])) for r in rows.tolist()]
 
@@ -600,16 +596,18 @@ def query(struct: IdsStructure, q: Box, return_audit: bool = False):
     """Compute the query's cover, then fold it (``_evaluate``).
 
     The cover is the anchored-piece covers plus one shared compression
-    pass, or every point inside q as a singleton when no midpoint splits
-    the query.  Every used sum must sit inside q; the audit lists their
-    boxes in use order.
+    pass, both drawing on one ``inside`` lookup of the sums inside q, or
+    every point inside q as a singleton when no midpoint splits the query.
+    Every used sum must sit inside q; the audit lists their boxes in use
+    order.
     """
     pieces, singleton_only = decompose_query(struct, q)
     qlo, qhi = np.asarray(q.lo), np.asarray(q.hi)
     if singleton_only:
         rows, leftover = _NONE, struct.grid.points_in_box(qlo, qhi)
     else:
-        rows, leftover = _compress(struct, *_cover_pieces(struct, pieces, qlo, qhi), qlo, qhi)
+        pool = struct.sums.inside(qlo, qhi)
+        rows, leftover = _compress(struct, pool, *_cover_pieces(struct, pieces, pool, qlo, qhi))
     lo, hi = struct.sums.box_lo[rows], struct.sums.box_hi[rows]
     if np.any(lo < qlo) or np.any(hi > qhi):
         raise AssertionError("used sum escapes the query box")

@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import TooLarge, Unsupported
 from .geometry import Box
+from .rangetree import box_sums
+from .semigroup import MAX_REAL
 
 __all__ = [
     "WeightedPointSet",
@@ -244,42 +246,38 @@ def _exact_nd(coords: np.ndarray, eps: float) -> tuple[float, Box | None, bool]:
     return float(best), worst, iii_ok
 
 
+# a 2-D set of at most this many points is counted from an (n+1)^2 rank-prefix
+# matrix; above about 3,000 points ``box_sums`` counts 10^5 boxes faster
+_PREFIX_MAX_N = 3072
+
+
 class _RectCounter:
-    """Exact closed-box point counts; 2D uses a rank-grid prefix matrix."""
+    """Exact closed-box point counts: a rank-grid prefix matrix for small 2-D
+    sets, else the counts of one ``rangetree.box_sums`` call."""
 
     def __init__(self, coords: np.ndarray):
         self.coords = coords
         n, d = coords.shape
-        self.n, self.d = n, d
-        self.fast2d = d == 2 and n <= 6000
-        if self.fast2d:
+        self.prefix = None
+        if d == 2 and n <= _PREFIX_MAX_N:
             self.xs = np.sort(coords[:, 0])
             self.ys = np.sort(coords[:, 1])
             rx = np.argsort(np.argsort(coords[:, 0], kind="stable"), kind="stable")
             ry = np.argsort(np.argsort(coords[:, 1], kind="stable"), kind="stable")
             grid = np.zeros((n + 1, n + 1), dtype=np.int32)
             np.add.at(grid, (rx + 1, ry + 1), 1)
-            self.prefix = grid.cumsum(axis=0).cumsum(axis=1)
+            np.cumsum(grid, axis=0, out=grid)  # in place: one (n+1)^2 matrix is held
+            self.prefix = np.cumsum(grid, axis=1, out=grid)
 
     def counts(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        if self.fast2d:
-            ix0 = np.searchsorted(self.xs, lo[:, 0], side="left")
-            ix1 = np.searchsorted(self.xs, hi[:, 0], side="right")
-            iy0 = np.searchsorted(self.ys, lo[:, 1], side="left")
-            iy1 = np.searchsorted(self.ys, hi[:, 1], side="right")
-            p = self.prefix
-            return p[ix1, iy1] - p[ix0, iy1] - p[ix1, iy0] + p[ix0, iy0]
-        out = np.empty(len(lo), dtype=np.int64)
-        chunk = max(1, int(4e6 // max(1, self.n)))
-        for s in range(0, len(lo), chunk):
-            e = min(len(lo), s + chunk)
-            inside = np.all(
-                (self.coords[None, :, :] >= lo[s:e, None, :])
-                & (self.coords[None, :, :] <= hi[s:e, None, :]),
-                axis=2,
-            )
-            out[s:e] = inside.sum(axis=1)
-        return out
+        if self.prefix is None:
+            return box_sums(self.coords, np.zeros(len(self.coords)), MAX_REAL, lo, hi)[0]
+        ix0 = np.searchsorted(self.xs, lo[:, 0], side="left")
+        ix1 = np.searchsorted(self.xs, hi[:, 0], side="right")
+        iy0 = np.searchsorted(self.ys, lo[:, 1], side="left")
+        iy1 = np.searchsorted(self.ys, hi[:, 1], side="right")
+        p = self.prefix
+        return (p[ix1, iy1] - p[ix0, iy1] - p[ix1, iy0] + p[ix0, iy0]).astype(np.int64)
 
 
 def _sampled(coords: np.ndarray, eps: float, samples: int, seed: int):

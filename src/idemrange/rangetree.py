@@ -2,10 +2,11 @@
 
 ``box_sums`` gives, for many closed boxes at once, the number of points
 inside each box and the semigroup sum of their weights.  Both structures
-fill their stored sums with it.  The sums come as one value contract for
-every semigroup: for an int array ``rows``, ``values[rows]`` is a weight
-array whose ``sg.reduce`` is the sum of those boxes, so a query folds all
-its stored sums with one ``reduce``.
+fill their stored sums with it, and the well-distribution checker counts
+large sets' sampled rectangles with it.  The sums come as one value
+contract for every semigroup: for an int array ``rows``, ``values[rows]``
+is a weight array whose ``sg.reduce`` is the sum of those boxes, so a
+query folds all its stored sums with one ``reduce``.
 
 The tree is the classic static range tree (Bentley, "Multidimensional
 divide-and-conquer", CACM 1980; Lueker, "A data structure for orthogonal
@@ -217,7 +218,7 @@ class _Reported:
         return self.members(np.atleast_1d(rows))[0]
 
 
-def box_sums(coords, w, sg: Semigroup, box_lo, box_hi, chunk_pairs: int = _CHUNK_PAIRS):
+def box_sums(coords, w, sg: Semigroup, box_lo, box_hi):
     """Per closed box [lo, hi]: the number of points inside and the
     semigroup sum of their weights ``w``.
 
@@ -227,8 +228,8 @@ def box_sums(coords, w, sg: Semigroup, box_lo, box_hi, chunk_pairs: int = _CHUNK
     weight array whose ``sg.reduce`` is the sum of those boxes: under a
     semigroup with an array ``op``, ``values`` is one weight per box; else
     it is a read-only ``_Reported`` view that lists the boxes' member
-    weights.  ``chunk_pairs`` bounds the (box, member) pairs a d >= 3 build
-    expands at once.
+    weights.  A d >= 3 build expands about ``_CHUNK_PAIRS`` (box, member)
+    pairs at once.
     """
     coords = np.asarray(coords, dtype=np.float64)
     box_lo = np.asarray(box_lo, dtype=np.float64)
@@ -245,7 +246,7 @@ def box_sums(coords, w, sg: Semigroup, box_lo, box_hi, chunk_pairs: int = _CHUNK
         before = np.concatenate(([0], np.cumsum(counts)))
         b0 = 0
         while b0 < m:
-            b1 = max(b0 + 1, int(np.searchsorted(before, before[b0] + chunk_pairs, side="right")) - 1)
+            b1 = max(b0 + 1, int(np.searchsorted(before, before[b0] + _CHUNK_PAIRS, side="right")) - 1)
             wm, ends = slices.members(np.arange(b0, b1))
             counts[b0:b1] = np.diff(ends)
             if sg.op is not None:

@@ -1,7 +1,9 @@
+import argparse
 import importlib.util
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import idemrange
@@ -83,3 +85,21 @@ def test_arrays_compares_the_stored_sums(monkeypatch, capsys):
     monkeypatch.setattr(idemrange, "build_ids", build_ids)
     assert ab_query.main([*TINY, "--workload", "uniform-3d-k2", "--seed", "3", "--arrays"]) == 1
     assert "stored blocks differ\nuniform-3d-k2 seed 3, base HEAD: 1 differences" in capsys.readouterr().out
+
+
+def test_arrays_report_a_view_with_another_shape():
+    """A dim-0 view with a field more or less, or an orientation missing, is
+    a difference, even where the fields both sides have are equal."""
+    args = argparse.Namespace(log2_n=8, queries=4)
+    sides = ab_query.build_pair(idemrange, "uniform-3d-k2", 3, args)
+    assert ab_query.array_differences(sides) == []
+    sums = sides[1][1].sums
+    views = dict(sums.by_orient)
+    first = next(iter(views))
+    for changed in (
+        {**views, first: (*views[first], np.zeros(1))},  # a field added
+        {**views, first: views[first][:1]},  # a field dropped
+        {o: v for o, v in views.items() if o != first},  # an orientation dropped
+    ):
+        sums.by_orient = changed
+        assert ab_query.array_differences(sides) == ["stored by_orient differ"]

@@ -12,11 +12,12 @@ def test_maxima_examples():
 
 
 def _pairwise_maxima(coords):
+    """Points no other point strictly dominates; of equal points, the first."""
     out = []
     for i in range(len(coords)):
         dominated = False
         for j in range(len(coords)):
-            if i != j and np.all(coords[j] >= coords[i]) and np.any(coords[j] > coords[i]):
+            if np.all(coords[j] >= coords[i]) and (np.any(coords[j] > coords[i]) or j < i):
                 dominated = True
         if not dominated:
             out.append(i)
@@ -28,6 +29,18 @@ def _pairwise_maxima(coords):
 def test_maxima_matches_pairwise_oracle(seed, dd):
     coords = np.random.default_rng(seed).random((10, dd))
     assert ir.maxima(coords).tolist() == _pairwise_maxima(coords)
+
+
+@pytest.mark.parametrize("dd", [1, 2, 3])
+def test_maxima_keeps_the_first_of_equal_points(dd):
+    assert ir.maxima(np.array([[0.5] * dd, [0.5] * dd, [0.1] * dd])).tolist() == [0]
+    rng = np.random.default_rng(dd)
+    ties = 0
+    for _ in range(60):
+        coords = rng.integers(0, 3, (12, dd)) / 2  # a coarse lattice: many equal points
+        ties += len(np.unique(coords, axis=0)) < len(coords)
+        assert ir.maxima(coords).tolist() == _pairwise_maxima(coords)
+    assert ties > 40
 
 
 def _hand_points():

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from idemrange import gridindex
 from idemrange.gridindex import GridIndex
 
 
@@ -35,11 +36,14 @@ _BOUNDS = (-np.inf, -0.5, 0.0, 0.3, 0.5, 0.99, 1.0, 1.5, np.inf)
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("cells", [None, 1, 3])
-def test_candidates_match_per_cell_loop(d, cells):
+def test_candidates_match_per_cell_loop(monkeypatch, d, cells):
     rng = np.random.default_rng(10 * d + (cells or 0))
     coords = rng.uniform(-0.2, 1.2, (300, d))
     coords[:40] = rng.integers(0, 5, (40, d)) / 4  # points on cell boundaries
-    grid = GridIndex(coords, cells)
+    if cells is not None:
+        monkeypatch.setattr(gridindex, "_cells_per_dim", lambda n, d: cells)
+    grid = GridIndex(coords)
+    assert grid.g == (cells or round(300 ** (1 / d)))
     nonempty = 0
     for _ in range(200):
         lo = np.where(rng.random(d) < 0.3, rng.choice(_BOUNDS, d), rng.uniform(-0.3, 1.3, d))
@@ -47,6 +51,8 @@ def test_candidates_match_per_cell_loop(d, cells):
         want = _loop_candidates(grid, lo, hi)
         got = grid.candidates_in_box(lo, hi)
         assert got.dtype == np.int64 and np.array_equal(got, want)
+        inside = np.all((coords[got] >= lo) & (coords[got] <= hi), axis=1)
+        assert np.array_equal(grid.points_in_box(lo, hi), got[inside])
         nonempty += want.size > 0
     assert nonempty > 20
 
@@ -69,9 +75,10 @@ def test_candidates_edge_boxes():
 
 
 @pytest.mark.parametrize("x", [1e19, -1e19, 1e300, -1e300, np.inf, -np.inf])
-def test_far_out_coordinates_land_in_edge_cells(x):
+def test_far_out_coordinates_land_in_edge_cells(monkeypatch, x):
     coords = np.array([[0.5, 0.5], [x, 0.5], [0.5, x]])
-    grid = GridIndex(coords, 4)
+    monkeypatch.setattr(gridindex, "_cells_per_dim", lambda n, d: 4)
+    grid = GridIndex(coords)
     edge = 3 if x > 0 else 0
     assert sorted(grid.sorted_flat.tolist()) == sorted([2 * 4 + 2, edge * 4 + 2, 2 * 4 + edge])
     lo, hi = (min(x, 0.5), -np.inf), (max(x, 0.5), np.inf)

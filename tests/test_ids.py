@@ -86,11 +86,13 @@ def test_stored_boxes_match_box_of(monkeypatch, d, k, n):
             nonempty += 1
     assert row == s.num_boxes and nonempty == len(s.blocks)
     assert dyadic_boundary > 0 and left_out > 0
-    for orient, (rows, bounds, counts) in sums.by_orient.items():
+    assert 0 < np.count_nonzero(sums.counts == 0) < len(sums.counts)
+    for orient, (rows, bounds) in sums.by_orient.items():
         in_orient = [r for (o, _), (a, b) in s.blocks.items() if o == orient for r in range(a, b)]
-        assert rows.tolist() == sorted(in_orient, key=lambda r: sums.coords[r, 0])  # stable: block order on ties
+        assert in_orient == list(range(*sums.orient_span[orient]))
+        held = [r for r in in_orient if sums.counts[r] >= 1]  # an empty box is never indexed
+        assert rows.tolist() == sorted(held, key=lambda r: sums.coords[r, 0])  # stable: block order on ties
         assert bounds.tobytes() == np.hstack((sums.box_lo[rows], sums.box_hi[rows])).T.tobytes()
-        assert np.array_equal(counts, sums.counts[rows])
 
 
 def test_build_input_guards():
@@ -192,7 +194,8 @@ def _answer_piece(s, piece):
     piece itself as containment box (query() uses the whole query box
     instead, letting sums straddle the split), then the fold."""
     lo, hi = np.asarray(piece.lo), np.asarray(piece.hi)
-    rows, leftover = I._compress(s, *I._cover_pieces(s, [piece], lo, hi), lo, hi)
+    pool = s.sums.inside(lo, hi)
+    rows, leftover = I._compress(s, pool, *I._cover_pieces(s, [piece], pool, lo, hi))
     assert np.all(s.sums.box_lo[rows] >= lo) and np.all(s.sums.box_hi[rows] <= hi)
     return I._evaluate(s, rows, leftover)
 
@@ -425,7 +428,7 @@ def _greedy_reference(pts, lo, hi):
 
 @pytest.mark.parametrize("m", [2, 5, 63, 64, 65, 129, 200])
 @pytest.mark.parametrize("d", [2, 3])
-def test_greedy_cover_matches_dense_reference(m, d):
+def test_greedy_cover_matches_dense_reference(monkeypatch, m, d):
     rng = np.random.default_rng(1000 * d + m)
     grid = 8  # coarse lattice: repeated boxes and points give tied gains
     pts = rng.integers(0, grid, (m, d)) / grid
@@ -439,60 +442,76 @@ def test_greedy_cover_matches_dense_reference(m, d):
     if m >= 63:
         assert len(want_picks) >= 5 and ties > 0
     for chunk_cells in (I._CHUNK_CELLS, 7 * m, 1):  # one chunk, 7-row chunks, 1-row chunks
-        picks, alive = I._greedy_cover(pts, lo, hi, chunk_cells=chunk_cells)
+        monkeypatch.setattr(I, "_CHUNK_CELLS", chunk_cells)
+        picks, alive = I._greedy_cover(pts, lo, hi)
         assert picks == want_picks
         assert np.array_equal(alive, want_alive)
 
 
-def _scan_rows(sums, qlo, qhi, min_count, orient=None, spans=None, reach=None):
-    """Reference ``_SumIndex.inside``: every row tested in block order."""
+def _scan_rows(sums, qlo, qhi, min_count=1, orient=None, spans=None):
+    """Reference for every stored-sum lookup: each block's rows tested in
+    block order.  Keeps the sums of at least ``min_count`` members inside
+    [qlo, qhi]; ``orient`` keeps one orientation, and ``spans`` = (a, b) the
+    boxes with lo <= a and hi >= b in the first len(a) dims."""
     keep = []
-    for (o, _), (blk_start, blk_stop) in sums.blocks.items():
-        for r in range(blk_start, blk_stop):
-            lo, hi = sums.box_lo[r], sums.box_hi[r]
-            ok = o == (orient or o) and sums.counts[r] >= min_count and np.all(lo >= qlo) and np.all(hi <= qhi)
-            if spans is not None:
-                k = len(spans[0])
-                ok = ok and np.all(lo[:k] <= spans[0]) and np.all(hi[:k] >= spans[1])
-            if reach is not None:
-                ok = ok and np.all(hi >= reach[0]) and np.all(lo <= reach[1])
-            if ok:
-                keep.append(r)
+    for (o, _), (start, stop) in sums.blocks.items():
+        if orient is not None and o != orient:
+            continue
+        lo, hi = sums.box_lo[start:stop], sums.box_hi[start:stop]
+        ok = (sums.counts[start:stop] >= min_count) & np.all(lo >= qlo, axis=1) & np.all(hi <= qhi, axis=1)
+        if spans is not None:
+            k = len(spans[0])
+            ok &= np.all(lo[:, :k] <= spans[0], axis=1) & np.all(hi[:, :k] >= spans[1], axis=1)
+        keep.extend((start + np.flatnonzero(ok)).tolist())
     return keep
 
 
-def test_sum_index_matches_block_scan():
+def _compress_pool(monkeypatch, s, pool, leftover):
+    """The boxes ``_compress`` hands to its greedy for these leftovers."""
+    seen = []
+    real = I._greedy_cover
+    monkeypatch.setattr(I, "_greedy_cover", lambda p, bl, bh: seen.append((bl, bh)) or real(p, bl, bh))
+    I._compress(s, pool, I._NONE, leftover)
+    monkeypatch.setattr(I, "_greedy_cover", real)
+    return seen
+
+
+def test_sum_index_matches_block_scan(monkeypatch):
+    """``inside`` and every lookup filtered from its pool (a tuple's
+    candidates, the compression pool) equal the block scan's rows."""
     pts = ir.uniform_random(256, 3, seed=22)
     s = ir.build_ids(pts, 2, ir.ID_SET)
     sums = s.sums
     rng = np.random.default_rng(23)
-    found = 0
+    found = compressed = 0
     for q in _uniform_queries(rng, 3, 2, 30):
         qlo, qhi = np.asarray(q.lo), np.asarray(q.hi)
-        want = []
-        for start, stop in s.blocks.values():
-            blk = slice(start, stop)
-            ok = (sums.counts[blk] >= 2) & np.all(sums.box_lo[blk] >= qlo, axis=1) & np.all(sums.box_hi[blk] <= qhi, axis=1)
-            want.extend(start + np.nonzero(ok)[0])
-        assert sums.inside(qlo, qhi, 2).tolist() == want
-        low = np.maximum(qlo, 0.0)
-        reach = (low + 0.2 * (qhi - low), qhi - 0.3 * (qhi - low))
-        assert sums.inside(qlo, qhi, 2, reach=reach).tolist() == _scan_rows(sums, qlo, qhi, 2, reach=reach)
+        pool = sums.inside(qlo, qhi)
+        assert pool.tolist() == _scan_rows(sums, qlo, qhi)
+        assert np.all(sums.counts[pool] >= 1)
+        inner = s.grid.points_in_box(qlo, qhi)
+        if inner.size >= 2:
+            leftover = rng.choice(inner, max(2, inner.size // 2), replace=False)
+            want = _scan_rows(sums, qlo, qhi, 2)
+            (got_lo, got_hi), = _compress_pool(monkeypatch, s, pool, leftover)
+            assert np.array_equal(got_lo, sums.box_lo[want]) and np.array_equal(got_hi, sums.box_hi[want])
+            compressed += len(want)
         mid = (qlo[:2] + qhi[:2]) / 2
         for a, b in [
             (np.array([0.3, 0.5]), np.array([0.35, 0.55])),
             (mid, mid),  # boxes spanning the query's centre
         ]:
             for orient in itertools.product("RL", repeat=2):
-                rows = sums.inside(qlo, qhi, 1, orient=orient, spans=(a, b))
-                assert rows.tolist() == _scan_rows(sums, qlo, qhi, 1, orient, (a, b))
-                found += rows.size
-    assert found > 15
+                rows, mask = I._tuple_candidates(sums, pool, orient, a[None], b[None])
+                assert rows[mask[0]].tolist() == _scan_rows(sums, qlo, qhi, 1, orient, (a, b))
+                assert rows.tolist() == _scan_rows(sums, qlo, qhi, 1, orient)
+                found += mask.sum()
+    assert found > 15 and compressed > 15
 
 
 def test_sum_index_edge_layouts():
     """A hand-built index: no R rows, rows tied on x0 within and across
-    blocks, and dim-0 windows that hold no key."""
+    blocks, empty boxes, and dim-0 windows that hold no key."""
     rng = np.random.default_rng(25)
     pts = rng.integers(0, 8, (64, 2)) / 8
     blocks, chosen = {}, []
@@ -503,13 +522,14 @@ def test_sum_index_edge_layouts():
     coords = np.concatenate(chosen)
     lo, hi = coords.copy(), coords.copy()
     hi[:, 0] += 1.0 / (1 << np.repeat([1, 2, 3], 12))
+    hi[::5, 1] = -1.0  # below every point: an empty box
     lo[:, 1] = NEG_INF
     orient_rows = {("R",): np.empty(0, dtype=np.int64), ("L",): np.argsort(coords[:, 0], kind="stable")}
     sums = I._SumIndex(blocks, coords, lo, hi, orient_rows, pts, np.arange(64), ir.ID_SET)
     assert sums.by_orient[("R",)][0].size == 0
+    assert sums.orient_span == {("R",): (0, 0), ("L",): (0, 36)}
     x0 = sums.coords[:, 0]
     assert np.unique(x0).size < x0.size
-    assert sums.inside(np.array([0.1, NEG_INF]), np.array([1.0, 1.0]), 1, orient=("R",)).size == 0
     queries = [
         (np.array([0.3, NEG_INF]), np.array([1.0, 0.8])),
         (np.array([0.26, NEG_INF]), np.array([0.37, 1.0])),  # no key in [0.26, 0.37]: empty window
@@ -517,13 +537,52 @@ def test_sum_index_edge_layouts():
         (np.array([0.5, NEG_INF]), np.array([0.75, 1.0])),  # starts on a tied key value
     ]
     queries += [(np.array([a, NEG_INF]), np.array([a + w, 1.0])) for a, w in rng.random((20, 2)).tolist()]
+    anything = np.array([[np.inf]]), np.array([[-np.inf]])  # spans every box
     for qlo, qhi in queries:
-        for min_count in (0, 1, 2):
-            got = sums.inside(qlo, qhi, min_count)
-            assert got.tolist() == _scan_rows(sums, qlo, qhi, min_count)
-            assert sums.inside(qlo, qhi, min_count, orient=("L",)).tolist() == got.tolist()
-    assert sums.inside(*queries[1], 0, orient=("L",)).size == 0
-    assert sums.inside(*queries[2], 0).tolist() == list(range(len(x0)))
+        got = sums.inside(qlo, qhi)
+        assert got.tolist() == _scan_rows(sums, qlo, qhi)
+        rows, mask = I._tuple_candidates(sums, got, ("L",), *anything)
+        assert rows.tolist() == got.tolist() and mask.all()
+        assert I._tuple_candidates(sums, got, ("R",), *anything)[0].size == 0
+    assert sums.inside(*queries[1]).size == 0
+    held = np.flatnonzero(sums.counts >= 1)
+    assert held.size < len(x0) and sums.inside(*queries[2]).tolist() == held.tolist()
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2)])
+def test_one_sum_lookup_per_query(monkeypatch, d, k):
+    """A query with pieces looks stored sums up once, and a singleton-only
+    query never; no lookup returns an empty sum or one outside its box."""
+    pts = ir.uniform_random(1024, d, seed=50 + d + k)
+    s = ir.build_ids(pts, k, ir.MAX_REAL)
+    calls = []
+    real = I._SumIndex.inside
+
+    def inside(self, qlo, qhi):
+        rows = real(self, qlo, qhi)
+        assert np.all(self.counts[rows] >= 1)
+        assert np.all(self.box_lo[rows] >= qlo) and np.all(self.box_hi[rows] <= qhi)
+        calls.append(rows.size)
+        return rows
+
+    monkeypatch.setattr(I._SumIndex, "inside", inside)
+    rng = np.random.default_rng(51)
+    queries = _uniform_queries(rng, d, k, 40)
+    w = 1.0 / (1 << s.config.h)
+    queries.append(Box((3.1 * w,) * k + (NEG_INF,) * (d - k), (3.9 * w,) * k + (0.8,) * (d - k)))  # in one leaf slab
+    with_pieces = singleton_only = 0
+    for q in queries:
+        calls.clear()
+        ans = ir.query(s, q)
+        want = ir.scan_value(pts, q, ir.MAX_REAL)
+        assert (ans.value is None) if want is None else ans.value == want
+        if ir.decompose_query(s, q)[1]:
+            assert calls == []
+            singleton_only += 1
+        else:
+            assert len(calls) == 1
+            with_pieces += 1
+    assert with_pieces >= 20 and singleton_only >= 1
 
 
 # Per-query (sums_used, singletons_used) of the first 40 uniform queries;
@@ -660,11 +719,12 @@ def _greedy_case(name):
 
 
 @pytest.mark.parametrize("name", ["empty-and-single", "tied-x0", "neg-inf-x0", "no-pair", "two-per-dim", "exactly-two"])
-def test_greedy_cover_window_edges(name):
+def test_greedy_cover_window_edges(monkeypatch, name):
     pts, lo, hi = _greedy_case(name)
     want_picks, want_alive, _ = _greedy_reference(pts, lo, hi)
     for chunk_cells in (I._CHUNK_CELLS, 3, 1):
-        picks, alive = I._greedy_cover(pts, lo, hi, chunk_cells=chunk_cells)
+        monkeypatch.setattr(I, "_CHUNK_CELLS", chunk_cells)
+        picks, alive = I._greedy_cover(pts, lo, hi)
         assert picks == want_picks
         assert np.array_equal(alive, want_alive)
     per_dim = ((pts[None, :, :] >= lo[:, None, :]) & (pts[None, :, :] <= hi[:, None, :])).sum(axis=1)
@@ -680,7 +740,8 @@ def test_greedy_cover_window_edges(name):
 
 @pytest.mark.parametrize("chunk_cells", [I._CHUNK_CELLS, 5, 1])
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 130])
-def test_inside_bits_matches_dense_containment(m, chunk_cells):
+def test_inside_bits_matches_dense_containment(monkeypatch, m, chunk_cells):
+    monkeypatch.setattr(I, "_CHUNK_CELLS", chunk_cells)
     rng = np.random.default_rng(41 + m)
     grid = 6  # coarse lattice: ties, and points on box faces
     pts = rng.integers(0, grid, (m, 3)) / grid
@@ -692,13 +753,13 @@ def test_inside_bits_matches_dense_containment(m, chunk_cells):
     lo[::5, 2] = NEG_INF
     hi[::11] = np.inf
     dense = np.all((pts[None, :, :] >= lo[:, None, :]) & (pts[None, :, :] <= hi[:, None, :]), axis=2)
-    bits = I._inside_bits(pts, lo, hi, chunk_cells)
+    bits = I._inside_bits(pts, lo, hi)
     assert bits.dtype == np.uint64 and bits.shape == (60, -(-m // 64))
     unpacked = np.unpackbits(bits.view(np.uint8), axis=1, bitorder="little").astype(bool)
     assert np.array_equal(unpacked[:, :m], dense)
     assert not unpacked[:, m:].any()  # padding bits are never set
     assert np.array_equal(np.bitwise_count(bits).sum(axis=1), dense.sum(axis=1))
-    assert I._inside_bits(pts, lo[:0], hi[:0], chunk_cells).shape == (0, bits.shape[1])
+    assert I._inside_bits(pts, lo[:0], hi[:0]).shape == (0, bits.shape[1])
 
 
 def test_greedy_prefilter_keeps_boxes_with_two_per_dimension(monkeypatch):
@@ -717,7 +778,7 @@ def test_greedy_prefilter_keeps_boxes_with_two_per_dimension(monkeypatch):
     assert 0 < want.sum() and ((per_dim >= 1).all(axis=1) & ~want).sum() > 10
     seen = []
     real = I._inside_bits
-    monkeypatch.setattr(I, "_inside_bits", lambda p, bl, bh, c: seen.append((bl, bh)) or real(p, bl, bh, c))
+    monkeypatch.setattr(I, "_inside_bits", lambda p, bl, bh: seen.append((bl, bh)) or real(p, bl, bh))
     I._greedy_cover(pts, lo, hi)
     (got_lo, got_hi), = seen
     assert np.array_equal(got_lo, lo[want]) and np.array_equal(got_hi, hi[want])
@@ -728,7 +789,7 @@ def test_query_checks_audits_and_folds_cover_rows(monkeypatch):
     s = ir.build_ids(pts, 1, ir.ID_SET)
     sums = s.sums
     q = Box((0.1, NEG_INF), (0.9, 0.8))
-    rows = sums.inside(np.asarray(q.lo), np.asarray(q.hi), 1)[:5]
+    rows = sums.inside(np.asarray(q.lo), np.asarray(q.hi))[:5]
     assert rows.size == 5
     none = np.empty(0, dtype=np.int64)
     monkeypatch.setattr(I, "_cover_pieces", lambda *args: (rows[::-1], none))
@@ -905,8 +966,8 @@ def test_nan_point_coordinates_rejected():
 
 @pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2)])
 def test_batched_candidates_match_per_tuple_inside(d, k):
-    """Each tuple's rows from the per-piece lookup and mask equal the rows of
-    its own ``inside`` call, in the same order, for every tuple of pairs.
+    """Each tuple's rows from the piece's pool slice and mask equal the rows
+    of its own block scan, in the same order, for every tuple of pairs.
     Every such row's family index lies in [depth(v), depth(u) + 1] per
     two-sided dimension (v the piece's child of the split node, u the pair's
     left node), so a depth filter on the lookup would drop nothing."""
@@ -917,26 +978,31 @@ def test_batched_candidates_match_per_tuple_inside(d, k):
     family = np.empty((len(sums.counts), k), dtype=np.int64)
     for (_, index), (start, stop) in sums.blocks.items():
         family[start:stop] = index
-    tuples_seen = rows_seen = narrowed = 0  # narrowed: the tuple's own filter drops pool rows
+    tuples_seen = rows_seen = narrowed = 0  # narrowed: the tuple's own spans drop slice rows
     for q in _uniform_queries(rng, d, k, 25):
         pieces, singleton_only = I.decompose_query(s, q)
         if singleton_only:
             continue
         qlo, qhi = np.asarray(q.lo), np.asarray(q.hi)
+        pool = sums.inside(qlo, qhi)
         for piece in pieces:
             dim_spans = [I._piece_segments(s, piece, i)[2] for i in range(k)]
             if not all(len(sp) for sp in dim_spans):
                 continue
             tuples = np.asarray(list(itertools.product(*[range(len(sp)) for sp in dim_spans])))
             a, b = (np.stack([sp[tuples[:, i], end] for i, sp in enumerate(dim_spans)], axis=1) for end in (0, 1))
-            pool, mask = I._tuple_candidates(sums, piece.orientation, a, b, qlo, qhi)
+            rows, mask = I._tuple_candidates(sums, pool, piece.orientation, a, b)
+            in_piece = np.asarray(_scan_rows(sums, qlo, qhi, 1, piece.orientation), dtype=np.int64)
+            assert rows.tolist() == in_piece.tolist()
+            assert rows[mask[0]].tolist() == _scan_rows(sums, qlo, qhi, 1, piece.orientation, (a[0], b[0]))
             low = np.asarray([v.depth for v in piece.vnodes])
             for t in range(len(tuples)):
-                want = sums.inside(qlo, qhi, 1, orient=piece.orientation, spans=(a[t], b[t]))
-                assert np.array_equal(pool[mask[t]], want)
+                spanning = np.all(sums.box_lo[in_piece, :k] <= a[t], axis=1) & np.all(sums.box_hi[in_piece, :k] >= b[t], axis=1)
+                want = in_piece[spanning].tolist()  # the block scan's rows that span the tuple
+                assert rows[mask[t]].tolist() == want
                 u_depth = np.rint(-np.log2(b[t] - a[t])).astype(np.int64)
                 assert np.all(family[want] >= low) and np.all(family[want] <= np.minimum(u_depth + 1, h))
                 tuples_seen += 1
-                rows_seen += want.size
-                narrowed += want.size < pool.size
+                rows_seen += len(want)
+                narrowed += len(want) < rows.size
     assert tuples_seen > 100 and rows_seen > 0 and narrowed > 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import idemrange as ir
+from idemrange import points as P
 from idemrange.points import radical_inverse
 
 
@@ -69,6 +70,23 @@ def _brute_min_ratio(coords):
         if k >= 2:
             best = min(best, float(np.prod(hi - lo)) * n / k)
     return best
+
+
+@pytest.mark.parametrize("n,d", [(300, 2), (P._PREFIX_MAX_N + 500, 2), (300, 3), (40, 1)])
+def test_rect_counter_matches_brute_count(n, d):
+    """Closed-box counts equal a brute count, on the prefix-matrix path (small
+    2-D sets) and the ``box_sums`` path (larger 2-D sets and other d)."""
+    rng = np.random.default_rng(n + d)
+    coords = rng.random((n, d))
+    coords[: n // 4] = rng.integers(0, 9, (n // 4, d)) / 8  # ties, and points on box faces
+    faces = np.sort(rng.random((2, 300, d)), axis=0)
+    faces[:, :100] = np.sort(coords[rng.integers(0, n, (2, 100)), :], axis=0)  # faces through points
+    lo, hi = faces
+    counter = P._RectCounter(coords)
+    assert (counter.prefix is None) == (d != 2 or n > P._PREFIX_MAX_N)
+    want = [np.count_nonzero(np.all((coords >= a) & (coords <= b), axis=1)) for a, b in zip(lo, hi)]
+    got = counter.counts(lo, hi)
+    assert got.dtype == np.int64 and got.tolist() == want
 
 
 def test_checker_degenerate_pair_fails_any_eps():

@@ -3,6 +3,7 @@ import pytest
 
 import idemrange as ir
 from idemrange import Box
+from idemrange import rangetree
 from idemrange.rangetree import _level_slices, box_sums
 from idemrange.semigroup import fold_values
 
@@ -32,7 +33,7 @@ def _boxes(rng, coords, count):
 
 @pytest.mark.parametrize("name", ["max", "or", "idset"])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_box_sums_match_scan(name, d):
+def test_box_sums_match_scan(monkeypatch, name, d):
     sg = ir.semigroup_by_name(name)
     rng = np.random.default_rng(10 * d + len(name))
     for n in (1, 3, 37, 256):
@@ -42,7 +43,8 @@ def test_box_sums_match_scan(name, d):
         lo, hi = _boxes(rng, pts.coords, 40)
         # chunk of 1: one box per chunk, and every non-trivial box larger than its chunk
         for chunk in (1, 7, 1 << 16):
-            counts, values = box_sums(pts.coords, w, sg, lo, hi, chunk)
+            monkeypatch.setattr(rangetree, "_CHUNK_PAIRS", chunk)
+            counts, values = box_sums(pts.coords, w, sg, lo, hi)
             assert counts.dtype == np.int64
             # every box one by one, and all of them as one shuffled batch with repeats
             # (id-sets are listed on demand, so the batch is one gather)
