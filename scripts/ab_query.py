@@ -16,17 +16,20 @@ ordered audit boxes and ``s_plus`` are compared.  It exits 1 if any pair
 differs, before timing any.  With ``--arrays`` it also compares the stored
 sums array for array: the block map, each row's point, bounds and count,
 and every orientation's dim-0 view (its orientations, and each one's
-fields, count and arrays).  Otherwise it times every query of
-each pair on both sides, alternating which side goes first per query, over
-``--passes`` passes, and prints the change/base ratios of the p50, p95 and
-mean query time.  So a perf change can show both its speed and that its
-answers and costs are the base's.  Structures are rebuilt for the timing,
-so only one pair's are held at a time.
+fields, count and arrays).  If every pair is equal, then per pair it
+counts each side's Python function calls per query with ``cProfile`` over
+one untimed pass of every query, times every query on both sides,
+alternating which side goes first per query, over ``--passes`` passes, and
+prints the change/base ratios of the calls per query and of the p50, p95
+and mean query time.  So a perf change can show both its speed and that
+its answers and costs are the base's.  Structures are rebuilt for the
+timing, so only one pair's are held at a time.
 """
 
 from __future__ import annotations
 
 import argparse
+import cProfile
 import importlib
 import subprocess
 import sys
@@ -108,6 +111,20 @@ def array_differences(sides) -> list[str]:
     return [f"stored {n} differ" for n in names + ([] if same_views else ["by_orient"])]
 
 
+def calls_per_query(side) -> float:
+    """Python function calls ``cProfile`` counts per ``query`` over one pass
+    of the side's queries.  The profiler's raw entries are summed, one per
+    function: ``pstats`` would keep one of the functions that share a
+    (file, line, name) label, as every namedtuple ``__new__`` does."""
+    pkg, struct, qs = side
+    prof = cProfile.Profile()
+    prof.enable()
+    for q in qs:
+        pkg.query(struct, q)
+    prof.disable()
+    return sum(e.callcount for e in prof.getstats()) / len(qs)
+
+
 def timed(sides, passes: int) -> np.ndarray:
     """Per-query seconds, shape (2, passes * queries): base row, change row."""
     nq = len(sides[0][2])
@@ -152,8 +169,10 @@ def main(argv=None) -> int:
                 return 1
             for workload, seed in cases:
                 pair = build_pair(base, workload, seed, args)
-                t_base, t_change = timed(pair, args.passes)
                 print(f"\n{workload} seed {seed}: {len(pair[0][2])} queries x {args.passes} passes")
+                b, c = (calls_per_query(side) for side in pair)
+                print(f"calls per query  base {b:.1f}  change {c:.1f}  ratio {c / b:.3f}")
+                t_base, t_change = timed(pair, args.passes)
                 for name, stat in (("p50", np.median), ("p95", lambda a: np.percentile(a, 95)), ("mean", np.mean)):
                     b, c = stat(t_base) * 1e3, stat(t_change) * 1e3
                     print(f"{name:5s} base {b:8.3f} ms  change {c:8.3f} ms  ratio {c / b:.3f}")

@@ -1,8 +1,11 @@
 """Command-line front end: gen, bench, lbprobe.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  All commands
-are deterministic under a fixed --seed; per-query randomness derives from
-(seed, query_id) so rows are order-independent.
+Exit codes: 0 success, 1 verification failure, 2 usage error.  An argument
+outside the package's supported range (a point count, dimension or k that
+the point generators or ``build_ids`` refuse, or a negative query or sample
+count) is a usage error, reported with the package's own message before any
+output row.  All commands are deterministic under a fixed --seed; per-query
+randomness derives from (seed, query_id) so rows are order-independent.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -66,11 +70,12 @@ LBPROBE_COLUMNS = [
 LBPROBE_DETAIL_LIMIT = 1000
 
 
-def _gen(args) -> int:
-    if args.kind == "hammersley":
-        ps = hammersley_wd(args.n, args.d)
-    else:
-        ps = uniform_random(args.n, args.d, args.seed)
+def _gen(args, parser) -> int:
+    with _usage_errors(parser):
+        if args.kind == "hammersley":
+            ps = hammersley_wd(args.n, args.d)
+        else:
+            ps = uniform_random(args.n, args.d, args.seed)
     if args.out:
         save_point_set(ps, args.out)
     else:
@@ -78,6 +83,16 @@ def _gen(args) -> int:
         for row, pid in zip(ps.coords, ps.ids):
             sys.stdout.write(" ".join(repr(float(c)) for c in row) + f" {int(pid)}\n")
     return 0
+
+
+@contextmanager
+def _usage_errors(parser):
+    """Turn the package's refusal of an argument (a ``ValueError``) into a
+    usage error: the message, then exit 2."""
+    try:
+        yield
+    except ValueError as e:
+        parser.error(str(e))
 
 
 def _uniform_query(rng: np.random.Generator, d: int, k: int) -> Box:
@@ -95,18 +110,21 @@ def _uniform_query(rng: np.random.Generator, d: int, k: int) -> Box:
 def _bench(args, parser) -> int:
     if args.k >= args.d:
         parser.error("--k must be smaller than --d")
+    if args.queries < 0:
+        parser.error("--queries must be >= 0")
     if args.dist == "hard" and args.d < 2:
         parser.error("--dist hard needs --d >= 2")
     if args.dist == "hard" and args.k != args.d - 1:
         parser.error("--dist hard needs --k = d-1 (two-sided in the first d-1 dims)")
     sg = semigroup_by_name(args.semigroup)
-    if args.points == "hammersley":
-        points = hammersley_wd(args.n, args.d)
-    else:
-        points = uniform_random(args.n, args.d, args.seed)
-    # one draw for every semigroup: each casts it (sg.weights), id-sets ignore it
-    weights = np.random.default_rng((args.seed, 1)).integers(0, 2**63, args.n, dtype=np.uint64)
-    struct = build_ids(points, args.k, sg, weights=weights)
+    with _usage_errors(parser):
+        if args.points == "hammersley":
+            points = hammersley_wd(args.n, args.d)
+        else:
+            points = uniform_random(args.n, args.d, args.seed)
+        # one draw for every semigroup: each casts it (sg.weights), id-sets ignore it
+        weights = np.random.default_rng((args.seed, 1)).integers(0, 2**63, args.n, dtype=np.uint64)
+        struct = build_ids(points, args.k, sg, weights=weights)
     writer = csv.writer(sys.stdout)
     writer.writerow(BENCH_COLUMNS)
     costs = []
@@ -133,8 +151,11 @@ def _bench(args, parser) -> int:
 def _lbprobe(args, parser) -> int:
     if args.d < 2:
         parser.error("--d must be >= 2")
-    points = hammersley_wd(args.n, args.d)
-    struct = build_ids(points, args.d - 1, ID_SET)
+    if args.samples < 0:
+        parser.error("--samples must be >= 0")
+    with _usage_errors(parser):
+        points = hammersley_wd(args.n, args.d)
+        struct = build_ids(points, args.d - 1, ID_SET)
     trees = struct.trees
     h = struct.config.h
     jmax = max(1, h // 2)
@@ -236,7 +257,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "gen":
-        return _gen(args)
+        return _gen(args, parser)
     if args.command == "bench":
         return _bench(args, parser)
     return _lbprobe(args, parser)

@@ -7,6 +7,13 @@ tile [z1, a(v)].  The u_i here are the nodes hanging left of the root-to-v
 path and each w_i is the path node at the same depth, which keeps the pairs
 to at most one per depth (well under the 2-per-depth budget the downstream
 candidate-selection argument needs).
+
+In leaf ranks: the path node at depth D is the leaf rank shifted right by
+h - D, and it is a right child iff its low bit is 1.  So a prefix cover's
+pairs sit at the 1 bits of the leaf rank below the root's depth, and a
+suffix cover's (u_i the right neighbor of w_i) at its 0 bits.  A leaf x
+then lies in the u-interval of the pair at the depth of the highest bit in
+which x's rank and the cover's leaf rank differ.
 """
 
 from __future__ import annotations

@@ -21,6 +21,15 @@ labels only the points on its side, and one sort of (point, piece)
 entries by (piece, label tuple).  A point on a split midpoint lies on both
 closed sides and so joins every piece that holds it.
 
+The geometry is leaf-rank arithmetic on trees of G = 2^h leaves over [0,
+1].  The split is found in closed form from the clipped bounds' leaf
+ranks (``decompose_query``).  A point's label is the depth of the cover
+pair that holds it: with its leaf rank and the corner's clamped into the
+piece root's leaves, h + 1 - bit_length(rank XOR corner), or -1 (the leaf
+tail) where the two are equal (``_side_labels``).  The same formula
+serves R and L sides; the pairs of ``balanced_prefix_cover`` and
+``suffix_cover`` only give each depth's u-interval.
+
 All stored sums live in one flat index, ``_SumIndex``, which also keeps
 each orientation's non-empty rows sorted by dim 0 with their bounds
 dimension-major.  Its one primitive, ``inside(qlo, qhi)``, finds the
@@ -291,78 +300,68 @@ def decompose_query(struct: IdsStructure, q: Box):
 
     Returns (pieces, singleton_only).  When some two-sided interval contains
     no node midpoint the whole query falls back to singleton enumeration.
-    The split is searched on the bounds clipped to the trees' [0, 1]; the
-    pieces keep the raw bounds, so points outside the unit cube stay in.
+    The split is found in closed form on the bounds clipped to the trees'
+    [0, 1], in leaf-rank units (G = 2^h leaves): the midpoints inside are
+    j/G for j0 <= j <= j1, and the highest of them is the one with the most
+    trailing zero bits, where (j0 - 1) and j1 first differ.  The pieces keep
+    the raw bounds, so points outside the unit cube stay in.
     """
     _validate_query(struct, q)
     cfg = struct.config
-    lo_eff = [max(l, 0.0) for l in q.lo[: cfg.k]]
-    hi_eff = [min(h, 1.0) for h in q.hi]
-    if any(lo_eff[i] > hi_eff[i] for i in range(cfg.k)) or any(h < 0.0 for h in hi_eff):
-        return [], True  # no midpoint inside: the singleton path answers
-    splits: list[tuple[Node, float]] = []
-    for i in range(cfg.k):
-        tree = struct.trees[i]
-        node = Node(0, 0)
-        found = None
-        while not tree.is_leaf(node):
-            mid = tree.m(node)
-            if lo_eff[i] <= mid <= hi_eff[i]:
-                found = node
-                break
-            node = tree.left_child(node) if hi_eff[i] < mid else tree.right_child(node)
-        if found is None:
-            return [], True
-        splits.append((found, tree.m(found)))
+    if any(h < 0.0 for h in q.hi[cfg.k :]):
+        return [], True  # no point of the trees' cube is inside: the singleton path answers
+    G = 1 << cfg.h
+    splits = []  # per dimension: (midpoint, its node's left child, its right child)
+    for lo, hi in zip(q.lo[: cfg.k], q.hi[: cfg.k]):
+        j0 = max(math.ceil(min(max(lo, 0.0), 1.0) * G), 1)
+        j1 = min(math.floor(min(max(hi, 0.0), 1.0) * G), G - 1)
+        if j0 > j1:
+            return [], True  # no midpoint inside
+        b = ((j0 - 1) ^ j1).bit_length() - 1
+        r = j1 >> b
+        splits.append(((r << b) / G, Node(cfg.h - b, r - 1), Node(cfg.h - b, r)))
     pieces = []
     for orient in itertools.product((_L, _R), repeat=cfg.k):
         plo, phi, vnodes = list(q.lo), list(q.hi), []
         for i, side in enumerate(orient):
-            vp, mid = splits[i]
+            mid, left, right = splits[i]
             if side == _L:
                 phi[i] = mid
-                vnodes.append(struct.trees[i].left_child(vp))
+                vnodes.append(left)
             else:
                 plo[i] = mid
-                vnodes.append(struct.trees[i].right_child(vp))
+                vnodes.append(right)
         pieces.append(AnchoredPiece(orientation=orient, lo=tuple(plo), hi=tuple(phi), vnodes=tuple(vnodes)))
     return pieces, False
 
 
-def _leaf_under(tree: DyadicTree, corner: float, root: Node) -> Node:
-    """The leaf holding ``corner``, clamped into ``root``'s subtree.
+def _side_labels(struct: IdsStructure, piece: AnchoredPiece, i: int, x: np.ndarray):
+    """Cover labels of the coordinates ``x`` on the piece's i-th side, and
+    the u-interval of each label.
 
-    A corner beyond the tree, or an L corner on the split midpoint (whose
-    half-open slab lies right of it), lands in the subtree's edge leaf, so
-    points past it are leaf-tail singletons.
+    Returns (labels, spans).  The label of a point is the depth of the cover
+    pair whose u-interval holds it, or -1 in the leaf tail (the corner's
+    leaf); row D of ``spans`` is the u-interval [a(u), b(u)] of the pair at
+    depth D (NaN at a depth with no pair).  In leaf ranks, with the corner's
+    and each point's clamped into the root's leaves [first, last], a point
+    and the corner first part at the depth of the highest bit of their XOR,
+    and the pair there holds the point: a prefix cover has a pair at each
+    1 bit of the corner's rank below the root, a suffix cover at each 0 bit.
+    So one formula labels both sides, and the pairs only give the spans.
     """
-    rank = tree.locate_leaf(min(max(corner, 0.0), 1.0)).rank
-    shift = tree.height - root.depth
-    return Node(tree.height, min(max(rank, root.rank << shift), ((root.rank + 1) << shift) - 1))
-
-
-def _piece_segments(struct: IdsStructure, piece: AnchoredPiece, i: int):
-    """Ascending interval tiling of the piece's i-th side.
-
-    Returns (seg_lo, labels, spans): cover segments labelled by their pair
-    index, the leaf tail labelled -1, labels aligned with seg_lo bins; and
-    each pair's u-interval as a row [a(u), b(u)].
-    """
-    tree = struct.trees[i]
+    h = struct.config.h
+    G = 1 << h
     root = piece.vnodes[i]
     right = piece.orientation[i] == _R
-    corner = piece.hi[i] if right else piece.lo[i]
-    leaf = _leaf_under(tree, corner, root)
-    pairs = (balanced_prefix_cover if right else suffix_cover)(tree, leaf, root=root)
-    spans = [tree.interval(p.u) for p in pairs]
-    if right:
-        seg_lo = [a for a, _ in spans] + [tree.a(leaf)]
-        labels = [*range(len(pairs)), -1]
-    else:
-        # ascending order: tail first, then covers from deepest up
-        seg_lo = [corner] + [a for a, _ in reversed(spans)]
-        labels = [-1, *range(len(pairs) - 1, -1, -1)]
-    return np.asarray(seg_lo), np.asarray(labels), np.asarray(spans).reshape(-1, 2)
+    first = root.rank << (h - root.depth)
+    last = first + (1 << (h - root.depth)) - 1
+    corner = int(min(max((piece.hi[i] if right else piece.lo[i]) * G, first), last))
+    pairs = (balanced_prefix_cover if right else suffix_cover)(struct.trees[i], Node(h, corner), root=root)
+    spans = np.full((h + 1, 2), np.nan)
+    for u, _ in pairs:
+        spans[u.depth] = u.rank / (1 << u.depth), (u.rank + 1) / (1 << u.depth)
+    xor = np.minimum(np.maximum(x * G, first), last).astype(np.int64) ^ corner
+    return np.where(xor, h + 1 - np.frexp(xor)[1], -1), spans
 
 
 def _tuple_candidates(sums: _SumIndex, pool: np.ndarray, orient, a: np.ndarray, b: np.ndarray):
@@ -403,10 +402,11 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], pool, qlo: 
 
     One grid gather takes the box's points.  Each (dimension, side) cover is
     built once, if some point lies on that side, and labels only the points
-    on its side; a point on a split midpoint lies on both sides, so it joins
-    every piece whose closed side holds it.  Each (point, piece) entry is
-    keyed by (piece, label tuple), raveled so that tuples, and with them
-    used sums, run in piece order (that of ``decompose_query``), then tuple
+    on its side (``_side_labels``); a point on a split midpoint lies on both
+    sides, so it joins every piece whose closed side holds it.  Each (point,
+    piece) entry is keyed by (piece, depth label tuple), raveled so that
+    tuples, and with them used sums, run in piece order (that of
+    ``decompose_query``), then tuple order: depth order is the covers' pair
     order.  Each piece's slice of the pool gives every tuple's candidates
     (``_tuple_candidates``); the targets of tuples with none go to the
     leftovers at once, and only the rest meet ``dominance_cover``.
@@ -419,11 +419,11 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], pool, qlo: 
     for piece in pieces:
         for i, side in enumerate(piece.orientation):
             side_piece.setdefault((i, side), piece)
-    spans = {}  # (dim, side) -> u-intervals of the side's cover pairs, for the sides holding points
+    spans = {}  # (dim, side) -> u-intervals by depth of the side's cover pairs, for the sides holding points
     tcoords = struct.points.coords[target_idx]
     ent = np.arange(target_idx.size)  # entry -> target position
     piece_code = np.zeros(target_idx.size, dtype=np.int64)  # bit i: the entry's side in dim i
-    labels: list = []  # per dimension, the entries' pair labels
+    labels: list = []  # per dimension, the entries' depth labels
     for i in range(k):
         x = tcoords[ent, i]
         parts = []
@@ -433,9 +433,8 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], pool, qlo: 
                 continue
             on = np.flatnonzero(x <= piece.hi[i] if side == _L else x >= piece.lo[i])  # closed at the split
             if on.size:
-                seg_lo, labs, spans[i, side] = _piece_segments(struct, piece, i)
-                pos = np.clip(np.searchsorted(seg_lo, x[on], side="right") - 1, 0, len(labs) - 1)
-                parts.append((on, 2 * piece_code[on] + s, labs[pos]))
+                lab, spans[i, side] = _side_labels(struct, piece, i, x[on])
+                parts.append((on, 2 * piece_code[on] + s, lab))
         on, piece_code, lab = (np.concatenate(c) for c in zip(*parts))  # each side keeps its entries' order
         ent = ent[on]
         labels = [c[on] for c in labels] + [lab]
@@ -445,10 +444,7 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], pool, qlo: 
         return _NONE, leftover[0]
     ent = ent[~singles]
     grouped = target_idx[ent]
-    width = [1] * k
-    for (i, _), sp in spans.items():
-        width[i] = max(width[i], len(sp))
-    dims = (1 << k, *width)
+    dims = (1 << k, *[struct.config.h + 1] * k)
     keys = np.ravel_multi_index((piece_code[~singles], *(c[~singles] for c in labels)), dims)
     order = np.argsort(keys, kind="stable")  # by tuple, each tuple's rows in index order
     starts = np.concatenate(([0], np.flatnonzero(np.diff(keys[order])) + 1))

@@ -135,17 +135,17 @@ def uniform_random(n: int, d: int, seed: int) -> WeightedPointSet:
     """Uniform iid points; per-dimension collisions resampled; deterministic."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if d < 1:
+        raise ValueError("d must be >= 1")
     rng = np.random.default_rng(seed)
     coords = rng.random((n, d))
     for j in range(d):
         while True:
-            _, counts = np.unique(coords[:, j], return_counts=True)
-            if counts.max() <= 1:
-                break
-            # resample just the colliders
-            vals, inverse, counts = np.unique(coords[:, j], return_inverse=True, return_counts=True)
+            _, inverse, counts = np.unique(coords[:, j], return_inverse=True, return_counts=True)
             dup = counts[inverse] > 1
-            coords[dup, j] = rng.random(int(dup.sum()))
+            if not dup.any():
+                break
+            coords[dup, j] = rng.random(int(dup.sum()))  # resample just the colliders
     return WeightedPointSet(coords, np.arange(n, dtype=np.int64), np.ones(n))
 
 

@@ -1,6 +1,10 @@
 import argparse
+import importlib
 import importlib.util
+import re
+import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -38,12 +42,34 @@ def _extra_singleton_when(monkeypatch, pred):
     monkeypatch.setattr(idemrange, "query", query)
 
 
+def _import_working_tree(rev, tmp):
+    """A stand-in for ``ab_query.import_base``: the working tree's package,
+    copied and imported as ``idemrange_base`` whatever ``rev`` is, so a run
+    compares the working tree with itself, committed or not."""
+    shutil.copytree(_ROOT / "src" / "idemrange", tmp / ab_query.BASE_PACKAGE, ignore=shutil.ignore_patterns("__pycache__"))
+    sys.path.insert(0, str(tmp))
+    for name in [m for m in sys.modules if m.partition(".")[0] == ab_query.BASE_PACKAGE]:
+        del sys.modules[name]
+    return importlib.import_module(ab_query.BASE_PACKAGE)
+
+
 @pytest.mark.parametrize("workload", ["uniform-3d-k2", "clustered-idset"])
 def test_tiny_run_against_head(workload, capsys):
     assert ab_query.main([*TINY, "--workload", workload, "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert EQUAL in out
     assert "ratio" in out
+
+
+def test_calls_per_query_line(monkeypatch, capsys):
+    """Each pair's timing block starts with both sides' Python calls per
+    query; the same package on both sides makes the same calls."""
+    monkeypatch.setattr(ab_query, "import_base", _import_working_tree)
+    assert ab_query.main([*TINY, "--workload", "uniform-3d-k2", "uniform-2d", "--seed", "3"]) == 0
+    lines = re.findall(r"^calls per query  base (\S+)  change (\S+)  ratio (\S+)$", capsys.readouterr().out, re.M)
+    assert len(lines) == 2
+    for base, change, ratio in lines:
+        assert float(base) > 100 and float(change) == float(base) and ratio == "1.000"
 
 
 def test_several_workloads_and_seeds_checked_before_timing(capsys):
@@ -53,7 +79,7 @@ def test_several_workloads_and_seeds_checked_before_timing(capsys):
     assert [line.split(",")[0] for line in checked] == [
         "uniform-2d seed 3", "uniform-2d seed 4", "uniform-3d-k2 seed 3", "uniform-3d-k2 seed 4"
     ]
-    assert out.count("ratio") == 4 * 3  # p50, p95 and mean per pair
+    assert out.count("ratio") == 4 * 4  # calls per query, p50, p95 and mean per pair
     assert out.rindex(EQUAL) < out.index("ratio")
 
 
@@ -73,6 +99,7 @@ def test_one_differing_pair_fails_the_run_untimed(monkeypatch, capsys):
 
 
 def test_arrays_compares_the_stored_sums(monkeypatch, capsys):
+    monkeypatch.setattr(ab_query, "import_base", _import_working_tree)
     assert ab_query.main([*TINY, "--workload", "uniform-3d-k2", "--seed", "3", "--arrays"]) == 0
     assert "stored arrays, answers, costs, audits and s_plus equal" in capsys.readouterr().out
     real = idemrange.build_ids

@@ -100,7 +100,7 @@ def test_bench_hard_dist(capsys):
     assert all(r["verified"] == "true" for r in rows[:-1])
 
 
-def test_bench_usage_errors():
+def test_bench_usage_errors(capsys):
     base = [sys.executable, "-m", "idemrange.cli", "bench", "--n", "32", "--queries", "2"]
     assert subprocess.run(base + ["--d", "2", "--k", "2"], capture_output=True).returncode == 2
     assert (
@@ -111,6 +111,25 @@ def test_bench_usage_errors():
         subprocess.run(base + ["--d", "3", "--k", "1", "--dist", "hard"], capture_output=True).returncode
         == 2
     )
+    # arguments the package refuses: its own message, exit 2, and no CSV row
+    bench = ["bench", "--n", "32", "--d", "2", "--k", "1", "--queries", "2"]
+    for argv, message in [
+        ([*bench, "--n", "2"], "need at least 4 points"),
+        ([*bench, "--k", "0"], "need 1 <= k <= d-1"),
+        ([*bench, "--d", "7"], "d + k must be <= 6"),
+        ([*bench, "--d", "7", "--points", "hammersley"], "d=7 outside supported range"),
+        ([*bench, "--queries", "-1"], "--queries must be >= 0"),
+        (["gen", "--kind", "uniform", "--n", "0", "--d", "2"], "n must be >= 1"),
+        (["gen", "--kind", "uniform", "--n", "5", "--d", "0"], "d must be >= 1"),
+        (["lbprobe", "--n", "3", "--d", "2", "--samples", "5"], "need at least 4 points"),
+        (["lbprobe", "--n", "64", "--d", "2", "--samples", "-1"], "--samples must be >= 0"),
+    ]:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exit_info.value.code == 2 and message in err and out == "", argv
+    code, out = _run(bench, capsys)  # in range: every answer verified
+    assert code == 0 and out.splitlines()[-1].split(",")[9] == "true"
 
 
 def test_lbprobe_rows_and_columns(capsys):

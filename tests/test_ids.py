@@ -986,7 +986,9 @@ def test_batched_candidates_match_per_tuple_inside(d, k):
         qlo, qhi = np.asarray(q.lo), np.asarray(q.hi)
         pool = sums.inside(qlo, qhi)
         for piece in pieces:
-            dim_spans = [I._piece_segments(s, piece, i)[2] for i in range(k)]
+            # each dimension's u-intervals, by depth, at the depths that have a pair
+            dim_spans = [I._side_labels(s, piece, i, np.empty(0))[1] for i in range(k)]
+            dim_spans = [sp[~np.isnan(sp[:, 0])] for sp in dim_spans]
             if not all(len(sp) for sp in dim_spans):
                 continue
             tuples = np.asarray(list(itertools.product(*[range(len(sp)) for sp in dim_spans])))
@@ -1006,3 +1008,127 @@ def test_batched_candidates_match_per_tuple_inside(d, k):
                 rows_seen += len(want)
                 narrowed += len(want) < rows.size
     assert tuples_seen > 100 and rows_seen > 0 and narrowed > 0
+
+
+def _walk_split(tree, lo, hi):
+    """The highest node whose midpoint lies in [lo, hi] clipped to [0, 1],
+    by a walk from the root; None when no internal node's does."""
+    lo, hi = max(lo, 0.0), min(hi, 1.0)
+    node = Node(0, 0)
+    while not tree.is_leaf(node):
+        mid = tree.m(node)
+        if lo <= mid <= hi:
+            return node
+        node = tree.left_child(node) if hi < mid else tree.right_child(node)
+    return None
+
+
+def _reference_labels(tree, root, corner, right, x):
+    """Per coordinate, the depth of the cover pair whose half-open u-slab
+    holds it, or -1 in the corner's leaf; a coordinate is first clamped
+    into the root's slab (closed at b(root) as the last slab is).  The
+    corner's leaf is the tree's leaf holding it, or, for a corner beyond the
+    root, the root's edge leaf on its side, walked down node by node."""
+    a_root, b_root = tree.interval(root)
+    leaf = tree.locate_leaf(min(max(corner, 0.0), 1.0))
+    if not tree.is_ancestor(root, leaf):
+        outside_left = tree.a(leaf) < a_root
+        leaf = root
+        while not tree.is_leaf(leaf):
+            leaf = tree.left_child(leaf) if outside_left else tree.right_child(leaf)
+    pairs = (ir.balanced_prefix_cover if right else ir.suffix_cover)(tree, leaf, root=root)
+    y = np.minimum(np.maximum(x, a_root), np.nextafter(b_root, -np.inf))
+    slabs = np.asarray([tree.interval(p.u) for p in pairs]).reshape(-1, 2)
+    holds = (slabs[:, :1] <= y) & (y < slabs[:, 1:])
+    assert np.all(holds.sum(axis=0) <= 1)
+    depths = np.asarray([p.u.depth for p in pairs], dtype=np.int64)
+    labels = np.where(holds.any(axis=0), depths[holds.argmax(axis=0)] if len(pairs) else -1, -1)
+    tail = labels == -1
+    assert np.all((tree.a(leaf) <= y[tail]) & (y[tail] < tree.b(leaf)))  # only the corner's leaf is left
+    return labels, pairs
+
+
+def _closed_form_queries(rng, d, k, g):
+    """Queries whose two-sided bounds are random, dyadic (leaf boundaries
+    and node midpoints), beyond [0, 1] or infinite, and whose L corner
+    sometimes sits on the split midpoint."""
+    out = []
+    for t in range(240):
+        lo, hi = [], []
+        for _ in range(k):
+            kind = t % 6
+            if kind == 0:
+                a, b = sorted(rng.random(2).tolist())
+            elif kind == 1:  # leaf boundaries
+                a, b = sorted((rng.integers(0, g + 1, 2) / g).tolist())
+            elif kind == 2:  # corners beyond the cube
+                a = float(rng.choice([-0.3, -1e300, rng.random()]))
+                b = float(rng.choice([1.2, np.inf, 1e300, rng.random() + 1e-9]))
+            elif kind == 3:  # the L corner on a node midpoint (so on the split)
+                j = int(rng.integers(1, 6))
+                a = (2 * int(rng.integers(0, 1 << (j - 1))) + 1) / (1 << j)
+                b = min(1.0, a + float(rng.choice([0.0, rng.random() / (1 << j)])))
+            elif kind == 4:  # the R corner on a node midpoint
+                j = int(rng.integers(1, 6))
+                b = (2 * int(rng.integers(0, 1 << (j - 1))) + 1) / (1 << j)
+                a = max(-0.1, b - float(rng.choice([0.0, rng.random() / (1 << j)])))
+            else:  # inside one leaf, or tight around one boundary
+                c = int(rng.integers(1, g)) / g
+                a, b = c - float(rng.random()) / g, c + float(rng.choice([0.0, rng.random() / g]))
+            lo.append(min(a, b))
+            hi.append(max(a, b))
+        lo += [NEG_INF] * (d - k)
+        hi += rng.choice([0.5, 1.0, np.inf, -0.1], d - k, p=[0.3, 0.3, 0.3, 0.1]).tolist()  # -0.1: no split
+        out.append(Box(tuple(lo), tuple(hi)))
+    return out
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2)])
+def test_closed_form_matches_per_node_reference(d, k):
+    """``decompose_query``'s split equals a midpoint walk down the tree, and
+    ``_side_labels`` gives each coordinate on a piece's side the depth of
+    the cover pair whose u-slab holds it, or -1 in the corner's leaf, with
+    that pair's ``tree.interval`` at its depth in the spans."""
+    rng = np.random.default_rng(100 + 10 * d + k)
+    s = ir.build_ids(ir.uniform_random(256, d, seed=7), k, ir.ID_SET)
+    h, trees = s.config.h, s.trees
+    g = 1 << h
+    bounds = np.arange(-1, g + 2) / g
+    xs = np.concatenate((
+        bounds, np.nextafter(bounds, -np.inf), np.nextafter(bounds, np.inf), (np.arange(g) + 0.5) / g,
+        rng.uniform(-0.5, 1.5, 200), [-np.inf, -1e300, -1e19, 1e19, 1e300, np.inf],
+    ))
+    seen = dict.fromkeys(("labels", "tail", "on_split", "off_cube", "l_corner_on_split", "split"), 0)
+    for q in _closed_form_queries(rng, d, k, g):
+        pieces, singleton_only = I.decompose_query(s, q)
+        nodes = [_walk_split(trees[i], q.lo[i], q.hi[i]) for i in range(k)]
+        assert singleton_only == (None in nodes or any(v < 0.0 for v in q.hi[k:]))
+        if singleton_only:
+            assert pieces == []
+            continue
+        seen["split"] += 1
+        assert [p.orientation for p in pieces] == list(itertools.product("LR", repeat=k))
+        for piece in pieces:
+            for i, (side, node) in enumerate(zip(piece.orientation, nodes)):
+                tree, mid = trees[i], trees[i].m(node)
+                if side == "L":
+                    assert (piece.lo[i], piece.hi[i], piece.vnodes[i]) == (q.lo[i], mid, tree.left_child(node))
+                else:
+                    assert (piece.lo[i], piece.hi[i], piece.vnodes[i]) == (mid, q.hi[i], tree.right_child(node))
+                x = np.concatenate((xs, [mid, piece.lo[i], piece.hi[i]]))
+                x = x[(x >= piece.lo[i]) & (x <= piece.hi[i])]
+                corner = piece.hi[i] if side == "R" else piece.lo[i]
+                want, pairs = _reference_labels(tree, piece.vnodes[i], corner, side == "R", x)
+                got, spans = I._side_labels(s, piece, i, x)
+                assert got.tolist() == want.tolist()
+                depths = [p.u.depth for p in pairs]
+                assert spans.shape == (h + 1, 2)
+                assert [tuple(spans[dp]) for dp in depths] == [tree.interval(p.u) for p in pairs]
+                assert np.isnan(np.delete(spans, depths, axis=0)).all()
+                seen["labels"] += x.size
+                seen["tail"] += int(np.sum(got == -1))
+                seen["on_split"] += int(np.sum(x == mid))
+                seen["off_cube"] += int(np.sum((x < 0) | (x > 1)))
+                seen["l_corner_on_split"] += side == "L" and piece.lo[i] == mid
+    assert all(seen.values()), seen
+    assert seen["labels"] > 50_000

@@ -52,6 +52,27 @@ def test_uniform_random_deterministic_and_seed_sensitive():
     assert not np.array_equal(big.coords, other.coords)
 
 
+def test_uniform_random_resamples_collisions(monkeypatch):
+    """Draws on a 1/32 grid collide often: every column still ends with
+    distinct values, the same ones for the same seed."""
+    real = np.random.default_rng
+
+    class Coarse:
+        def __init__(self, seed):
+            self.g = real(seed)
+
+        def random(self, size=None):
+            return np.floor(self.g.random(size) * 32) / 32
+
+    monkeypatch.setattr(P.np.random, "default_rng", Coarse)
+    for seed in range(8):
+        first = Coarse(seed).random((20, 3))
+        got = ir.uniform_random(20, 3, seed).coords
+        assert all(np.unique(first[:, j]).size < 20 for j in range(3))  # the first draw collides
+        assert all(np.unique(got[:, j]).size == 20 for j in range(3))
+        assert np.array_equal(got, ir.uniform_random(20, 3, seed).coords)
+
+
 # -- well-distribution checker ------------------------------------------------
 
 
