@@ -21,51 +21,70 @@ from .semigroup import Semigroup, fold_values, singleton_value
 __all__ = ["maxima", "DominanceStructure", "build_dominance", "dominance_query", "dominance_cover"]
 
 
-def maxima(coords: np.ndarray) -> np.ndarray:
-    """Indices of points not strictly dominated by another point of the set;
-    of several equal points, only the first."""
-    coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
-    m, dd = coords.shape
-    if m == 0:
-        return np.empty(0, dtype=np.int64)
-    if dd == 1:
-        top = coords[:, 0].max()
-        return np.nonzero(coords[:, 0] == top)[0][:1]
-    if dd == 2:
-        order = np.lexsort((-coords[:, 1], -coords[:, 0]))  # x desc, then y desc
-        ys = coords[order, 1]
-        prev_max = np.concatenate(([-np.inf], np.maximum.accumulate(ys)[:-1]))
-        return np.sort(order[ys > prev_max]).astype(np.int64)
-    # generic quadratic check: a point dominated strictly, or equal to an earlier one, is dropped
+def _generic_maxima(coords: np.ndarray) -> list[int]:
+    """Quadratic check: a point dominated strictly, or equal to an earlier
+    one, is dropped."""
     out = []
-    earlier = np.zeros(m, dtype=bool)
-    for i in range(m):
+    earlier = np.zeros(len(coords), dtype=bool)
+    for i in range(len(coords)):
         ge = np.all(coords >= coords[i], axis=1)
         gt = np.any(coords > coords[i], axis=1)
         if not np.any(ge & (gt | earlier)):
             out.append(i)
         earlier[i] = True
-    return np.asarray(out, dtype=np.int64)
+    return out
 
 
-def dominance_cover(cand: np.ndarray, targets: np.ndarray):
-    """Shared cover step: maxima of ``cand``, coverage of ``targets``.
+def maxima(coords: np.ndarray, groups=None) -> np.ndarray:
+    """Indices, ascending, of the points not strictly dominated by another
+    point of their group; of several equal points of a group, only the
+    first.  ``groups`` holds each point's integer group (default: one group).
+    """
+    coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
+    m, dd = coords.shape
+    if m == 0:
+        return np.empty(0, dtype=np.int64)
+    groups = np.zeros(m, dtype=np.int64) if groups is None else np.asarray(groups)
+    if dd == 1:
+        order = np.lexsort((-coords[:, 0], groups))  # by group, then x desc; ties in index order
+        gs = groups[order]
+        return np.sort(order[np.diff(gs, prepend=gs[0] - 1) != 0])  # the first top of each group
+    if dd == 2:
+        order = np.lexsort((-coords[:, 1], -coords[:, 0], groups))  # by group, x desc, then y desc
+        gs, ys = groups[order], coords[order, 1]
+        # y ranks (ties share one) offset by a group number: each group's offset ranks
+        # exceed every earlier group's, so one running max restarts at each group
+        ranks = np.sort(ys).searchsorted(ys) + m * np.cumsum(np.diff(gs, prepend=gs[0]) != 0)
+        prev_max = np.concatenate(([-1], np.maximum.accumulate(ranks)[:-1]))
+        return np.sort(order[ranks > prev_max])
+    members = [(groups == g).nonzero()[0] for g in np.unique(groups)]
+    return np.sort(np.concatenate([idx[_generic_maxima(coords[idx])] for idx in members]))
 
-    Returns (maxima indices into cand, per-target covered flags,
-    per-maximum used flags).  A target is covered when some maximum
-    dominates it (closed comparisons); a maximum is used when it covers at
-    least one target.
+
+def dominance_cover(cand: np.ndarray, targets: np.ndarray, cand_groups=None, target_groups=None):
+    """Shared cover step: maxima of ``cand``, coverage of ``targets``, group
+    by group.
+
+    Returns (maxima indices into cand, ascending; per-target covered flags;
+    per-maximum used flags).  A target is covered when some maximum of its
+    own group dominates it (closed comparisons); a maximum is used when it
+    covers at least one target.  ``cand_groups`` and ``target_groups`` hold
+    each candidate's and target's integer group (default: one group), so one
+    call does the work of one call per group.  A group with no candidates
+    covers none of its targets.
     """
     cand = np.atleast_2d(cand)
     targets = np.atleast_2d(targets)
-    m_idx = maxima(cand) if len(cand) else np.empty(0, dtype=np.int64)
     t = len(targets)
+    if cand_groups is None:
+        cand_groups, target_groups = np.zeros(len(cand), dtype=np.int64), np.zeros(t, dtype=np.int64)
+    m_idx = maxima(cand, cand_groups) if len(cand) else np.empty(0, dtype=np.int64)
     if len(m_idx) == 0 or t == 0:
         return m_idx, np.zeros(t, dtype=bool), np.zeros(len(m_idx), dtype=bool)
     tops = cand[m_idx]
-    covmat = np.ones((len(m_idx), t), dtype=bool)
+    covmat = np.asarray(cand_groups)[m_idx, None] == target_groups  # (maximum, target) of one group
     for j in range(cand.shape[1]):
-        covmat &= targets[:, j][None, :] <= tops[:, j][:, None]
+        covmat &= targets[:, j] <= tops[:, j, None]
     return m_idx, covmat.any(axis=0), covmat.any(axis=1)
 
 

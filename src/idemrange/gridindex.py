@@ -53,8 +53,8 @@ class GridIndex:
         for c0, c1 in ranges[:-1]:
             base = (base[:, None] * g + np.arange(c0, c1 + 1)).ravel()
         last_lo, last_hi = ranges[-1]
-        start = np.searchsorted(self.sorted_flat, base * g + last_lo, side="left")
-        width = np.searchsorted(self.sorted_flat, base * g + last_hi, side="right") - start
+        start = self.sorted_flat.searchsorted(base * g + last_lo, side="left")
+        width = self.sorted_flat.searchsorted(base * g + last_hi, side="right") - start
         pos = np.repeat(start - np.cumsum(width) + width, width) + np.arange(width.sum())
         return self.order[pos]
 

@@ -40,19 +40,25 @@ call over its whole box, and every other lookup filters that one sorted
 pool.  A piece's candidates are the pool rows of its orientation, one
 contiguous slice found with two ``searchsorted`` calls; a (tuple x row)
 mask of the spans then gives each of its cover tuples its candidates,
-still in block order.  The targets of every tuple with none go to the
-leftovers under one mask, and only the other tuples meet the dominance
-cover.  The compression and the exact-cover oracle draw on the pool rows
-with two or more members.
+still in block order.  One grouped ``dominance_cover`` call per query
+then covers every tuple at once, each tuple a group, so a target meets
+only its own tuple's maxima.  The compression and the exact-cover oracle
+draw on the pool rows with two or more members.
 
 A query computes its cover first, as two arrays: the used sum rows and
 the leftover point indices.  Leftovers that a used sum covers are
 dropped, and a greedy reuses stored sums that absorb two or more of the
 rest (``_compress``).  The greedy first drops every box that holds fewer
-than two leftovers in some single dimension (two ``searchsorted`` calls
-per dimension); both steps then test containment as uint64 bit rows
-(``_inside_bits``).  ``query`` then checks, once over all rows, that
-every used sum sits inside the query, and one ``_evaluate`` folds the
+than two leftovers in some single dimension (``searchsorted`` calls,
+dimension by dimension on the survivors); both steps then test
+containment as uint64 bit rows (``_inside_bits``).  These come from rank
+space: per dimension, a table whose row r holds the bits of the r
+smallest points, so a box's row is ``prefix[b] & ~prefix[a]`` ANDed over
+the dimensions, with a and b its faces' ranks.  Only where the points
+outnumber the boxes by more than ``_DENSE_RATIO`` to one, as for the few
+boxes left against a clustered query's many leftovers, is each (box,
+point) cell compared instead.  ``query`` then checks, once over all rows,
+that every used sum sits inside the query, and one ``_evaluate`` folds the
 cover: ``sg.reduce`` of the used sums' weights (``box_sums``' value
 contract), and the final leftovers as one batched ``singleton_value``
 (the cost still counts each of them).  An id-set query so sorts its ids
@@ -152,7 +158,7 @@ class _SumIndex:
         found = []
         for o, (rows, bounds) in self.by_orient.items():
             key = d if o[0] == _R else 0
-            s = slice(np.searchsorted(bounds[key], qlo[0]), np.searchsorted(bounds[key], qhi[0], side="right"))
+            s = slice(bounds[key].searchsorted(qlo[0]), bounds[key].searchsorted(qhi[0], side="right"))
             ok = np.ones(s.stop - s.start, dtype=bool)
             for c in range(d):
                 if c != key:
@@ -379,7 +385,7 @@ def _tuple_candidates(sums: _SumIndex, pool: np.ndarray, orient, a: np.ndarray, 
     (slice rows in block order, tuple x slice mask), so tuple t's
     candidates are ``rows[mask[t]]``.
     """
-    rows = pool[slice(*np.searchsorted(pool, sums.orient_span[orient]))]
+    rows = pool[slice(*pool.searchsorted(sums.orient_span[orient]))]
     mask = np.ones((len(a), rows.size), dtype=bool)
     for j in range(a.shape[1]):
         mask &= sums.box_lo[rows, j] <= a[:, j, None]
@@ -394,11 +400,11 @@ _MIN_MEMBERS = 2
 
 
 def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], pool, qlo: np.ndarray, qhi: np.ndarray):
-    """Per-tuple dominance covers of all anchored pieces in one pass (no
-    compression yet).  The pieces tile the containment box [qlo, qhi], and
-    ``pool`` holds the non-empty sums inside it (``_SumIndex.inside``).
-    Returns (rows, leftover): the used sum rows, in (piece, tuple) order,
-    and the indices of the points no used sum covers.
+    """Dominance covers of every cover-pair tuple of all anchored pieces in
+    one pass (no compression yet).  The pieces tile the containment box
+    [qlo, qhi], and ``pool`` holds the non-empty sums inside it
+    (``_SumIndex.inside``).  Returns (rows, leftover): the used sum rows, in
+    (piece, tuple) order, and the indices of the points no used sum covers.
 
     One grid gather takes the box's points.  Each (dimension, side) cover is
     built once, if some point lies on that side, and labels only the points
@@ -408,8 +414,11 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], pool, qlo: 
     tuples, and with them used sums, run in piece order (that of
     ``decompose_query``), then tuple order: depth order is the covers' pair
     order.  Each piece's slice of the pool gives every tuple's candidates
-    (``_tuple_candidates``); the targets of tuples with none go to the
-    leftovers at once, and only the rest meet ``dominance_cover``.
+    (``_tuple_candidates``), listed in (tuple, block) order, and one
+    ``dominance_cover`` call takes every tuple as a group: a target meets
+    only its own tuple's maxima, and a tuple with no candidates covers none
+    of its targets.  The maxima come back in candidate order, so the used
+    sums keep their (piece, tuple) order.
     """
     k = struct.config.k
     target_idx = struct.grid.points_in_box(qlo, qhi)
@@ -431,7 +440,7 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], pool, qlo: 
             piece = side_piece.get((i, side))
             if piece is None:
                 continue
-            on = np.flatnonzero(x <= piece.hi[i] if side == _L else x >= piece.lo[i])  # closed at the split
+            on = (x <= piece.hi[i] if side == _L else x >= piece.lo[i]).nonzero()[0]  # closed at the split
             if on.size:
                 lab, spans[i, side] = _side_labels(struct, piece, i, x[on])
                 parts.append((on, 2 * piece_code[on] + s, lab))
@@ -443,50 +452,82 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], pool, qlo: 
     if singles.all():
         return _NONE, leftover[0]
     ent = ent[~singles]
-    grouped = target_idx[ent]
     dims = (1 << k, *[struct.config.h + 1] * k)
     keys = np.ravel_multi_index((piece_code[~singles], *(c[~singles] for c in labels)), dims)
-    order = np.argsort(keys, kind="stable")  # by tuple, each tuple's rows in index order
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(keys[order])) + 1))
-    sizes = np.diff(np.append(starts, order.size))
-    tuples = np.stack(np.unravel_index(keys[order[starts]], dims), axis=1)  # piece code, then labels
+    order = keys.argsort(kind="stable")  # by tuple, each tuple's entries in index order
+    ent, keys = ent[order], keys[order]
+    first = np.diff(keys, prepend=-1) != 0
+    tuples = np.stack(np.unravel_index(keys[first], dims), axis=1)  # piece code, then labels
     orients = list(itertools.product((_L, _R), repeat=k))  # by piece code
-    piece_starts = np.flatnonzero(np.diff(tuples[:, 0], prepend=-1))
-    lookups = []
+    piece_starts = np.diff(tuples[:, 0], prepend=-1).nonzero()[0]
+    cand, cand_groups = [_NONE], [_NONE]
     for t0, t1 in zip(piece_starts.tolist(), [*piece_starts[1:].tolist(), len(tuples)]):
         orient = orients[tuples[t0, 0]]
         ab = np.stack([spans[i, side][tuples[t0:t1, 1 + i]] for i, side in enumerate(orient)], axis=1)
-        lookups.append((t0, *_tuple_candidates(struct.sums, pool, orient, ab[..., 0], ab[..., 1])))
-    has_candidates = np.concatenate([mask.any(axis=1) for _, _, mask in lookups])
-    leftover.append(grouped[order[~np.repeat(has_candidates, sizes)]])  # nothing to dominate with
-    gproj = tcoords[ent][:, k:]
-    used = [_NONE]
-    for t0, pool, mask in lookups:
-        for t in np.flatnonzero(has_candidates[t0 : t0 + len(mask)]).tolist():
-            rows = order[starts[t0 + t] : starts[t0 + t] + sizes[t0 + t]]
-            cand_rows = pool[mask[t]]
-            m_idx, covered, took = dominance_cover(struct.sums.coords[cand_rows, k:], gproj[rows])
-            used.append(cand_rows[m_idx[took]])
-            leftover.append(grouped[rows[~covered]])
-    return np.concatenate(used), np.concatenate(leftover)
+        rows, mask = _tuple_candidates(struct.sums, pool, orient, ab[..., 0], ab[..., 1])
+        t, c = mask.nonzero()  # in (tuple, block) order
+        cand.append(rows[c])
+        cand_groups.append(t0 + t)
+    cand = np.concatenate(cand)
+    m_idx, covered, took = dominance_cover(
+        struct.sums.coords[cand, k:], tcoords[ent, k:], np.concatenate(cand_groups), np.cumsum(first) - 1
+    )
+    leftover.append(target_idx[ent[~covered]])
+    return cand[m_idx[took]], np.concatenate(leftover)
 
 
-# (box, point) cells tested at once while building containment bit rows
+# (box, point) cells tested at once by the dense containment compare
 _CHUNK_CELLS = 1 << 16
+
+# above this many points per box, containment bit rows come from a dense
+# compare; at or below it, from per-dimension rank-prefix tables, whose
+# O(points^2 / 64) words per dimension a few boxes do not repay
+_DENSE_RATIO = 8
 
 
 def _inside_bits(pts: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray):
     """Closed containment of ``pts`` in each box as a row of uint64 bit words:
     bit i of a row is set iff point i lies in that box, padding bits never.
 
-    One dense compare per dimension on the points' contiguous columns,
-    about ``_CHUNK_CELLS`` (box, point) cells and at least one box at a time.
+    Rank space, unless the points outnumber the boxes by more than
+    ``_DENSE_RATIO`` to one: per dimension the points are sorted once, and
+    row r of a prefix table holds the bits of the r smallest (one bit set
+    per row, then a running sum, which is the OR as the bits are distinct).
+    A box's points in that dimension are ``prefix[b] & ~prefix[a]``, with a
+    and b its faces' ranks from two ``searchsorted`` calls (one when every
+    low face is -inf), and its row is their AND over the dimensions: work
+    O((points + boxes) * points / 64) per dimension.  Otherwise one dense
+    compare per dimension on the points' contiguous columns, about
+    ``_CHUNK_CELLS`` (box, point) cells and at least one box at a time.
     """
+    m, nb = pts.shape[0], len(box_lo)
+    words = -(-m // 64)
+    if m > _DENSE_RATIO * nb:
+        return _dense_bits(pts, box_lo, box_hi, words)
+    order = pts.argsort(axis=0, kind="stable")
+    table = np.empty((m + 1, words), dtype=np.uint64)
+    bits = np.full((nb, words), np.iinfo(np.uint64).max, dtype=np.uint64)
+    buf = np.empty_like(bits)  # the one other (box x word) temporary
+    for j in range(pts.shape[1]):
+        o = order[:, j]
+        col = pts[o, j]
+        table.fill(0)
+        table[np.arange(1, m + 1), o >> 6] = np.left_shift(np.uint64(1), (o & 63).astype(np.uint64))
+        np.cumsum(table, axis=0, out=table)
+        # ranks lie in [0, m]; "clip" only spares take's buffered bounds check
+        bits &= table.take(col.searchsorted(box_hi[:, j], side="right"), axis=0, out=buf, mode="clip")
+        if box_lo[:, j].max(initial=NEG_INF) > NEG_INF:
+            bits &= np.invert(table.take(col.searchsorted(box_lo[:, j]), axis=0, out=buf, mode="clip"), out=buf)
+    return bits
+
+
+def _dense_bits(pts: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray, words: int):
+    """``_inside_bits`` by one compare per (box, point) cell."""
     m = len(pts)
     cols = np.ascontiguousarray(pts.T)
-    bits = np.empty((len(box_lo), -(-m // 64)), dtype=np.uint64)
+    bits = np.empty((len(box_lo), words), dtype=np.uint64)
     step = max(1, _CHUNK_CELLS // max(m, 1))
-    cells = np.zeros((min(step, len(box_lo)), bits.shape[1] * 64), dtype=bool)  # padding columns stay False
+    cells = np.zeros((min(step, len(box_lo)), words * 64), dtype=bool)  # padding columns stay False
     for s0 in range(0, len(box_lo), step):
         lo, hi = box_lo[s0 : s0 + step], box_hi[s0 : s0 + step]
         inside = cells[: len(lo), :m]
@@ -510,18 +551,23 @@ def _greedy_cover(pts: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray):
 
     Exact and incremental.  Only boxes holding two or more points can be
     picked, as gains only fall.  Such a box holds two or more in every
-    single dimension, which two ``searchsorted`` calls per dimension on the
-    sorted point columns count; the rest of the boxes are dropped unseen.
+    single dimension, which ``searchsorted`` calls on the sorted point
+    columns count dimension by dimension, each on the boxes the ones before
+    kept (one call where every low face is -inf, as in a stored box's
+    one-sided dimensions); the rest of the boxes are dropped unseen.
     The survivors, still in box order, get their containment as bit rows
     (``_inside_bits``), and a pick subtracts from each gain just the
     popcount of the points it newly covers.
     """
     m = len(pts)
     srt = np.sort(pts, axis=0)
-    keep = np.ones(len(box_lo), dtype=bool)
-    for j in range(pts.shape[1]):
-        keep &= np.searchsorted(srt[:, j], box_hi[:, j], side="right") - np.searchsorted(srt[:, j], box_lo[:, j]) >= 2
-    rows = np.flatnonzero(keep)
+    rows = np.arange(len(box_lo))
+    for j in range(pts.shape[1]):  # each dimension sees only the survivors of the ones before
+        held = srt[:, j].searchsorted(box_hi[rows, j], side="right")
+        lo = box_lo[rows, j]
+        if lo.max(initial=NEG_INF) > NEG_INF:  # a -inf face holds every point below the high one
+            held -= srt[:, j].searchsorted(lo)
+        rows = rows[held >= 2]
     bits = _inside_bits(pts, box_lo[rows], box_hi[rows])
     gains = np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
     keep = gains >= 2
@@ -548,13 +594,14 @@ def _compress(struct: IdsStructure, pool: np.ndarray, rows: np.ndarray, leftover
     singletons.  Returns the cover (rows, leftover): ``rows`` followed by
     the greedy's picks, and the points left as singletons.
 
-    Both steps test containment as bit rows (``_inside_bits``).  The greedy
+    Both steps test containment as bit rows (``_inside_bits``), built in
+    rank space unless the leftovers far outnumber the boxes.  The greedy
     sees the pool's sums with two or more members, and narrows them to
     boxes holding two or more leftovers in every single dimension (so
-    meeting the leftovers' bounding box) before any containment test.  Strictly reduces cost;
-    exactness and containment are unaffected because absorption is a
-    full-coordinate box test against sums already known to sit inside the
-    query.
+    meeting the leftovers' bounding box) before any containment test.
+    Strictly reduces cost; exactness and containment are unaffected because
+    absorption is a full-coordinate box test against sums already known to
+    sit inside the query.
     """
     pts = struct.points.coords[leftover]
     sums = struct.sums

@@ -43,6 +43,41 @@ def test_maxima_keeps_the_first_of_equal_points(dd):
     assert ties > 40
 
 
+@pytest.mark.parametrize("dd", [1, 2, 3])
+def test_grouped_cover_matches_per_group_calls(dd):
+    """One grouped ``dominance_cover`` call equals one single call per group:
+    the same maxima (as indices into all candidates, ascending), covered
+    targets and used maxima.  Group 2 has targets but no candidate, one of
+    them at -inf in every dimension, and group 5 candidates but no target;
+    a coarse lattice gives ties and equal points."""
+    rng = np.random.default_rng(70 + dd)
+    for trial in range(40):
+        cand = rng.integers(0, 3, (24, dd)) / 2
+        targets = rng.integers(0, 3, (40, dd)) / 2
+        cand_groups = rng.choice([0, 1, 3, 4, 5], 24)
+        target_groups = rng.integers(0, 5, 40)
+        target_groups[:2] = 2, 0
+        targets[:2] = -np.inf  # dominated by every point, but group 2 has no candidate
+        if trial % 2:  # candidates in group order, as a query sends them
+            order = np.argsort(cand_groups, kind="stable")
+            cand, cand_groups = cand[order], cand_groups[order]
+        m_idx, covered, used = ir.dominance_cover(cand, targets, cand_groups, target_groups)
+        want_m, want_used = [], []
+        want_covered = np.zeros(len(targets), dtype=bool)
+        for g in range(6):
+            c_idx, t_idx = np.nonzero(cand_groups == g)[0], np.nonzero(target_groups == g)[0]
+            m, cov, took = ir.dominance_cover(cand[c_idx], targets[t_idx])
+            want_m += c_idx[m].tolist()
+            want_used += took.tolist()
+            want_covered[t_idx] = cov
+        by_index = np.argsort(want_m)
+        assert m_idx.tolist() == sorted(want_m)
+        assert used.tolist() == np.array(want_used, dtype=bool)[by_index].tolist()
+        assert np.array_equal(covered, want_covered)
+        assert not covered[0] and covered[1]
+        assert np.array_equal(ir.maxima(cand, cand_groups), m_idx)
+
+
 def _hand_points():
     return ir.WeightedPointSet(
         np.array([[0.1, 0.1], [0.2, 0.3], [0.6, 0.2], [0.7, 0.8]]),

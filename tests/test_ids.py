@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -323,7 +324,7 @@ def test_singleton_only_cost_bound():
 
 
 def test_dominance_semantics_shared_with_dominance_module():
-    # the per-tuple cover step and the dominance structure use the same
+    # the tuples' grouped cover step and the dominance structure use the same
     # maxima/coverage helper; spot-check the reduction coincides on a shared
     # instance: candidates as samples, projected targets as input
     rng = np.random.default_rng(19)
@@ -426,6 +427,13 @@ def _greedy_reference(pts, lo, hi):
     return picks, alive, ties
 
 
+def _kernel_settings(*chunk_cells):
+    """(``_DENSE_RATIO``, ``_CHUNK_CELLS``) settings that run every
+    ``_inside_bits`` call on the rank tables, then on the dense compare in
+    chunks of each of ``chunk_cells`` cells."""
+    return [(math.inf, I._CHUNK_CELLS)] + [(0, c) for c in chunk_cells]
+
+
 @pytest.mark.parametrize("m", [2, 5, 63, 64, 65, 129, 200])
 @pytest.mark.parametrize("d", [2, 3])
 def test_greedy_cover_matches_dense_reference(monkeypatch, m, d):
@@ -441,7 +449,9 @@ def test_greedy_cover_matches_dense_reference(monkeypatch, m, d):
     want_picks, want_alive, ties = _greedy_reference(pts, lo, hi)
     if m >= 63:
         assert len(want_picks) >= 5 and ties > 0
-    for chunk_cells in (I._CHUNK_CELLS, 7 * m, 1):  # one chunk, 7-row chunks, 1-row chunks
+    # rank tables, then the dense compare in one chunk, 7-row chunks and 1-row chunks
+    for dense_ratio, chunk_cells in _kernel_settings(I._CHUNK_CELLS, 7 * m, 1):
+        monkeypatch.setattr(I, "_DENSE_RATIO", dense_ratio)
         monkeypatch.setattr(I, "_CHUNK_CELLS", chunk_cells)
         picks, alive = I._greedy_cover(pts, lo, hi)
         assert picks == want_picks
@@ -722,7 +732,8 @@ def _greedy_case(name):
 def test_greedy_cover_window_edges(monkeypatch, name):
     pts, lo, hi = _greedy_case(name)
     want_picks, want_alive, _ = _greedy_reference(pts, lo, hi)
-    for chunk_cells in (I._CHUNK_CELLS, 3, 1):
+    for dense_ratio, chunk_cells in _kernel_settings(I._CHUNK_CELLS, 3, 1):
+        monkeypatch.setattr(I, "_DENSE_RATIO", dense_ratio)
         monkeypatch.setattr(I, "_CHUNK_CELLS", chunk_cells)
         picks, alive = I._greedy_cover(pts, lo, hi)
         assert picks == want_picks
@@ -741,6 +752,7 @@ def test_greedy_cover_window_edges(monkeypatch, name):
 @pytest.mark.parametrize("chunk_cells", [I._CHUNK_CELLS, 5, 1])
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 130])
 def test_inside_bits_matches_dense_containment(monkeypatch, m, chunk_cells):
+    """Both kernels: the rank tables, and the dense compare in chunks of ``chunk_cells`` cells."""
     monkeypatch.setattr(I, "_CHUNK_CELLS", chunk_cells)
     rng = np.random.default_rng(41 + m)
     grid = 6  # coarse lattice: ties, and points on box faces
@@ -753,13 +765,15 @@ def test_inside_bits_matches_dense_containment(monkeypatch, m, chunk_cells):
     lo[::5, 2] = NEG_INF
     hi[::11] = np.inf
     dense = np.all((pts[None, :, :] >= lo[:, None, :]) & (pts[None, :, :] <= hi[:, None, :]), axis=2)
-    bits = I._inside_bits(pts, lo, hi)
-    assert bits.dtype == np.uint64 and bits.shape == (60, -(-m // 64))
-    unpacked = np.unpackbits(bits.view(np.uint8), axis=1, bitorder="little").astype(bool)
-    assert np.array_equal(unpacked[:, :m], dense)
-    assert not unpacked[:, m:].any()  # padding bits are never set
-    assert np.array_equal(np.bitwise_count(bits).sum(axis=1), dense.sum(axis=1))
-    assert I._inside_bits(pts, lo[:0], hi[:0]).shape == (0, bits.shape[1])
+    for dense_ratio in (math.inf, 0):  # every call on the rank tables, then every call dense
+        monkeypatch.setattr(I, "_DENSE_RATIO", dense_ratio)
+        bits = I._inside_bits(pts, lo, hi)
+        assert bits.dtype == np.uint64 and bits.shape == (60, -(-m // 64))
+        unpacked = np.unpackbits(bits.view(np.uint8), axis=1, bitorder="little").astype(bool)
+        assert np.array_equal(unpacked[:, :m], dense)
+        assert not unpacked[:, m:].any()  # padding bits are never set
+        assert np.array_equal(np.bitwise_count(bits).sum(axis=1), dense.sum(axis=1))
+        assert I._inside_bits(pts, lo[:0], hi[:0]).shape == (0, bits.shape[1])
 
 
 def test_greedy_prefilter_keeps_boxes_with_two_per_dimension(monkeypatch):
