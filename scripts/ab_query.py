@@ -14,9 +14,10 @@ It first checks every pair: each query is answered once on each side with
 the audit on, and answers, per-query ``(sums_used, singletons_used)``, the
 ordered audit boxes and ``s_plus`` are compared.  It exits 1 if any pair
 differs, before timing any.  With ``--arrays`` it also compares the stored
-sums array for array: the block map, each row's point, bounds and count,
-and every orientation's dim-0 view (its orientations, and each one's
-fields, count and arrays).  If every pair is equal, then per pair it
+sums array for array: the block map, each row's bounds and count, each
+orientation's row span, and the view of the non-empty rows by dim-0 high
+end (its fields, count and arrays); a field only one side stores is a
+difference.  If every pair is equal, then per pair it
 counts each side's Python function calls per query with ``cProfile`` over
 one untimed pass of every query, times every query on both sides,
 alternating which side goes first per query, over ``--passes`` passes, and
@@ -98,17 +99,23 @@ def differences(sides) -> list[str]:
     return out
 
 
+def _same_field(x, y) -> bool:
+    if isinstance(x, dict):
+        return isinstance(y, dict) and list(x.items()) == list(y.items())
+    if isinstance(x, tuple):  # a field added or dropped is a difference
+        return isinstance(y, tuple) and len(x) == len(y) and all(map(_same_field, x, y))
+    return np.array_equal(x, y)
+
+
 def array_differences(sides) -> list[str]:
-    """The stored-sum arrays in which the two sides' structures differ."""
+    """The stored-sum fields in which the two sides' structures differ,
+    counting a field that only one side has."""
     b, c = (struct.sums for _, struct, _ in sides)
-    names = [] if list(b.blocks.items()) == list(c.blocks.items()) else ["blocks"]
-    names += [n for n in ("coords", "box_lo", "box_hi", "counts") if not np.array_equal(getattr(b, n), getattr(c, n))]
-    same_views = list(b.by_orient) == list(c.by_orient) and all(
-        len(b.by_orient[o]) == len(c.by_orient[o])  # a field added or dropped is a difference
-        and all(np.array_equal(x, y) for x, y in zip(b.by_orient[o], c.by_orient[o]))
-        for o in b.by_orient
-    )
-    return [f"stored {n} differ" for n in names + ([] if same_views else ["by_orient"])]
+    return [
+        f"stored {n} differ"
+        for n in ("blocks", "box_lo", "box_hi", "counts", "orient_span", "by_hi0")
+        if not (hasattr(b, n) and hasattr(c, n) and _same_field(getattr(b, n), getattr(c, n)))
+    ]
 
 
 def calls_per_query(side) -> float:

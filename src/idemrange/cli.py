@@ -168,30 +168,12 @@ def _lbprobe(args, parser) -> int:
     writer = csv.writer(sys.stdout)
     writer.writerow(LBPROBE_COLUMNS)
     ones = tuple([1] * (args.d - 1))
-    if not detail:
-        # rates-only run: vectorized sampling, per-row probes marked skipped
-        batch = sample_hard_queries(np.random.default_rng(args.seed), trees, args.samples)
-        ells_all = batch["ells"]
-        x_all = batch["x"]
-        per_dim_counts = np.zeros((args.samples, args.d - 1), dtype=np.int64)
-        for i in range(args.d - 1):
-            for j in range(1, jmax + 1):
-                depth = ells_all[:, i] + j
-                live = depth <= h - 1
-                span = np.int64(1) << np.minimum(depth, h - 1)
-                ranks = np.minimum(span - 1, (x_all[:, i] * span).astype(np.int64))
-                per_dim_counts[:, i] += live & (ranks % 2 == 1)
-        defined_all = per_dim_counts.prod(axis=1)
-        for sid in range(args.samples):
-            ells = ";".join(str(e) for e in ells_all[sid])
-            writer.writerow([sid, batch["y"][sid], ells, int(defined_all[sid]), "", "", "", "", 1, "", "", ""])
-        _lbprobe_summaries(writer, batch, h)
-        return 0
     for sid in range(args.samples):
-        rng = np.random.default_rng((args.seed, sid))
-        hq = sample_hard_query(rng, trees)
-        ells = ";".join(str(e) for e in hq.ells)
-        defined = count_defined_subproblems(hq, jmax)
+        hq = sample_hard_query(np.random.default_rng((args.seed, sid)), trees)
+        row = [sid, hq.y, ";".join(str(e) for e in hq.ells), count_defined_subproblems(hq, jmax)]
+        if not detail:  # rates-only run: the per-row probes are marked skipped
+            writer.writerow(row + ["", "", "", "", 1, "", "", ""])
+            continue
         sub = subproblem(hq, ones)
         phi = ""
         tb_size = ""
@@ -215,7 +197,7 @@ def _lbprobe(args, parser) -> int:
                 skipped = 1
         else:
             skipped = 1
-        writer.writerow([sid, hq.y, ells, defined, phi, tb_size, ans.total_cost, mc, skipped, "", "", ""])
+        writer.writerow(row + [phi, tb_size, ans.total_cost, mc, skipped, "", "", ""])
     batch = sample_hard_queries(np.random.default_rng(args.seed), trees, max(args.samples, 1))
     _lbprobe_summaries(writer, batch, h)
     return 0

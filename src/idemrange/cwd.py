@@ -124,7 +124,11 @@ def save_cwd(fam: CwdFamily, dirpath) -> None:
 
 def load_cwd(dirpath) -> CwdFamily:
     with open(os.path.join(dirpath, "manifest")) as fh:
-        h, k, d, N = (int(x) for x in fh.readline().split())
+        line = fh.readline()
+    try:
+        h, k, d, N = (int(x) for x in line.split())
+    except ValueError:
+        raise ValueError(f"cwd manifest line must be four integers 'h k d N', got {line.strip()!r}") from None
     sets = {}
     for idx in itertools.product(range(1, h + 1), repeat=k):
         name = "set_" + "_".join(str(i) for i in idx) + ".txt"

@@ -6,11 +6,11 @@ depth tuple in {1..h}^k, is turned into an anchored box whose j-th side
 runs from the left boundary of the depth-i_j tree neighbor to the point
 (mirrored per orientation); the stored sum is the input weight inside that
 box.  Construction makes a fixed number of array passes, none per block
-or family index: the family sets are concatenated and sorted once by dim
-0 and once, stably, by set number; each of the 2^k orientations then
-masks the points that have their neighbor and computes all their boxes at
-once.  One batched ``rangetree.box_sums`` call fills the count and value
-(an id-set's on demand) of every box.  A query splits at tree midpoints
+or family index: the family sets are concatenated and sorted once by
+(set number, dim 0); each of the 2^k orientations then masks the points
+that have their neighbor and computes all their boxes at once.  One
+batched ``rangetree.box_sums`` call fills the count and value (an
+id-set's on demand) of every box.  A query splits at tree midpoints
 into up to 2^k anchored pieces; each piece is tiled by
 balanced-prefix-cover intervals, candidate boxes are picked per cover
 pair, and the last d-k dimensions reduce to a dominance cover whose
@@ -31,19 +31,22 @@ serves R and L sides; the pairs of ``balanced_prefix_cover`` and
 ``suffix_cover`` only give each depth's u-interval.
 
 All stored sums live in one flat index, ``_SumIndex``, which also keeps
-each orientation's non-empty rows sorted by dim 0 with their bounds
-dimension-major.  Its one primitive, ``inside(qlo, qhi)``, finds the
-non-empty sums inside a box: one contiguous dim-0 slice per orientation,
-tested one column at a time, and row ids merged into block order, so ties
-break as a per-block scan would break them.  A query makes one ``inside``
-call over its whole box, and every other lookup filters that one sorted
-pool.  A piece's candidates are the pool rows of its orientation, one
-contiguous slice found with two ``searchsorted`` calls; a (tuple x row)
-mask of the spans then gives each of its cover tuples its candidates,
-still in block order.  One grouped ``dominance_cover`` call per query
-then covers every tuple at once, each tuple a group, so a target meets
-only its own tuple's maxima.  The compression and the exact-cover oracle
-draw on the pool rows with two or more members.
+its non-empty rows sorted by their box's dim-0 high end, with their
+bounds dimension-major.  Its one primitive, ``inside(qlo, qhi)``, finds
+the non-empty sums inside a box: as every box has lo <= hi, a box inside
+[qlo, qhi] has its dim-0 high end in [qlo0, qhi0], so one contiguous
+window of that view (two ``searchsorted`` calls), tested one column at a
+time, is an exact filtering search, whatever the box's orientation.  The
+window's row ids are sorted back into block order, so ties break as a
+per-block scan would break them.  A query makes one ``inside`` call over
+its whole box, and every other lookup filters that one sorted pool.  A
+piece's candidates are the pool rows of its orientation, one contiguous
+slice found with two ``searchsorted`` calls; a (tuple x row) mask of the
+spans then gives each of its cover tuples its candidates, still in block
+order.  One grouped ``dominance_cover`` call per query then covers every
+tuple at once, each tuple a group, so a target meets only its own
+tuple's maxima.  The compression and the exact-cover oracle draw on the
+pool rows with two or more members.
 
 A query computes its cover first, as two arrays: the used sum rows and
 the leftover point indices.  Leftovers that a used sum covers are
@@ -129,44 +132,36 @@ class _SumIndex:
     dim-0 point coordinate; ``blocks`` maps each non-empty block's
     (orientation, index) to its row range (start, stop), and ``orient_span``
     each orientation to the row range [start, stop) of all its blocks.
-    ``coords`` holds each box's family point, and ``box_lo`` and ``box_hi``
-    its bounds; ``counts`` and ``values`` hold the number and the semigroup
-    sum of the input points inside each box, from one ``box_sums`` call:
-    ``sg.reduce(values[rows])`` is the sum of the boxes ``rows``.
-    ``by_orient[o]`` is (rows, bounds): the rows of orientation o that hold
-    a point, in dim-0 point order, with their [lo | hi] bounds copied
+    ``box_lo`` and ``box_hi`` hold each box's bounds (its family point is
+    ``box_hi`` in the one-sided dimensions); ``counts`` and ``values`` hold
+    the number and the semigroup sum of the input points inside each box,
+    from one ``box_sums`` call: ``sg.reduce(values[rows])`` is the sum of
+    the boxes ``rows``.  ``by_hi0`` is (rows, bounds): the rows that hold a
+    point, in ``box_hi[:, 0]`` order, with their [lo | hi] bounds copied
     dimension-major.
     """
 
-    def __init__(self, blocks: dict, coords, box_lo, box_hi, orient_rows: dict, point_coords, w, sg: Semigroup):
-        self.blocks = blocks
-        self.coords, self.box_lo, self.box_hi = coords, box_lo, box_hi
+    def __init__(self, blocks: dict, box_lo, box_hi, orient_span: dict, point_coords, w, sg: Semigroup):
+        self.blocks, self.orient_span = blocks, orient_span
+        self.box_lo, self.box_hi = box_lo, box_hi
         self.counts, self.values = box_sums(point_coords, w, sg, box_lo, box_hi)
-        self.by_orient, self.orient_span = {}, {}
-        for o, rows in orient_rows.items():
-            # ``rows`` holds each row of its orientation's contiguous range once
-            self.orient_span[o] = (int(rows.min()), int(rows.max()) + 1) if rows.size else (0, 0)
-            rows = rows[self.counts[rows] >= 1]
-            self.by_orient[o] = (rows, np.hstack((box_lo[rows], box_hi[rows])).T.copy())
+        rows = np.flatnonzero(self.counts >= 1)
+        rows = rows[np.argsort(box_hi[rows, 0], kind="stable")]
+        self.by_hi0 = rows, np.hstack((box_lo[rows], box_hi[rows])).T.copy()
 
     def inside(self, qlo, qhi) -> np.ndarray:
         """Row ids, in block order, of the sums that hold a point and whose
         box sits inside the closed box [qlo, qhi]."""
-        # as lo <= hi, a box is inside iff lo >= qlo and hi <= qhi; the key column
-        # (a row's dim-0 point coordinate: its box's hi end (R) or lo end (L)) gets both
+        # every box has lo <= hi, so one inside has hi0 in [qlo0, qhi0]: that
+        # window of the view, tested on its other 2d - 1 bounds, is exact
         d = len(qlo)
-        found = []
-        for o, (rows, bounds) in self.by_orient.items():
-            key = d if o[0] == _R else 0
-            s = slice(bounds[key].searchsorted(qlo[0]), bounds[key].searchsorted(qhi[0], side="right"))
-            ok = np.ones(s.stop - s.start, dtype=bool)
-            for c in range(d):
-                if c != key:
-                    ok &= bounds[c, s] >= qlo[c]
-                if d + c != key:
-                    ok &= bounds[d + c, s] <= qhi[c]
-            found.append(rows[s][ok])
-        return np.sort(np.concatenate(found))
+        rows, bounds = self.by_hi0
+        s = slice(bounds[d].searchsorted(qlo[0]), bounds[d].searchsorted(qhi[0], side="right"))
+        ok = bounds[0, s] >= qlo[0]
+        for c in range(1, d):
+            ok &= bounds[c, s] >= qlo[c]
+            ok &= bounds[d + c, s] <= qhi[c]
+        return np.sort(rows[s][ok])
 
 
 def box_of(x, index, orientation, trees: list[DyadicTree]) -> Box | None:
@@ -195,27 +190,21 @@ def box_of(x, index, orientation, trees: list[DyadicTree]) -> Box | None:
 
 def _anchored_boxes(family: CwdFamily, k: int):
     """Every block's ``box_of`` boxes in a fixed number of array passes:
-    (blocks, coords, box_lo, box_hi, orient_rows) as ``_SumIndex`` takes them.
+    (blocks, box_lo, box_hi, orient_span) as ``_SumIndex`` takes them.
 
-    The family sets are concatenated and sorted once by dim 0, then stably
-    by set number, a small integer key (radix sort): that is block order
-    within any orientation.  Each orientation keeps, in that order, the
-    points that have the neighbor their box needs and computes all their
-    boxes at once; the inverse of the set-number sort lists its rows in
-    dim-0 order.
+    The family sets are concatenated and sorted once by (set number, dim
+    0), ties in family order: that is block order within any orientation.
+    Each orientation keeps, in that order, the points that have the
+    neighbor their box needs and computes all their boxes at once.
     """
     keys, sets = list(family.sets), list(family.sets.values())
     set_no = np.repeat(np.arange(len(keys), dtype=np.min_scalar_type(len(keys) - 1)), [len(ps) for ps in sets])
     coords = np.concatenate([ps.coords for ps in sets])
-    by_x0 = np.argsort(coords[:, 0], kind="stable")
-    by_set = np.argsort(set_no[by_x0], kind="stable")
-    order = by_x0[by_set]  # block order
+    order = np.lexsort((coords[:, 0], set_no))  # block order
     coords, set_no = coords[order], set_no[order]
-    at_x0 = np.empty_like(by_set)
-    at_x0[by_set] = np.arange(by_set.size)  # block position of each dim-0 position
     spans = (1 << np.asarray(keys, dtype=np.int64))[set_no]
     ranks = np.minimum((coords[:, :k] * spans).astype(np.int64), spans - 1)
-    blocks, orient_rows, parts, start = {}, {}, [], 0
+    blocks, orient_span, parts, start = {}, {}, [], 0
     for orient in itertools.product((_R, _L), repeat=k):
         defined = np.ones(len(coords), dtype=bool)
         for j in range(k):
@@ -229,15 +218,14 @@ def _anchored_boxes(family: CwdFamily, k: int):
             else:
                 box_lo[:, j] = pts[:, j]
                 box_hi[:, j] = (r[:, j] + 2) * w[:, j]  # anchor
-        parts.append((pts, box_lo, box_hi))
+        parts.append((box_lo, box_hi))
         sizes = np.bincount(set_no[defined], minlength=len(keys)).tolist()
         ends = (start + np.cumsum(sizes)).tolist()
         blocks.update(((orient, idx), (e - n, e)) for idx, n, e in zip(keys, sizes, ends) if n)
-        kept = at_x0[defined[at_x0]]  # block positions of the kept points, in dim-0 order
-        orient_rows[orient] = start + np.cumsum(defined)[kept] - 1
+        orient_span[orient] = (start, start + len(pts))
         start += len(pts)
-    coords, box_lo, box_hi = (np.concatenate(c) for c in zip(*parts))
-    return blocks, coords, box_lo, box_hi, orient_rows
+    box_lo, box_hi = (np.concatenate(c) for c in zip(*parts))
+    return blocks, box_lo, box_hi, orient_span
 
 
 class IdsStructure:
@@ -470,7 +458,7 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], pool, qlo: 
         cand_groups.append(t0 + t)
     cand = np.concatenate(cand)
     m_idx, covered, took = dominance_cover(
-        struct.sums.coords[cand, k:], tcoords[ent, k:], np.concatenate(cand_groups), np.cumsum(first) - 1
+        struct.sums.box_hi[cand, k:], tcoords[ent, k:], np.concatenate(cand_groups), np.cumsum(first) - 1
     )
     leftover.append(target_idx[ent[~covered]])
     return cand[m_idx[took]], np.concatenate(leftover)

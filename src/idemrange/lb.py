@@ -12,6 +12,7 @@ the lower bound: the potentials are counted, never bounded.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,7 +255,7 @@ def count_defined_subproblems(hq: HardQuery, jmax: int) -> int:
             if tree.node_containing(hq.x[i], depth).rank % 2 == 1:
                 cnt += 1
         per_dim.append(cnt)
-    return int(np.prod(per_dim)) if per_dim else 0
+    return math.prod(per_dim) if per_dim else 0
 
 
 def check_rates(batch: dict, h: int, js) -> dict:

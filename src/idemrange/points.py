@@ -8,6 +8,7 @@ the checker measures the binding value over an anchored rectangle family.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -176,16 +177,7 @@ def _exact_scan_2d(xs, ys, n, eps):
     for i in range(n):
         ybuf: list[float] = []
         for j in range(i, n):
-            # keep slab ys sorted as the x-window grows
-            y = ys[j]
-            lo, hi = 0, len(ybuf)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if ybuf[mid] < y:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            ybuf.insert(lo, y)
+            bisect.insort_left(ybuf, ys[j])  # keep slab ys sorted as the x-window grows
             m = len(ybuf)
             if m < 2:
                 continue
@@ -353,16 +345,29 @@ def save_point_set(points: WeightedPointSet, path) -> None:
 
 
 def load_point_set(path) -> WeightedPointSet:
+    """Read ``save_point_set``'s format.  A malformed file raises
+    ``ValueError`` naming the header field or the line at fault."""
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("#"):
             raise ValueError("missing point-set header")
-        fields = dict(tok.split("=") for tok in header[1:].split())
+        fields = dict(tok.partition("=")[::2] for tok in header[1:].split())
+        for key in ("d", "n"):
+            if not fields.get(key, "").isdecimal():
+                raise ValueError(f"point-set header needs {key}=<non-negative integer>, got {header!r}")
         d, n = int(fields["d"]), int(fields["n"])
         coords = np.empty((n, d))
         ids = np.empty(n, dtype=np.int64)
         for i in range(n):
-            parts = fh.readline().split()
-            coords[i] = [float(x) for x in parts[:d]]
-            ids[i] = int(parts[d])
+            line = fh.readline()
+            if not line:
+                raise ValueError(f"point-set file ends after {i} of its n={n} points")
+            parts = line.split()
+            if len(parts) != d + 1:
+                raise ValueError(f"point-set line {i + 2}: expected {d} coordinates and an id, got {line.strip()!r}")
+            try:
+                coords[i] = [float(x) for x in parts[:d]]
+                ids[i] = int(parts[d])
+            except ValueError:
+                raise ValueError(f"point-set line {i + 2}: not numbers: {line.strip()!r}") from None
     return WeightedPointSet(coords, ids, np.ones(n))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import idemrange as ir
-from idemrange.cli import BENCH_COLUMNS, LBPROBE_COLUMNS, main
+from idemrange.cli import BENCH_COLUMNS, LBPROBE_COLUMNS, LBPROBE_DETAIL_LIMIT, main
 
 
 def _run(argv, capsys):
@@ -144,6 +144,20 @@ def test_lbprobe_rows_and_columns(capsys):
             assert int(r["min_cover"]) <= int(r["struct_cost"])
     summaries = [r for r in rows if r["sample_id"] == "summary"]
     assert {r["j_probe"] for r in summaries} <= {"1", "4", "8"}
+
+
+def test_lbprobe_rows_follow_seed_and_sample_id(capsys):
+    """A row's draw depends on (seed, sample_id) only: a run above
+    LBPROBE_DETAIL_LIMIT, which skips the per-row probes, lists the same
+    queries as a small one."""
+    keys = ["sample_id", "y", "ells", "defined_subproblems"]
+    runs = []
+    for samples in ("2", str(LBPROBE_DETAIL_LIMIT + 1)):
+        code, out = _run(["lbprobe", "--n", "64", "--d", "2", "--samples", samples, "--seed", "4"], capsys)
+        assert code == 0
+        runs.append([[r[c] for c in keys] for r in csv.DictReader(io.StringIO(out)) if r["sample_id"] != "summary"])
+    assert runs[0] == runs[1][:2]
+    assert len(runs[1]) == LBPROBE_DETAIL_LIMIT + 1
 
 
 def test_lbprobe_rates_large_sample(capsys):

@@ -80,7 +80,6 @@ def test_stored_boxes_match_box_of(monkeypatch, d, k, n):
                 continue
             assert s.blocks[orient, index] == (row, row + len(kept))
             blk = slice(row, row + len(kept))
-            assert sums.coords[blk].tobytes() == np.array([x for x, _ in kept]).tobytes()
             assert sums.box_lo[blk].tobytes() == np.array([box.lo for _, box in kept]).tobytes()
             assert sums.box_hi[blk].tobytes() == np.array([box.hi for _, box in kept]).tobytes()
             row += len(kept)
@@ -88,12 +87,14 @@ def test_stored_boxes_match_box_of(monkeypatch, d, k, n):
     assert row == s.num_boxes and nonempty == len(s.blocks)
     assert dyadic_boundary > 0 and left_out > 0
     assert 0 < np.count_nonzero(sums.counts == 0) < len(sums.counts)
-    for orient, (rows, bounds) in sums.by_orient.items():
+    assert list(sums.orient_span) == list(itertools.product("RL", repeat=k))
+    for orient, span in sums.orient_span.items():
         in_orient = [r for (o, _), (a, b) in s.blocks.items() if o == orient for r in range(a, b)]
-        assert in_orient == list(range(*sums.orient_span[orient]))
-        held = [r for r in in_orient if sums.counts[r] >= 1]  # an empty box is never indexed
-        assert rows.tolist() == sorted(held, key=lambda r: sums.coords[r, 0])  # stable: block order on ties
-        assert bounds.tobytes() == np.hstack((sums.box_lo[rows], sums.box_hi[rows])).T.tobytes()
+        assert in_orient == list(range(*span))
+    rows, bounds = sums.by_hi0
+    held = np.flatnonzero(sums.counts >= 1).tolist()  # an empty box is never indexed
+    assert rows.tolist() == sorted(held, key=lambda r: sums.box_hi[r, 0])  # stable: block order on ties
+    assert bounds.tobytes() == np.hstack((sums.box_lo[rows], sums.box_hi[rows])).T.tobytes()
 
 
 def test_build_input_guards():
@@ -111,7 +112,8 @@ def _check_blocks_against_scan(pts, s):
     sums, sg = s.sums, s.sg
     checked = 0
     for (orient, index), (start, stop) in s.blocks.items():
-        assert start < stop and np.all(np.diff(sums.coords[start:stop, 0]) >= 0)
+        x0 = (sums.box_hi if orient[0] == "R" else sums.box_lo)[start:stop, 0]  # the family point's dim 0
+        assert start < stop and np.all(np.diff(x0) >= 0)
         rows = np.arange(start, stop)
         block_ids = []
         for r in rows.tolist():
@@ -520,8 +522,10 @@ def test_sum_index_matches_block_scan(monkeypatch):
 
 
 def test_sum_index_edge_layouts():
-    """A hand-built index: no R rows, rows tied on x0 within and across
-    blocks, empty boxes, and dim-0 windows that hold no key."""
+    """A hand-built index: no R rows, rows tied on hi0 within and across
+    blocks, empty boxes, dim-0 windows that hold no key, and L boxes on a
+    window's edges: one with hi0 inside but lo0 below it, one with hi0 at
+    its low end and one with hi0 at its high end."""
     rng = np.random.default_rng(25)
     pts = rng.integers(0, 8, (64, 2)) / 8
     blocks, chosen = {}, []
@@ -534,12 +538,15 @@ def test_sum_index_edge_layouts():
     hi[:, 0] += 1.0 / (1 << np.repeat([1, 2, 3], 12))
     hi[::5, 1] = -1.0  # below every point: an empty box
     lo[:, 1] = NEG_INF
-    orient_rows = {("R",): np.empty(0, dtype=np.int64), ("L",): np.argsort(coords[:, 0], kind="stable")}
-    sums = I._SumIndex(blocks, coords, lo, hi, orient_rows, pts, np.arange(64), ir.ID_SET)
-    assert sums.by_orient[("R",)][0].size == 0
-    assert sums.orient_span == {("R",): (0, 0), ("L",): (0, 36)}
-    x0 = sums.coords[:, 0]
-    assert np.unique(x0).size < x0.size
+    # rows 36-38 against the window [0.5, 0.75]: lo0 below it, hi0 at its low end, hi0 at its high end
+    blocks[("L",), (4,)] = (36, 39)
+    lo = np.vstack((lo, [(0.45, NEG_INF), (0.5, NEG_INF), (0.55, NEG_INF)]))
+    hi = np.vstack((hi, [(0.6, 1.0), (0.5, 1.0), (0.75, 1.0)]))
+    pts = np.vstack((pts, [(0.5, 0.25), (0.5, 0.3), (0.7, 0.25)]))
+    sums = I._SumIndex(blocks, lo, hi, {("R",): (0, 0), ("L",): (0, 39)}, pts, np.arange(67), ir.ID_SET)
+    assert np.all(sums.counts[36:] >= 1)
+    x0 = sums.box_hi[:, 0]  # the view's key
+    assert np.unique(x0[:12]).size < 12 and np.intersect1d(x0[:12], x0[12:24]).size  # tied within and across blocks
     queries = [
         (np.array([0.3, NEG_INF]), np.array([1.0, 0.8])),
         (np.array([0.26, NEG_INF]), np.array([0.37, 1.0])),  # no key in [0.26, 0.37]: empty window
@@ -555,6 +562,8 @@ def test_sum_index_edge_layouts():
         assert rows.tolist() == got.tolist() and mask.all()
         assert I._tuple_candidates(sums, got, ("R",), *anything)[0].size == 0
     assert sums.inside(*queries[1]).size == 0
+    edges = sums.inside(*queries[3]).tolist()
+    assert 36 not in edges and 37 in edges and 38 in edges
     held = np.flatnonzero(sums.counts >= 1)
     assert held.size < len(x0) and sums.inside(*queries[2]).tolist() == held.tolist()
 

@@ -204,3 +204,24 @@ def test_point_set_roundtrip(tmp_path):
     assert np.array_equal(back.ids, ps.ids)
     header = path.read_text().splitlines()[0]
     assert header == "# d=3 n=12"
+
+
+@pytest.mark.parametrize(
+    "name, text, match",
+    [
+        pytest.param("pts.txt", "# d=2\n0.1 0.2 0\n", r"header needs n=", id="no-n"),
+        pytest.param("pts.txt", "# d=2 n=two\n", r"header needs n=", id="n-not-integer"),
+        pytest.param("pts.txt", "# points\n", r"header needs d=", id="bare-header"),
+        pytest.param("pts.txt", "# d=2 n=3\n0.1 0.2 0\n0.3 0.4 1\n", r"ends after 2 of its n=3 points", id="short"),
+        pytest.param("pts.txt", "# d=2 n=2\n0.1 0.2 0\n0.3 0.4\n", r"line 3: expected 2 coordinates", id="no-id"),
+        pytest.param("pts.txt", "# d=2 n=1\n0.1 zero 0\n", r"line 2: not numbers", id="not-numbers"),
+        pytest.param("manifest", "2 1 2\n", r"cwd manifest line must be four integers", id="manifest-short"),
+        pytest.param("manifest", "2 1 2 eight\n", r"cwd manifest line must be four integers", id="manifest-word"),
+    ],
+)
+def test_malformed_files_fail_naming_the_problem(tmp_path, name, text, match):
+    """A malformed point-set file or cwd manifest raises the package's
+    ValueError, naming the header field or line at fault."""
+    (tmp_path / name).write_text(text)
+    with pytest.raises(ValueError, match=match):
+        ir.load_cwd(tmp_path) if name == "manifest" else ir.load_point_set(tmp_path / name)
