@@ -1,85 +1,92 @@
-import itertools
-
 import numpy as np
 import pytest
 
-from idemrange import gridindex
 from idemrange.gridindex import GridIndex
 
 
-def _loop_candidates(grid: GridIndex, lo, hi) -> np.ndarray:
-    """Reference: one pair of searchsorted calls per row of grid cells."""
-    ranges = []
-    for l, h in zip(lo, hi):
-        c0 = int(np.clip(np.floor(float(l) * grid.g), 0, grid.g - 1))
-        c1 = int(np.clip(np.floor(float(h) * grid.g), 0, grid.g - 1))
-        ranges.append((c0, c1))
-    if any(c0 > c1 for c0, c1 in ranges):
-        return np.empty(0, dtype=np.int64)
-    chunks = []
-    last_lo, last_hi = ranges[-1]
-    for prefix in itertools.product(*[range(c0, c1 + 1) for c0, c1 in ranges[:-1]]):
-        base = 0
-        for c in prefix:
-            base = base * grid.g + c
-        start = np.searchsorted(grid.sorted_flat, base * grid.g + last_lo, side="left")
-        stop = np.searchsorted(grid.sorted_flat, base * grid.g + last_hi, side="right")
-        if stop > start:
-            chunks.append(grid.order[start:stop])
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chunks)
+def _scan(coords: np.ndarray, lo, hi, dims=None) -> list[int]:
+    """Reference: the sorted indices of the points inside the closed box,
+    testing one point at a time, in the dimensions ``dims`` (default all)."""
+    dims = range(coords.shape[1]) if dims is None else dims
+    return [i for i, p in enumerate(coords) if all(lo[j] <= p[j] <= hi[j] for j in dims)]
 
 
-_BOUNDS = (-np.inf, -0.5, 0.0, 0.3, 0.5, 0.99, 1.0, 1.5, np.inf)
+def _check(grid: GridIndex, coords: np.ndarray, lo, hi) -> np.ndarray:
+    """Both lookups against the scan: the candidates are exactly the points
+    with dim-0 in [lo0, hi0], in dim-0 order, and the box's points are the
+    candidates that pass the other columns, in the same order."""
+    cand = grid.candidates_in_box(lo, hi)
+    got = grid.points_in_box(lo, hi)
+    assert cand.dtype == np.int64 and got.dtype == np.int64
+    assert sorted(cand.tolist()) == _scan(coords, lo, hi, dims=[0])
+    x0 = coords[cand, 0]
+    assert np.all(x0[1:] >= x0[:-1])
+    assert sorted(got.tolist()) == _scan(coords, lo, hi)
+    assert np.array_equal(got, cand[np.isin(cand, got)])  # a subsequence of the candidates
+    return got
+
+
+_BOUNDS = (-np.inf, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, np.inf)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("cells", [None, 1, 3])
-def test_candidates_match_per_cell_loop(monkeypatch, d, cells):
-    rng = np.random.default_rng(10 * d + (cells or 0))
+def test_lookups_match_point_scan(d):
+    rng = np.random.default_rng(10 * d)
     coords = rng.uniform(-0.2, 1.2, (300, d))
-    coords[:40] = rng.integers(0, 5, (40, d)) / 4  # points on cell boundaries
-    if cells is not None:
-        monkeypatch.setattr(gridindex, "_cells_per_dim", lambda n, d: cells)
+    coords[:80] = rng.integers(0, 5, (80, d)) / 4  # ties, many of them on the boxes' edges
     grid = GridIndex(coords)
-    assert grid.g == (cells or round(300 ** (1 / d)))
+    assert np.array_equal(np.sort(grid.order), np.arange(300))
+    assert all(c.flags.c_contiguous for c in grid.cols)
     nonempty = 0
     for _ in range(200):
-        lo = np.where(rng.random(d) < 0.3, rng.choice(_BOUNDS, d), rng.uniform(-0.3, 1.3, d))
-        hi = np.where(rng.random(d) < 0.3, rng.choice(_BOUNDS, d), rng.uniform(-0.3, 1.3, d))
-        want = _loop_candidates(grid, lo, hi)
-        got = grid.candidates_in_box(lo, hi)
-        assert got.dtype == np.int64 and np.array_equal(got, want)
-        inside = np.all((coords[got] >= lo) & (coords[got] <= hi), axis=1)
-        assert np.array_equal(grid.points_in_box(lo, hi), got[inside])
-        nonempty += want.size > 0
+        lo = np.where(rng.random(d) < 0.4, rng.choice(_BOUNDS, d), rng.uniform(-0.3, 1.3, d))
+        hi = np.where(rng.random(d) < 0.4, rng.choice(_BOUNDS, d), rng.uniform(-0.3, 1.3, d))
+        nonempty += _check(grid, coords, lo, hi).size > 0
     assert nonempty > 20
 
 
-def test_candidates_edge_boxes():
+def test_ties_on_the_window_edges():
+    """Points tied on dim 0 at both ends of the window are all candidates,
+    and in input order among themselves."""
+    coords = np.array([[0.5, 0.9], [0.25, 0.1], [0.5, 0.1], [0.75, 0.5], [0.25, 0.9], [0.75, 0.2], [0.6, 0.3]])
+    grid = GridIndex(coords)
+    assert grid.candidates_in_box((0.25, 0.0), (0.75, 1.0)).tolist() == [1, 4, 0, 2, 6, 3, 5]
+    assert grid.candidates_in_box((0.5, 0.0), (0.5, 1.0)).tolist() == [0, 2]
+    assert grid.points_in_box((0.25, 0.0), (0.75, 0.4)).tolist() == [1, 2, 6, 5]
+    assert grid.candidates_in_box((0.3, 0.0), (0.45, 1.0)).size == 0  # no key in the window
+    for lo, hi in (((0.25, 0.0), (0.75, 0.4)), ((0.5, 0.1), (0.75, 0.5)), ((0.2, 0.0), (0.5, 0.1))):
+        _check(grid, coords, lo, hi)
+
+
+def test_edge_boxes():
     rng = np.random.default_rng(5)
     coords = rng.random((200, 3))
     grid = GridIndex(coords)
     inf = np.inf
-    for lo, hi in (
-        ((-inf, -inf, -inf), (inf, inf, inf)),  # every point
-        ((0.6, 0.0, 0.0), (0.4, 1.0, 1.0)),  # inverted range: empty
-        ((1.5, 0.0, 0.0), (2.0, 1.0, 1.0)),  # outside the cube: edge cells
-        ((-2.0, -2.0, -2.0), (-1.0, -1.0, -1.0)),
-        ((0.5, 0.5, 0.5), (0.5, 0.5, 0.5)),  # one cell
+    p = coords[17]
+    for lo, hi, want in (
+        ((-inf, -inf, -inf), (inf, inf, inf), 200),  # every point
+        ((0.6, 0.0, 0.0), (0.4, 1.0, 1.0), 0),  # inverted in dim 0: empty
+        ((0.0, 0.6, 0.0), (1.0, 0.4, 1.0), 0),  # inverted in a later dimension: empty
+        ((1.5, 0.0, 0.0), (2.0, 1.0, 1.0), 0),  # outside the cube
+        ((-2.0, -2.0, -2.0), (-1.0, -1.0, -1.0), 0),
+        ((-inf, -inf, -inf), (-inf, -inf, -inf), 0),
+        (tuple(p), tuple(p), 1),  # one point
+        ((p[0], -inf, -inf), (p[0], inf, inf), 1),  # one dim-0 key
     ):
-        got = grid.candidates_in_box(lo, hi)
-        assert np.array_equal(got, _loop_candidates(grid, lo, hi))
-    assert np.array_equal(np.sort(grid.candidates_in_box((-inf,) * 3, (inf,) * 3)), np.arange(200))
+        assert _check(grid, coords, lo, hi).size == want
+    assert grid.points_in_box(tuple(p), tuple(p)).tolist() == [17]
 
 
 @pytest.mark.parametrize("x", [1e19, -1e19, 1e300, -1e300, np.inf, -np.inf])
-def test_far_out_coordinates_land_in_edge_cells(monkeypatch, x):
-    coords = np.array([[0.5, 0.5], [x, 0.5], [0.5, x]])
-    monkeypatch.setattr(gridindex, "_cells_per_dim", lambda n, d: 4)
+def test_far_out_coordinates_compare_as_they_are(x):
+    coords = np.array([[0.5, 0.5], [x, 0.5], [0.5, x], [x, x]])
     grid = GridIndex(coords)
-    edge = 3 if x > 0 else 0
-    assert sorted(grid.sorted_flat.tolist()) == sorted([2 * 4 + 2, edge * 4 + 2, 2 * 4 + edge])
-    lo, hi = (min(x, 0.5), -np.inf), (max(x, 0.5), np.inf)
-    assert np.array_equal(np.sort(grid.points_in_box(lo, hi)), [0, 1, 2])
+    both = (min(x, 0.5), min(x, 0.5)), (max(x, 0.5), max(x, 0.5))
+    assert sorted(grid.points_in_box(*both).tolist()) == [0, 1, 2, 3]
+    assert grid.points_in_box((0.0, 0.0), (1.0, 1.0)).tolist() == [0]
+    inf = np.inf
+    near = ((1e18, -inf), (inf, inf)) if x > 0 else ((-inf, -inf), (-1e18, inf))  # beyond 1e18 on x's side
+    assert sorted(grid.candidates_in_box(*near).tolist()) == [1, 3]
+    for lo, hi in (both, near, ((-inf, 0.0), (inf, 1.0)), ((x, x), (x, x))):
+        _check(grid, coords, lo, hi)
