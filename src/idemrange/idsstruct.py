@@ -16,10 +16,11 @@ balanced-prefix-cover intervals, candidate boxes are picked per cover
 pair, and the last d-k dimensions reduce to a dominance cover whose
 leftovers are singletons.
 All pieces of a query are answered in one pass (``_cover_pieces``): one
-grid gather over the query box, one cover per (dimension, side) that
-labels only the points on its side, and one sort of (point, piece)
-entries by (piece, label tuple).  A point on a split midpoint lies on both
-closed sides and so joins every piece that holds it.
+dim-0 window of the points (``GridIndex``) tested on the query box's other
+columns, one cover per (dimension, side) that labels only the points on
+its side, and one sort of (point, piece) entries by (piece, label tuple).
+A point on a split midpoint lies on both closed sides and so joins every
+piece that holds it; the cover still lists it, and every used sum, once.
 
 The geometry is leaf-rank arithmetic on trees of G = 2^h leaves over [0,
 1].  The split is found in closed form from the clipped bounds' leaf
@@ -392,9 +393,11 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], pool, qlo: 
     one pass (no compression yet).  The pieces tile the containment box
     [qlo, qhi], and ``pool`` holds the non-empty sums inside it
     (``_SumIndex.inside``).  Returns (rows, leftover): the used sum rows, in
-    (piece, tuple) order, and the indices of the points no used sum covers.
+    (piece, tuple) order of first use, and the indices, ascending, of the
+    points no used sum covers.  Each is listed once, so paid once, though a
+    sum may serve several tuples and a midpoint point several pieces.
 
-    One grid gather takes the box's points.  Each (dimension, side) cover is
+    One dim-0 window takes the box's points.  Each (dimension, side) cover is
     built once, if some point lies on that side, and labels only the points
     on its side (``_side_labels``); a point on a split midpoint lies on both
     sides, so it joins every piece whose closed side holds it.  Each (point,
@@ -436,9 +439,9 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], pool, qlo: 
         ent = ent[on]
         labels = [c[on] for c in labels] + [lab]
     singles = np.any(np.stack(labels) == -1, axis=0)
-    leftover = [target_idx[ent[singles]]]  # leaf-tail points
+    leftover = [ent[singles]]  # leaf-tail points, as target positions
     if singles.all():
-        return _NONE, leftover[0]
+        return _NONE, target_idx[np.unique(leftover[0])]
     ent = ent[~singles]
     dims = (1 << k, *[struct.config.h + 1] * k)
     keys = np.ravel_multi_index((piece_code[~singles], *(c[~singles] for c in labels)), dims)
@@ -460,8 +463,9 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], pool, qlo: 
     m_idx, covered, took = dominance_cover(
         struct.sums.box_hi[cand, k:], tcoords[ent, k:], np.concatenate(cand_groups), np.cumsum(first) - 1
     )
-    leftover.append(target_idx[ent[~covered]])
-    return cand[m_idx[took]], np.concatenate(leftover)
+    leftover.append(ent[~covered])
+    rows = cand[m_idx[took]]
+    return rows[np.sort(np.unique(rows, return_index=True)[1])], target_idx[np.unique(np.concatenate(leftover))]
 
 
 # (box, point) cells tested at once by the dense containment compare

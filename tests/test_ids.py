@@ -608,15 +608,15 @@ def test_one_sum_lookup_per_query(monkeypatch, d, k):
 # lookup changes must leave every one of them unchanged.
 PINNED_COSTS = {
     (2, 1): [
-        (18, 17), (1, 7), (4, 13), (10, 9), (8, 20), (5, 9), (15, 14), (6, 3), (12, 16), (11, 13),
-        (4, 15), (14, 5), (5, 10), (7, 17), (10, 8), (13, 13), (6, 3), (11, 24), (6, 18), (5, 12),
-        (10, 7), (5, 13), (11, 20), (7, 22), (8, 9), (4, 9), (10, 10), (12, 20), (8, 16), (11, 25),
-        (5, 10), (10, 8), (8, 13), (5, 11), (0, 4), (5, 15), (9, 19), (10, 17), (14, 16), (10, 19),
+        (15, 17), (1, 7), (3, 13), (9, 9), (8, 20), (4, 9), (12, 14), (4, 3), (11, 16), (9, 13),
+        (4, 15), (12, 5), (4, 10), (7, 17), (10, 8), (10, 13), (6, 3), (10, 24), (5, 18), (5, 12),
+        (9, 7), (4, 13), (9, 20), (5, 22), (8, 9), (4, 9), (10, 10), (10, 20), (8, 16), (10, 25),
+        (4, 10), (9, 8), (7, 13), (4, 11), (0, 4), (5, 15), (9, 19), (9, 17), (11, 16), (8, 19),
     ],
     (3, 2): [
         (0, 3), (0, 0), (0, 9), (0, 3), (7, 26), (0, 12), (4, 49), (1, 15), (1, 30), (1, 41),
-        (3, 50), (2, 21), (1, 6), (0, 0), (7, 27), (1, 11), (0, 7), (7, 43), (0, 26), (0, 2),
-        (1, 26), (0, 2), (0, 7), (0, 3), (1, 20), (0, 3), (0, 4), (13, 67), (0, 3), (1, 13),
+        (3, 50), (2, 21), (1, 6), (0, 0), (6, 27), (1, 11), (0, 7), (7, 43), (0, 26), (0, 2),
+        (1, 26), (0, 2), (0, 7), (0, 3), (1, 20), (0, 3), (0, 4), (12, 67), (0, 3), (1, 13),
         (0, 0), (10, 45), (0, 0), (4, 43), (5, 25), (0, 2), (1, 19), (0, 0), (0, 9), (2, 17),
     ],
 }
@@ -642,23 +642,24 @@ def test_query_costs_pinned(d, k, n, seed):
 
 # Per-query (sums_used, singletons_used, digest of the ordered audit boxes)
 # of the midpoint cases below.  A point on a split midpoint belongs to every
-# piece whose closed side holds it, and its cost is counted in each of them.
+# piece whose closed side holds it, but is counted once, as is a stored sum
+# that several cover tuples use.
 PINNED_MIDPOINT = {
     (2, 1): [
-        (7, 7, 'b0f6a92d85fe'), (8, 6, '20bcddc031f6'), (4, 3, '7ee1526318a5'), (2, 3, 'f205e4b193ef'),
-        (9, 6, 'c1161be3fbe9'), (0, 2, '4f53cda18c2b'), (6, 14, '70ae368f45c3'), (7, 8, '6c71e0f4a146'),
-        (7, 7, '317fdabaf55e'), (8, 13, '0148d7fec90b'), (8, 7, 'e499e4f570d4'), (3, 13, '7ef4676f06ce'),
-        (7, 8, '4f29b363fb59'), (7, 12, '6967eb45d222'), (8, 15, '6f76e0c92006'), (6, 6, '1b0e5a93bdb3'),
-        (6, 5, 'c43a85eb234f'), (8, 15, '7eb3d72ce563'), (14, 17, '5297c4ddd90b'), (3, 3, '92c54e5667b6'),
-        (6, 5, '3915c2748f59'), (11, 6, 'ba2407b2a1ed'), (4, 14, 'fb6dc72eb835'), (9, 9, '573e609c586f'),
+        (6, 6, '0a57f3ec5334'), (8, 6, '20bcddc031f6'), (4, 3, '7ee1526318a5'), (2, 3, '5a47c1d8b796'),
+        (8, 6, '38188090fb8b'), (0, 2, '4f53cda18c2b'), (4, 13, 'c3894ac2c8f0'), (5, 7, '2053461fa1a6'),
+        (6, 7, 'b366b481a3ee'), (8, 11, '0148d7fec90b'), (7, 7, 'ac7a4db88c4b'), (3, 13, '045209896bbd'),
+        (7, 8, '4f29b363fb59'), (6, 12, '407b4d69c48c'), (8, 15, '6f76e0c92006'), (6, 5, '1b0e5a93bdb3'),
+        (5, 4, 'd749f2edf583'), (8, 15, '7eb3d72ce563'), (13, 17, 'f996eac05cdc'), (2, 3, 'b5b3f0e3d411'),
+        (6, 5, '3915c2748f59'), (9, 6, 'ecfe015568ff'), (3, 14, '03a35c8b8e9b'), (8, 9, '53dd77e01463'),
     ],
     (3, 2): [
-        (4, 43, 'a7433ca33de3'), (2, 13, 'ce8cfe1f24c4'), (3, 39, 'ee63042af322'), (3, 14, '6f586e121988'),
-        (0, 20, '4f53cda18c2b'), (21, 78, '9cf7a23ea1b0'), (1, 50, 'ef1e9d1b6d56'), (4, 36, '6bbd302de57a'),
-        (1, 52, '31baa0055486'), (20, 63, '0557c6113b05'), (1, 37, '40f4f9fd6903'), (4, 23, '2a3d579bf6c9'),
-        (15, 61, 'ad4062a069d8'), (1, 28, '37cb68bc09e1'), (9, 63, '2710dc6c7120'), (18, 52, '3324bd0806d7'),
-        (0, 2, '4f53cda18c2b'), (0, 30, '4f53cda18c2b'), (7, 21, '4072dc35c890'), (4, 30, 'e5af0645d138'),
-        (0, 24, '4f53cda18c2b'), (1, 34, '34b8b3b8e712'), (3, 35, '14a217804f0a'), (2, 56, 'e9b84c799db5'),
+        (4, 35, '4bcca49f7a08'), (2, 12, '67b6f8eb80cf'), (3, 35, 'ee63042af322'), (3, 12, '6f586e121988'),
+        (0, 18, '4f53cda18c2b'), (20, 73, 'ac47918e9d88'), (1, 39, 'ef1e9d1b6d56'), (4, 30, '353957f0bbc3'),
+        (1, 41, '31baa0055486'), (19, 63, '4a4a96f53ab5'), (1, 33, '40f4f9fd6903'), (4, 17, '9ffcd221f3fb'),
+        (12, 59, 'e5c7d338a66f'), (1, 22, '37cb68bc09e1'), (9, 55, '2710dc6c7120'), (17, 48, 'a3e75febd449'),
+        (0, 2, '4f53cda18c2b'), (0, 22, '4f53cda18c2b'), (6, 20, '863bdd9bd214'), (4, 25, 'e5af0645d138'),
+        (0, 21, '4f53cda18c2b'), (1, 31, '34b8b3b8e712'), (3, 31, '14a217804f0a'), (2, 44, 'e9b84c799db5'),
     ],
 }
 
@@ -710,6 +711,61 @@ def test_points_on_split_midpoints_keep_costs(d, k, seed):
         on_every_mid += int(np.sum(ir.scan_mask(pts.coords, q) & np.all(pts.coords[:, :k] == mids, axis=1)))
     assert on_every_mid > 0  # at k = 2 these points belong to all 4 pieces
     assert got_pins == PINNED_MIDPOINT[(d, k)]
+
+
+def _covers(monkeypatch, s, queries):
+    """Run the queries, recording each one's cover twice: as ``_cover_pieces``
+    returns it, by query number, and as ``_evaluate`` folds it (after
+    compression).  Also counts the queries in which some stored sum is a
+    candidate of two or more cover tuples of one piece.  Returns (covers,
+    folds, shared)."""
+    covers, folds, shared = {}, [], set()
+    real_cover, real_eval, real_cand = I._cover_pieces, I._evaluate, I._tuple_candidates
+
+    def tuple_candidates(*a):
+        rows, mask = real_cand(*a)
+        if np.any(mask.sum(axis=0) >= 2):
+            shared.add(len(folds))
+        return rows, mask
+
+    monkeypatch.setattr(I, "_tuple_candidates", tuple_candidates)
+    monkeypatch.setattr(I, "_cover_pieces", lambda *a: covers.setdefault(len(folds), real_cover(*a)))
+    monkeypatch.setattr(I, "_evaluate", lambda st, r, lf: folds.append((r, lf)) or real_eval(st, r, lf))
+    for q in queries:
+        ans = ir.query(s, q)
+        assert ans.sums_used == folds[-1][0].size and ans.singletons_used == folds[-1][1].size
+    return covers, folds, len(shared)
+
+
+def _assert_paid_once(pairs):
+    for rows, leftover in pairs:
+        assert np.unique(rows).size == rows.size
+        assert np.unique(leftover).size == leftover.size
+
+
+def test_each_stored_sum_paid_once(monkeypatch):
+    """A stored sum that serves several cover tuples of a piece is used,
+    and paid, once; the used rows keep their order of first use."""
+    pts = ir.uniform_random(1024, 2, seed=31)
+    s = ir.build_ids(pts, 1, ir.ID_SET)
+    queries = _uniform_queries(np.random.default_rng(31), 2, 1, 40)
+    covers, folds, shared = _covers(monkeypatch, s, queries)
+    assert shared >= 10  # the case exercises shared candidates
+    _assert_paid_once(covers.values())
+    _assert_paid_once(folds)
+    for i, (rows, _) in covers.items():
+        assert np.array_equal(folds[i][0][: rows.size], rows)  # the greedy's picks follow the cover's rows
+
+
+@pytest.mark.parametrize("d,k,seed", [(2, 1, 61), (3, 2, 62)], ids=["2-1", "3-2"])
+def test_each_midpoint_point_paid_once(monkeypatch, d, k, seed):
+    """A leftover on a split midpoint belongs to every piece that holds it,
+    but is listed, and paid, once."""
+    pts, queries = _midpoint_case(d, k, seed)
+    s = ir.build_ids(pts, k, ir.ID_SET)
+    covers, folds, _ = _covers(monkeypatch, s, queries)
+    _assert_paid_once(covers.values())
+    _assert_paid_once(folds)
 
 
 def _greedy_case(name):
