@@ -32,7 +32,7 @@ from .lb import (
     subproblem,
     top_box,
 )
-from .points import hammersley_wd, save_point_set, uniform_random
+from .points import hammersley_wd, save_point_set, uniform_random, write_point_set
 from .semigroup import ID_SET, SEMIGROUPS, semigroup_by_name
 
 BENCH_COLUMNS = [
@@ -79,9 +79,7 @@ def _gen(args, parser) -> int:
     if args.out:
         save_point_set(ps, args.out)
     else:
-        sys.stdout.write(f"# d={ps.d} n={len(ps)}\n")
-        for row, pid in zip(ps.coords, ps.ids):
-            sys.stdout.write(" ".join(repr(float(c)) for c in row) + f" {int(pid)}\n")
+        write_point_set(ps, sys.stdout)
     return 0
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "uniform_random",
     "check_well_distributed",
     "radical_inverse",
+    "write_point_set",
     "save_point_set",
     "load_point_set",
 ]
@@ -336,12 +337,18 @@ def check_well_distributed(
     )
 
 
+def write_point_set(points: WeightedPointSet, fh) -> None:
+    """Text format, to the open text stream ``fh``: header '# d=<d> n=<n>',
+    then 'c1 .. cd id' per line, each coordinate as its ``repr``."""
+    fh.write(f"# d={points.d} n={len(points)}\n")
+    for row, pid in zip(points.coords, points.ids):
+        fh.write(" ".join(repr(float(c)) for c in row) + f" {int(pid)}\n")
+
+
 def save_point_set(points: WeightedPointSet, path) -> None:
-    """Text format: header '# d=<d> n=<n>', then 'c1 .. cd id' per line."""
+    """``write_point_set`` to the file ``path``."""
     with open(path, "w") as fh:
-        fh.write(f"# d={points.d} n={len(points)}\n")
-        for row, pid in zip(points.coords, points.ids):
-            fh.write(" ".join(repr(float(c)) for c in row) + f" {int(pid)}\n")
+        write_point_set(points, fh)
 
 
 def load_point_set(path) -> WeightedPointSet:

@@ -33,6 +33,16 @@ def test_gen_uniform_deterministic(tmp_path, capsys):
     assert f1.read_text() == f2.read_text()
 
 
+@pytest.mark.parametrize("kind", ["hammersley", "uniform"])
+def test_gen_stdout_equals_out_file(tmp_path, capsys, kind):
+    argv = ["gen", "--kind", kind, "--n", "7", "--d", "3", "--seed", "5"]
+    out_file = tmp_path / "p.txt"
+    assert _run(argv + ["--out", str(out_file)], capsys) == (0, "")
+    code, out = _run(argv, capsys)
+    assert code == 0 and out.encode() == out_file.read_bytes()
+    assert len(ir.load_point_set(out_file)) == 7
+
+
 def test_gen_missing_n_exits_2():
     proc = subprocess.run(
         [sys.executable, "-m", "idemrange.cli", "gen", "--kind", "hammersley", "--d", "2"],
