@@ -3,8 +3,8 @@
 Stores, for each sample point, the semigroup sum of the input points it
 dominates.  A dominance query takes the maxima of the dominated samples,
 uses their stored sums, and covers the leftover staircase region with
-singletons.  Lookup bookkeeping (grid gathers, sorting) is free in the cost
-model; only semigroup additions count.
+singletons.  Lookup bookkeeping (the targets' dim-0 window, sorting) is
+free in the cost model; only semigroup additions count.
 """
 
 from __future__ import annotations

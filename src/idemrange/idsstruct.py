@@ -388,14 +388,19 @@ _NONE = np.empty(0, dtype=np.int64)
 _MIN_MEMBERS = 2
 
 
+def _first_uses(a: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``a``, each at its first position."""
+    return a[np.sort(np.unique(a, return_index=True)[1])]
+
+
 def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], pool, qlo: np.ndarray, qhi: np.ndarray):
     """Dominance covers of every cover-pair tuple of all anchored pieces in
     one pass (no compression yet).  The pieces tile the containment box
     [qlo, qhi], and ``pool`` holds the non-empty sums inside it
     (``_SumIndex.inside``).  Returns (rows, leftover): the used sum rows, in
-    (piece, tuple) order of first use, and the indices, ascending, of the
-    points no used sum covers.  Each is listed once, so paid once, though a
-    sum may serve several tuples and a midpoint point several pieces.
+    (piece, tuple) order, and the indices of the points no used sum covers.
+    Each is listed once, at its first use, so paid once, though a sum may
+    serve several tuples and a midpoint point several pieces.
 
     One dim-0 window takes the box's points.  Each (dimension, side) cover is
     built once, if some point lies on that side, and labels only the points
@@ -441,7 +446,7 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], pool, qlo: 
     singles = np.any(np.stack(labels) == -1, axis=0)
     leftover = [ent[singles]]  # leaf-tail points, as target positions
     if singles.all():
-        return _NONE, target_idx[np.unique(leftover[0])]
+        return _NONE, target_idx[_first_uses(leftover[0])]
     ent = ent[~singles]
     dims = (1 << k, *[struct.config.h + 1] * k)
     keys = np.ravel_multi_index((piece_code[~singles], *(c[~singles] for c in labels)), dims)
@@ -464,8 +469,7 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], pool, qlo: 
         struct.sums.box_hi[cand, k:], tcoords[ent, k:], np.concatenate(cand_groups), np.cumsum(first) - 1
     )
     leftover.append(ent[~covered])
-    rows = cand[m_idx[took]]
-    return rows[np.sort(np.unique(rows, return_index=True)[1])], target_idx[np.unique(np.concatenate(leftover))]
+    return _first_uses(cand[m_idx[took]]), target_idx[_first_uses(np.concatenate(leftover))]
 
 
 # (box, point) cells tested at once by the dense containment compare
