@@ -58,7 +58,7 @@ def test_ties_on_the_window_edges():
         _check(grid, coords, lo, hi)
 
 
-def test_edge_boxes():
+def test_candidates_edge_boxes():
     rng = np.random.default_rng(5)
     coords = rng.random((200, 3))
     grid = GridIndex(coords)
