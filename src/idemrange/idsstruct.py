@@ -33,32 +33,34 @@ serves R and L sides; the pairs of ``balanced_prefix_cover`` and
 
 All stored sums live in one flat index, ``_SumIndex``, which also keeps
 its non-empty rows sorted by their box's dim-0 high end, with their
-bounds dimension-major.  Its one primitive, ``inside(qlo, qhi)``, finds
-the non-empty sums inside a box: as every box has lo <= hi, a box inside
-[qlo, qhi] has its dim-0 high end in [qlo0, qhi0], so one contiguous
-window of that view (two ``searchsorted`` calls), tested one column at a
-time, is an exact filtering search, whatever the box's orientation.  The
-window's row ids are sorted back into block order, so ties break as a
-per-block scan would break them.  A query makes one ``inside`` call over
-its whole box, and every other lookup filters that one sorted pool.  A
-piece's candidates are the pool rows of its orientation, one contiguous
-slice found with two ``searchsorted`` calls; a (tuple x row) mask of the
-spans then gives each of its cover tuples its candidates, still in block
-order.  One grouped ``dominance_cover`` call per query then covers every
-tuple at once, each tuple a group, so a target meets only its own
-tuple's maxima.  The compression and the exact-cover oracle draw on the
-pool rows with two or more members.
+bounds dimension-major, a flag for the rows of two or more members and
+each row's orientation number.  Its one primitive, ``inside(qlo, qhi)``,
+finds the non-empty sums inside a box: as every box has lo <= hi, a box
+inside [qlo, qhi] has its dim-0 high end in [qlo0, qhi0], so one
+contiguous window of that view (two ``searchsorted`` calls), tested one
+column at a time, is an exact filtering search, whatever the box's
+orientation.  It returns the window itself, a slice of the view and a
+mask over it.  A query makes one ``inside`` call over its whole box, and
+every other lookup filters that window in place; only what survives is
+gathered and sorted back into block order, so ties break as a per-block
+scan would break them.  The candidates of every cover tuple of every
+piece come from one (tuple x row) mask over the window's rows inside the
+query, testing each row's orientation number and its bounds in the
+two-sided dimensions against the tuple's spans (``_tuple_candidates``).
+One grouped ``dominance_cover`` call per query then covers every tuple at
+once, each tuple a group, so a target meets only its own tuple's maxima.
+The compression and the exact-cover oracle draw on the window's rows
+with two or more members.
 
 A query computes its cover first, as two arrays: the used sum rows and
 the leftover point indices.  Leftovers that a used sum covers are
 dropped, and a greedy reuses stored sums that absorb two or more of the
-rest (``_compress``).  The greedy first drops every box that holds fewer
-than two leftovers in some single dimension (``searchsorted`` calls,
-dimension by dimension on the survivors); both steps then test
-containment as uint64 bit rows (``_inside_bits``).  These come from rank
-space: per dimension, a table whose row r holds the bits of the r
-smallest points, so a box's row is ``prefix[b] & ~prefix[a]`` ANDed over
-the dimensions, with a and b its faces' ranks.  Only where the points
+rest (``_compress``), its pool the window's boxes that hold two or more
+leftovers in every single dimension.  Both steps test containment as
+uint64 bit rows (``_inside_bits``).  These come from rank space: per
+dimension, a table whose row r holds the bits of the r smallest points,
+so a box's row is ``prefix[b] & ~prefix[a]`` ANDed over the dimensions,
+with a and b its faces' ranks.  Only where the points
 outnumber the boxes by more than ``_DENSE_RATIO`` to one, as for the few
 boxes left against a clustered query's many leftovers, is each (box,
 point) cell compared instead.  ``query`` then checks, once over all rows,
@@ -126,6 +128,10 @@ class IdsConfig:
         return IdsConfig(n=n, d=d, k=k, h=h, N=max(1, n // h**k))
 
 
+# sums of fewer members never beat singletons
+_MIN_MEMBERS = 2
+
+
 class _SumIndex:
     """Every stored sum in one structure of arrays.
 
@@ -137,9 +143,12 @@ class _SumIndex:
     ``box_hi`` in the one-sided dimensions); ``counts`` and ``values`` hold
     the number and the semigroup sum of the input points inside each box,
     from one ``box_sums`` call: ``sg.reduce(values[rows])`` is the sum of
-    the boxes ``rows``.  ``by_hi0`` is (rows, bounds): the rows that hold a
-    point, in ``box_hi[:, 0]`` order, with their [lo | hi] bounds copied
-    dimension-major.
+    the boxes ``rows``.  ``by_hi0`` is (rows, bounds, multi, code): the rows
+    that hold a point, in ``box_hi[:, 0]`` order, with their [lo | hi]
+    bounds copied dimension-major, whether each holds two or more points,
+    and each one's orientation number, its orientation's index in
+    ``itertools.product((L, R), repeat=k)`` (the order of
+    ``decompose_query``'s pieces).
     """
 
     def __init__(self, blocks: dict, box_lo, box_hi, orient_span: dict, point_coords, w, sg: Semigroup):
@@ -148,21 +157,26 @@ class _SumIndex:
         self.counts, self.values = box_sums(point_coords, w, sg, box_lo, box_hi)
         rows = np.flatnonzero(self.counts >= 1)
         rows = rows[np.argsort(box_hi[rows, 0], kind="stable")]
-        self.by_hi0 = rows, np.hstack((box_lo[rows], box_hi[rows])).T.copy()
+        code = np.empty(len(self.counts), dtype=np.int64)
+        for orient, (start, stop) in orient_span.items():
+            code[start:stop] = sum(1 << i for i, side in enumerate(reversed(orient)) if side == _R)
+        bounds = np.hstack((box_lo[rows], box_hi[rows])).T.copy()
+        self.by_hi0 = rows, bounds, self.counts[rows] >= _MIN_MEMBERS, code[rows]
 
-    def inside(self, qlo, qhi) -> np.ndarray:
-        """Row ids, in block order, of the sums that hold a point and whose
-        box sits inside the closed box [qlo, qhi]."""
+    def inside(self, qlo, qhi):
+        """The window of ``by_hi0`` that holds the sums inside the closed box
+        [qlo, qhi]: (s, ok), a slice of the view and a mask over it, so the
+        rows are ``by_hi0[0][s][ok]``."""
         # every box has lo <= hi, so one inside has hi0 in [qlo0, qhi0]: that
         # window of the view, tested on its other 2d - 1 bounds, is exact
         d = len(qlo)
-        rows, bounds = self.by_hi0
+        bounds = self.by_hi0[1]
         s = slice(bounds[d].searchsorted(qlo[0]), bounds[d].searchsorted(qhi[0], side="right"))
         ok = bounds[0, s] >= qlo[0]
         for c in range(1, d):
             ok &= bounds[c, s] >= qlo[c]
             ok &= bounds[d + c, s] <= qhi[c]
-        return np.sort(rows[s][ok])
+        return s, ok
 
 
 def box_of(x, index, orientation, trees: list[DyadicTree]) -> Box | None:
@@ -359,33 +373,37 @@ def _side_labels(struct: IdsStructure, piece: AnchoredPiece, i: int, x: np.ndarr
     return np.where(xor, h + 1 - np.frexp(xor)[1], -1), spans
 
 
-def _tuple_candidates(sums: _SumIndex, pool: np.ndarray, orient, a: np.ndarray, b: np.ndarray):
-    """Usable stored sums of every cover-pair tuple of one piece orientation.
+def _tuple_candidates(sums: _SumIndex, window, codes: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Usable stored sums of every cover-pair tuple of a query.
 
-    ``pool`` holds the rows, in block order, of the non-empty sums inside
-    the containment box.  Row t of ``a`` and ``b`` holds tuple t's
-    u-interval ends, one column per two-sided dimension.  A pool sum works
-    for a tuple iff it has the piece's orientation and its box spans the
-    tuple's interval in every two-sided dimension; coverage of a target
-    then reduces to dominance in the remaining dimensions.
+    ``window`` is the query's ``inside`` window (s, ok) of ``sums.by_hi0``.
+    Tuple t belongs to the piece whose orientation number is ``codes[t]``,
+    and row t of ``a`` and ``b`` holds its u-interval ends, one column per
+    two-sided dimension.  A sum inside the query works for a tuple iff it
+    has the tuple's orientation and its box spans the tuple's interval in
+    every two-sided dimension; coverage of a target then reduces to
+    dominance in the remaining dimensions.
 
-    The orientation's pool rows are one contiguous slice of the pool (two
-    ``searchsorted`` calls), which every tuple's own spans narrow; returns
-    (slice rows in block order, tuple x slice mask), so tuple t's
-    candidates are ``rows[mask[t]]``.
+    One (tuple x row) mask over the window's rows inside the query tests the
+    orientation numbers and the bound columns, and only its hits are sorted
+    back to (tuple, block) order.  Returns (tuples, rows): tuple t's
+    candidates are ``rows[tuples == t]``, in block order.
     """
-    rows = pool[slice(*pool.searchsorted(sums.orient_span[orient]))]
-    mask = np.ones((len(a), rows.size), dtype=bool)
+    s, ok = window
+    rows, bounds, _, by_code = sums.by_hi0
+    d = len(bounds) // 2
+    pos = s.start + ok.nonzero()[0]
+    mask = by_code[pos] == codes[:, None]
     for j in range(a.shape[1]):
-        mask &= sums.box_lo[rows, j] <= a[:, j, None]
-        mask &= sums.box_hi[rows, j] >= b[:, j, None]
-    return rows, mask
+        mask &= bounds[j, pos] <= a[:, j, None]
+        mask &= bounds[d + j, pos] >= b[:, j, None]
+    t, c = np.divmod(mask.ravel().nonzero()[0], pos.size)  # a 2-d nonzero takes about twice as long
+    key = t * len(sums.counts) + rows[pos[c]]
+    key.sort()
+    return np.divmod(key, len(sums.counts))
 
 
 _NONE = np.empty(0, dtype=np.int64)
-
-# sums of fewer members never beat singletons
-_MIN_MEMBERS = 2
 
 
 def _first_uses(a: np.ndarray) -> np.ndarray:
@@ -393,11 +411,11 @@ def _first_uses(a: np.ndarray) -> np.ndarray:
     return a[np.sort(np.unique(a, return_index=True)[1])]
 
 
-def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], pool, qlo: np.ndarray, qhi: np.ndarray):
+def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], window, qlo: np.ndarray, qhi: np.ndarray):
     """Dominance covers of every cover-pair tuple of all anchored pieces in
     one pass (no compression yet).  The pieces tile the containment box
-    [qlo, qhi], and ``pool`` holds the non-empty sums inside it
-    (``_SumIndex.inside``).  Returns (rows, leftover): the used sum rows, in
+    [qlo, qhi], and ``window`` is its ``_SumIndex.inside`` window.  Returns
+    (rows, leftover): the used sum rows, in
     (piece, tuple) order, and the indices of the points no used sum covers.
     Each is listed once, at its first use, so paid once, though a sum may
     serve several tuples and a midpoint point several pieces.
@@ -409,8 +427,8 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], pool, qlo: 
     piece) entry is keyed by (piece, depth label tuple), raveled so that
     tuples, and with them used sums, run in piece order (that of
     ``decompose_query``), then tuple order: depth order is the covers' pair
-    order.  Each piece's slice of the pool gives every tuple's candidates
-    (``_tuple_candidates``), listed in (tuple, block) order, and one
+    order.  One ``_tuple_candidates`` call over the window gives every
+    tuple its candidates, listed in (tuple, block) order, and one
     ``dominance_cover`` call takes every tuple as a group: a target meets
     only its own tuple's maxima, and a tuple with no candidates covers none
     of its targets.  The maxima come back in candidate order, so the used
@@ -424,7 +442,7 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], pool, qlo: 
     for piece in pieces:
         for i, side in enumerate(piece.orientation):
             side_piece.setdefault((i, side), piece)
-    spans = {}  # (dim, side) -> u-intervals by depth of the side's cover pairs, for the sides holding points
+    spans = np.full((k, 2, struct.config.h + 1, 2), np.nan)  # [dim, side, depth]: that cover pair's u-interval
     tcoords = struct.points.coords[target_idx]
     ent = np.arange(target_idx.size)  # entry -> target position
     piece_code = np.zeros(target_idx.size, dtype=np.int64)  # bit i: the entry's side in dim i
@@ -438,7 +456,7 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], pool, qlo: 
                 continue
             on = (x <= piece.hi[i] if side == _L else x >= piece.lo[i]).nonzero()[0]  # closed at the split
             if on.size:
-                lab, spans[i, side] = _side_labels(struct, piece, i, x[on])
+                lab, spans[i, s] = _side_labels(struct, piece, i, x[on])
                 parts.append((on, 2 * piece_code[on] + s, lab))
         on, piece_code, lab = (np.concatenate(c) for c in zip(*parts))  # each side keeps its entries' order
         ent = ent[on]
@@ -454,19 +472,12 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], pool, qlo: 
     ent, keys = ent[order], keys[order]
     first = np.diff(keys, prepend=-1) != 0
     tuples = np.stack(np.unravel_index(keys[first], dims), axis=1)  # piece code, then labels
-    orients = list(itertools.product((_L, _R), repeat=k))  # by piece code
-    piece_starts = np.diff(tuples[:, 0], prepend=-1).nonzero()[0]
-    cand, cand_groups = [_NONE], [_NONE]
-    for t0, t1 in zip(piece_starts.tolist(), [*piece_starts[1:].tolist(), len(tuples)]):
-        orient = orients[tuples[t0, 0]]
-        ab = np.stack([spans[i, side][tuples[t0:t1, 1 + i]] for i, side in enumerate(orient)], axis=1)
-        rows, mask = _tuple_candidates(struct.sums, pool, orient, ab[..., 0], ab[..., 1])
-        t, c = mask.nonzero()  # in (tuple, block) order
-        cand.append(rows[c])
-        cand_groups.append(t0 + t)
-    cand = np.concatenate(cand)
+    codes = tuples[:, 0]
+    sides = (codes[:, None] >> np.arange(k - 1, -1, -1)) & 1  # per dimension, 0 for L and 1 for R
+    ab = spans[np.arange(k), sides, tuples[:, 1:]]
+    groups, cand = _tuple_candidates(struct.sums, window, codes, ab[..., 0], ab[..., 1])
     m_idx, covered, took = dominance_cover(
-        struct.sums.box_hi[cand, k:], tcoords[ent, k:], np.concatenate(cand_groups), np.cumsum(first) - 1
+        struct.sums.box_hi[cand, k:], tcoords[ent, k:], groups, np.cumsum(first) - 1
     )
     leftover.append(ent[~covered])
     return _first_uses(cand[m_idx[took]]), target_idx[_first_uses(np.concatenate(leftover))]
@@ -545,29 +556,17 @@ def _greedy_cover(pts: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray):
     uncovered points, take the first box holding the most.  Returns (picked
     box rows in pick order, per-point uncovered mask).
 
-    Exact and incremental.  Only boxes holding two or more points can be
-    picked, as gains only fall.  Such a box holds two or more in every
-    single dimension, which ``searchsorted`` calls on the sorted point
-    columns count dimension by dimension, each on the boxes the ones before
-    kept (one call where every low face is -inf, as in a stored box's
-    one-sided dimensions); the rest of the boxes are dropped unseen.
-    The survivors, still in box order, get their containment as bit rows
-    (``_inside_bits``), and a pick subtracts from each gain just the
-    popcount of the points it newly covers.
+    Exact and incremental.  Every box gets its containment as a bit row
+    (``_inside_bits``); only boxes holding two or more points can be picked,
+    as gains only fall, and a pick subtracts from each gain just the
+    popcount of the points it newly covers.  ``_compress`` hands it only
+    boxes that hold two or more points in every single dimension.
     """
     m = len(pts)
-    srt = np.sort(pts, axis=0)
-    rows = np.arange(len(box_lo))
-    for j in range(pts.shape[1]):  # each dimension sees only the survivors of the ones before
-        held = srt[:, j].searchsorted(box_hi[rows, j], side="right")
-        lo = box_lo[rows, j]
-        if lo.max(initial=NEG_INF) > NEG_INF:  # a -inf face holds every point below the high one
-            held -= srt[:, j].searchsorted(lo)
-        rows = rows[held >= 2]
-    bits = _inside_bits(pts, box_lo[rows], box_hi[rows])
+    bits = _inside_bits(pts, box_lo, box_hi)
     gains = np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
-    keep = gains >= 2
-    rows, bits, gains = rows[keep], bits[keep], gains[keep]
+    rows = (gains >= 2).nonzero()[0]
+    bits, gains = bits[rows], gains[rows]
     alive = np.full(bits.shape[1], np.iinfo(np.uint64).max, dtype=np.uint64)
     alive[-1] >>= np.uint64(-m % 64)  # no padding bits
     picks: list[int] = []
@@ -583,30 +582,49 @@ def _greedy_cover(pts: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray):
     return picks, _unpack(alive, m)
 
 
-def _compress(struct: IdsStructure, pool: np.ndarray, rows: np.ndarray, leftover: np.ndarray):
+def _compress(struct: IdsStructure, window, rows: np.ndarray, leftover: np.ndarray):
     """Resolve leftovers: drop those a used sum ``rows`` already covers,
-    reuse any sum of ``pool`` (the non-empty sums inside the query) that
-    absorbs two or more of the rest (``_greedy_cover``), then fall back to
-    singletons.  Returns the cover (rows, leftover): ``rows`` followed by
-    the greedy's picks, and the points left as singletons.
+    reuse any sum of the query's ``inside`` window that absorbs two or more
+    of the rest (``_greedy_cover``), then fall back to singletons.  Returns
+    the cover (rows, leftover): ``rows`` followed by the greedy's picks, and
+    the points left as singletons.
 
-    Both steps test containment as bit rows (``_inside_bits``), built in
-    rank space unless the leftovers far outnumber the boxes.  The greedy
-    sees the pool's sums with two or more members, and narrows them to
-    boxes holding two or more leftovers in every single dimension (so
-    meeting the leftovers' bounding box) before any containment test.
-    Strictly reduces cost; exactness and containment are unaffected because
-    absorption is a full-coordinate box test against sums already known to
-    sit inside the query.
+    The greedy's pool is filtered from the window in place: the
+    sub-window whose dim-0 high end reaches the second-smallest leftover
+    x0, its rows of two or more members inside the query, and of those the
+    boxes that hold two or more leftovers in every single dimension (no
+    other box can hold two).  A one-sided dimension, whose low faces are
+    all -inf, takes one compare with the second-smallest leftover; a
+    two-sided one a ``searchsorted`` of the low faces into the sorted
+    leftovers, whose next one must lie at or below the high face.  Only
+    the survivors are gathered.  Strictly reduces cost; exactness and
+    containment are unaffected because absorption is a full-coordinate box
+    test against sums already known to sit inside the query.
     """
     pts = struct.points.coords[leftover]
     sums = struct.sums
     if rows.size and leftover.size:
         covered = _unpack(np.bitwise_or.reduce(_inside_bits(pts, sums.box_lo[rows], sums.box_hi[rows])), len(pts))
         leftover, pts = leftover[~covered], pts[~covered]
-    if leftover.size < 2:
+    m = leftover.size
+    if m < 2:
         return rows, leftover
-    pool = pool[sums.counts[pool] >= _MIN_MEMBERS]
+    view, bounds, multi, _ = sums.by_hi0
+    d, k = pts.shape[1], struct.config.k
+    srt = np.full((m + 2, d), np.nan)  # two NaN rows: they sort last and compare false
+    srt[:m] = pts
+    srt[:m].sort(axis=0)
+    # a box holding two leftovers has hi0 >= their second-smallest x0: a sub-window
+    s, ok = window
+    start = max(s.start, bounds[d].searchsorted(srt[1, 0]))
+    keep = ok[start - s.start :] & multi[start : s.stop]
+    for j in range(k, d):  # lo = -inf: two leftovers iff hi >= the second-smallest
+        keep &= bounds[d + j, start : s.stop] >= srt[1, j]
+    pos = start + keep.nonzero()[0]
+    for j in range(k):  # two leftovers iff the second at or above lo lies at or below hi
+        col = srt[:, j]
+        pos = pos[col[col.searchsorted(bounds[j, pos]) + 1] <= bounds[d + j, pos]]
+    pool = np.sort(view[pos])  # block order, so the greedy breaks ties as a block scan would
     picks, uncovered = _greedy_cover(pts, sums.box_lo[pool], sums.box_hi[pool])
     return np.concatenate((rows, pool[picks])), leftover[uncovered]
 
@@ -625,8 +643,9 @@ def usable_sums(struct: IdsStructure, q: Box):
     """Stored sums of two or more members whose box sits inside q, as
     (value, box, count) triples: the exact-cover oracle's available sums."""
     sums = struct.sums
-    rows = sums.inside(np.asarray(q.lo), np.asarray(q.hi))
-    rows = rows[sums.counts[rows] >= _MIN_MEMBERS]
+    s, ok = sums.inside(np.asarray(q.lo), np.asarray(q.hi))
+    rows, _, multi, _ = sums.by_hi0
+    rows = np.sort(rows[s][ok & multi[s]])
     reduce, lo, hi = struct.sg.reduce, sums.box_lo, sums.box_hi
     return [(reduce(sums.values[[r]]), Box(tuple(lo[r]), tuple(hi[r])), int(sums.counts[r])) for r in rows.tolist()]
 
@@ -645,8 +664,8 @@ def query(struct: IdsStructure, q: Box, return_audit: bool = False):
     if singleton_only:
         rows, leftover = _NONE, struct.grid.points_in_box(qlo, qhi)
     else:
-        pool = struct.sums.inside(qlo, qhi)
-        rows, leftover = _compress(struct, pool, *_cover_pieces(struct, pieces, pool, qlo, qhi))
+        window = struct.sums.inside(qlo, qhi)
+        rows, leftover = _compress(struct, window, *_cover_pieces(struct, pieces, window, qlo, qhi))
     lo, hi = struct.sums.box_lo[rows], struct.sums.box_hi[rows]
     if np.any(lo < qlo) or np.any(hi > qhi):
         raise AssertionError("used sum escapes the query box")

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -91,10 +92,15 @@ def test_stored_boxes_match_box_of(monkeypatch, d, k, n):
     for orient, span in sums.orient_span.items():
         in_orient = [r for (o, _), (a, b) in s.blocks.items() if o == orient for r in range(a, b)]
         assert in_orient == list(range(*span))
-    rows, bounds = sums.by_hi0
+    rows, bounds, multi, code = sums.by_hi0
     held = np.flatnonzero(sums.counts >= 1).tolist()  # an empty box is never indexed
     assert rows.tolist() == sorted(held, key=lambda r: sums.box_hi[r, 0])  # stable: block order on ties
     assert bounds.tobytes() == np.hstack((sums.box_lo[rows], sums.box_hi[rows])).T.tobytes()
+    assert multi.tolist() == [sums.counts[r] >= 2 for r in rows.tolist()]
+    assert 0 < multi.sum() < multi.size
+    pieces = list(itertools.product("LR", repeat=k))  # decompose_query's piece order
+    orient_of = {r: o for o, span in sums.orient_span.items() for r in range(*span)}
+    assert code.tolist() == [pieces.index(orient_of[r]) for r in rows.tolist()]
 
 
 def test_build_input_guards():
@@ -197,8 +203,8 @@ def _answer_piece(s, piece):
     piece itself as containment box (query() uses the whole query box
     instead, letting sums straddle the split), then the fold."""
     lo, hi = np.asarray(piece.lo), np.asarray(piece.hi)
-    pool = s.sums.inside(lo, hi)
-    rows, leftover = I._compress(s, pool, *I._cover_pieces(s, [piece], pool, lo, hi))
+    window = s.sums.inside(lo, hi)
+    rows, leftover = I._compress(s, window, *I._cover_pieces(s, [piece], window, lo, hi))
     assert np.all(s.sums.box_lo[rows] >= lo) and np.all(s.sums.box_hi[rows] <= hi)
     return I._evaluate(s, rows, leftover)
 
@@ -478,47 +484,75 @@ def _scan_rows(sums, qlo, qhi, min_count=1, orient=None, spans=None):
     return keep
 
 
-def _compress_pool(monkeypatch, s, pool, leftover):
+def _window_rows(sums, window):
+    """The rows of an ``inside`` window, in block order."""
+    s, ok = window
+    return np.sort(sums.by_hi0[0][s][ok])
+
+
+def _two_per_dim(sums, rows, pts):
+    """Reference for the compression pool's leftover test: the ``rows``
+    whose box holds two or more of ``pts`` in every single dimension, each
+    (box, point, dimension) compared on its own."""
+    rows = np.asarray(rows, dtype=np.int64)
+    lo, hi = sums.box_lo[rows], sums.box_hi[rows]
+    per_dim = ((pts[None, :, :] >= lo[:, None, :]) & (pts[None, :, :] <= hi[:, None, :])).sum(axis=1)
+    return rows[(per_dim >= 2).all(axis=1)]
+
+
+def _compress_pool(monkeypatch, s, window, leftover):
     """The boxes ``_compress`` hands to its greedy for these leftovers."""
     seen = []
     real = I._greedy_cover
     monkeypatch.setattr(I, "_greedy_cover", lambda p, bl, bh: seen.append((bl, bh)) or real(p, bl, bh))
-    I._compress(s, pool, I._NONE, leftover)
+    I._compress(s, window, I._NONE, leftover)
     monkeypatch.setattr(I, "_greedy_cover", real)
     return seen
 
 
+def _assert_pool(monkeypatch, s, window, leftover, want):
+    (got_lo, got_hi), = _compress_pool(monkeypatch, s, window, leftover)
+    assert np.array_equal(got_lo, s.sums.box_lo[want]) and np.array_equal(got_hi, s.sums.box_hi[want])
+
+
 def test_sum_index_matches_block_scan(monkeypatch):
-    """``inside`` and every lookup filtered from its pool (a tuple's
-    candidates, the compression pool) equal the block scan's rows."""
+    """The ``inside`` window and every lookup filtered from it (the cover
+    tuples' candidates, the compression pool) equal the block scan's rows."""
     pts = ir.uniform_random(256, 3, seed=22)
     s = ir.build_ids(pts, 2, ir.ID_SET)
     sums = s.sums
     rng = np.random.default_rng(23)
-    found = compressed = 0
+    orients = list(itertools.product("LR", repeat=2))  # by orientation number
+    found = compressed = narrowed = 0
     for q in _uniform_queries(rng, 3, 2, 30):
         qlo, qhi = np.asarray(q.lo), np.asarray(q.hi)
-        pool = sums.inside(qlo, qhi)
-        assert pool.tolist() == _scan_rows(sums, qlo, qhi)
-        assert np.all(sums.counts[pool] >= 1)
+        window = sums.inside(qlo, qhi)
+        assert _window_rows(sums, window).tolist() == _scan_rows(sums, qlo, qhi)
         inner = s.grid.points_in_box(qlo, qhi)
-        if inner.size >= 2:
-            leftover = rng.choice(inner, max(2, inner.size // 2), replace=False)
-            want = _scan_rows(sums, qlo, qhi, 2)
-            (got_lo, got_hi), = _compress_pool(monkeypatch, s, pool, leftover)
-            assert np.array_equal(got_lo, sums.box_lo[want]) and np.array_equal(got_hi, sums.box_hi[want])
+        multi = _scan_rows(sums, qlo, qhi, 2)
+        for size in (max(2, inner.size // 2), min(3, inner.size)) if inner.size >= 2 else ():  # many, then few
+            leftover = rng.choice(inner, size, replace=False)
+            want = _two_per_dim(sums, multi, pts.coords[leftover])
+            _assert_pool(monkeypatch, s, window, leftover, want)
             compressed += len(want)
+            narrowed += len(multi) - len(want)
+        # every orientation against one span pair at a time, all in one call
         mid = (qlo[:2] + qhi[:2]) / 2
-        for a, b in [
+        spans = [
             (np.array([0.3, 0.5]), np.array([0.35, 0.55])),
             (mid, mid),  # boxes spanning the query's centre
-        ]:
-            for orient in itertools.product("RL", repeat=2):
-                rows, mask = I._tuple_candidates(sums, pool, orient, a[None], b[None])
-                assert rows[mask[0]].tolist() == _scan_rows(sums, qlo, qhi, 1, orient, (a, b))
-                assert rows.tolist() == _scan_rows(sums, qlo, qhi, 1, orient)
-                found += mask.sum()
-    assert found > 15 and compressed > 15
+            (np.full(2, np.inf), np.full(2, -np.inf)),  # every box: the orientation's rows
+        ]
+        cases = [(code, a, b) for a, b in spans for code in range(len(orients))]
+        codes = np.array([code for code, _, _ in cases])
+        a, b = (np.array([c[i] for c in cases]) for i in (1, 2))
+        tuples, rows = I._tuple_candidates(sums, window, codes, a, b)
+        assert np.all(np.diff(tuples) >= 0)
+        for t, (code, a, b) in enumerate(cases):
+            want = _scan_rows(sums, qlo, qhi, 1, orients[code], None if np.isinf(a[0]) else (a, b))
+            assert rows[tuples == t].tolist() == want
+            found += len(want)
+    assert found > 15 and compressed > 15 and narrowed > 15
 
 
 def test_sum_index_edge_layouts():
@@ -554,18 +588,60 @@ def test_sum_index_edge_layouts():
         (np.array([0.5, NEG_INF]), np.array([0.75, 1.0])),  # starts on a tied key value
     ]
     queries += [(np.array([a, NEG_INF]), np.array([a + w, 1.0])) for a, w in rng.random((20, 2)).tolist()]
-    anything = np.array([[np.inf]]), np.array([[-np.inf]])  # spans every box
+    anything = np.array([[np.inf]] * 2), np.array([[-np.inf]] * 2)  # spans every box
     for qlo, qhi in queries:
-        got = sums.inside(qlo, qhi)
-        assert got.tolist() == _scan_rows(sums, qlo, qhi)
-        rows, mask = I._tuple_candidates(sums, got, ("L",), *anything)
-        assert rows.tolist() == got.tolist() and mask.all()
-        assert I._tuple_candidates(sums, got, ("R",), *anything)[0].size == 0
-    assert sums.inside(*queries[1]).size == 0
-    edges = sums.inside(*queries[3]).tolist()
+        window = sums.inside(qlo, qhi)
+        got = _window_rows(sums, window).tolist()
+        assert got == _scan_rows(sums, qlo, qhi)
+        tuples, rows = I._tuple_candidates(sums, window, np.array([0, 1]), *anything)  # L, then R
+        assert rows.tolist() == got and not tuples.any()  # no R row: the R tuple has none
+    assert _window_rows(sums, sums.inside(*queries[1])).size == 0
+    edges = _window_rows(sums, sums.inside(*queries[3])).tolist()
     assert 36 not in edges and 37 in edges and 38 in edges
     held = np.flatnonzero(sums.counts >= 1)
-    assert held.size < len(x0) and sums.inside(*queries[2]).tolist() == held.tolist()
+    assert held.size < len(x0) and _window_rows(sums, sums.inside(*queries[2])).tolist() == held.tolist()
+
+
+def test_compression_pool_edge_cases(monkeypatch):
+    """The pool ``_compress`` hands its greedy, on a hand-built (2, 1) index
+    against six leftovers: ties on x0 and on x1, one at -inf in the one-sided
+    dimension, one at +inf and one at -inf in dim 0.  Boxes (lo0, hi0, hi1),
+    lo1 = -inf, with whether each holds two or more of the leftovers in
+    every dimension; every box holds two or more input points but B9."""
+    leftovers = [(0.2, 0.5), (0.2, 0.3), (0.4, 0.5), (0.6, NEG_INF), (np.inf, 0.1), (NEG_INF, 0.9)]
+    extras = [(0.18, 0.0), (0.19, 0.01), (0.45, 0.2), (0.8, 0.5)]  # input points that are not leftovers
+    boxes = [
+        ((0.2, 0.2, 0.5), True),  # B1: leftovers on both dim-0 faces, tied; hi0 is the second-smallest x0
+        ((0.15, 0.2, 0.05), False),  # B2: tied on hi0 with B1; one leftover (-inf) in dim 1
+        ((0.3, 0.5, 1.0), False),  # B3: exactly one leftover in dim 0
+        ((0.5, np.inf, 1.0), True),  # B4: the +inf leftover is the second in dim 0
+        ((0.7, np.inf, 1.0), False),  # B5: hi0 = +inf and one leftover above lo0
+        ((0.1, 0.2, 0.5), True),  # B6: tied on hi0 with B1
+        ((0.0, 0.19, 1.0), False),  # B7: hi0 below the sub-window
+        ((NEG_INF, 0.2, 1.0), True),  # B8: a -inf face holds the -inf leftover
+        ((0.2, 0.4, 0.35), False),  # B9: two per dimension, but one input point inside
+        ((0.4, 0.6, 0.5), True),  # B10: leftovers on both dim-0 faces
+    ]
+    lo = np.array([(b[0], NEG_INF) for b, _ in boxes])
+    hi = np.array([(b[1], b[2]) for b, _ in boxes])
+    coords = np.array(leftovers + extras)
+    sums = I._SumIndex({(("L",), (1,)): (0, len(boxes))}, lo, hi, {("R",): (0, 0), ("L",): (0, len(boxes))},
+                       coords, np.arange(len(coords)), ir.ID_SET)
+    assert (sums.counts >= 2).tolist() == [i != 8 for i in range(len(boxes))]
+    struct = types.SimpleNamespace(points=types.SimpleNamespace(coords=coords), sums=sums,
+                                   config=types.SimpleNamespace(k=1))
+    qlo, qhi = np.full(2, NEG_INF), np.full(2, np.inf)
+    leftover = np.arange(len(leftovers))
+    want = [r for r, (_, two) in enumerate(boxes) if two]
+    ref = _two_per_dim(sums, _scan_rows(sums, qlo, qhi, 2), coords[leftover])
+    assert ref.tolist() == want
+    _assert_pool(monkeypatch, struct, sums.inside(qlo, qhi), leftover, want)
+    # the same boxes against every pair of the leftovers, and against a query that cuts B4, B5 and B8
+    for pair in itertools.combinations(leftover, 2):
+        pair = np.array(pair)
+        for qlo, qhi in [(np.full(2, NEG_INF), np.full(2, np.inf)), (np.array([0.0, NEG_INF]), np.array([0.9, 1.0]))]:
+            want = _two_per_dim(sums, _scan_rows(sums, qlo, qhi, 2), coords[pair])
+            _assert_pool(monkeypatch, struct, sums.inside(qlo, qhi), pair, want)
 
 
 @pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2)])
@@ -578,11 +654,12 @@ def test_one_sum_lookup_per_query(monkeypatch, d, k):
     real = I._SumIndex.inside
 
     def inside(self, qlo, qhi):
-        rows = real(self, qlo, qhi)
+        window = real(self, qlo, qhi)
+        rows = _window_rows(self, window)
         assert np.all(self.counts[rows] >= 1)
         assert np.all(self.box_lo[rows] >= qlo) and np.all(self.box_hi[rows] <= qhi)
         calls.append(rows.size)
-        return rows
+        return window
 
     monkeypatch.setattr(I._SumIndex, "inside", inside)
     rng = np.random.default_rng(51)
@@ -722,11 +799,12 @@ def _covers(monkeypatch, s, queries):
     covers, folds, shared = {}, [], set()
     real_cover, real_eval, real_cand = I._cover_pieces, I._evaluate, I._tuple_candidates
 
-    def tuple_candidates(*a):
-        rows, mask = real_cand(*a)
-        if np.any(mask.sum(axis=0) >= 2):
+    def tuple_candidates(sums, window, codes, a, b):
+        tuples, rows = real_cand(sums, window, codes, a, b)
+        uses = np.unique(np.stack((codes[tuples], rows)), axis=1, return_counts=True)[1]  # per (piece, row)
+        if np.any(uses >= 2):
             shared.add(len(folds))
-        return rows, mask
+        return tuples, rows
 
     monkeypatch.setattr(I, "_tuple_candidates", tuple_candidates)
     monkeypatch.setattr(I, "_cover_pieces", lambda *a: covers.setdefault(len(folds), real_cover(*a)))
@@ -842,8 +920,15 @@ def test_inside_bits_matches_dense_containment(monkeypatch, m, chunk_cells):
 
 
 def test_greedy_prefilter_keeps_boxes_with_two_per_dimension(monkeypatch):
-    """Boxes reach the containment test iff they hold two or more points in
-    every single dimension (closed on both faces)."""
+    """Boxes reach the greedy iff they are sums of two or more members
+    inside the query holding two or more leftovers in every single
+    dimension (closed on both faces).  At k = 1 dim 1 is one-sided, its low
+    faces -inf; at k = 2 both dimensions take the two-sided test."""
+    for k in (1, 2):
+        _check_prefilter(monkeypatch, k)
+
+
+def _check_prefilter(monkeypatch, k):
     rng = np.random.default_rng(43)
     pts = rng.random((30, 2))
     pts[:10] = np.round(pts[:10] * 4) / 4  # ties
@@ -852,15 +937,22 @@ def test_greedy_prefilter_keeps_boxes_with_two_per_dimension(monkeypatch):
     lo[:100], hi[100:200] = pts[rng.integers(0, 30, 100)], pts[rng.integers(0, 30, 100)]  # faces on points
     hi = np.maximum(lo, hi)
     lo[::9, 1] = NEG_INF
+    if k == 1:
+        lo[:, 1] = NEG_INF
+    coords = np.vstack((pts, rng.random((2000, 2)) * 1.2 - 0.1))  # the leftovers, then other input points
+    span = {("R",) * k: (0, 0), ("L",) * k: (0, 300)}
+    sums = I._SumIndex({(("L",) * k, (1,) * k): (0, 300)}, lo, hi, span, coords, np.arange(2030), ir.ID_SET)
+    struct = types.SimpleNamespace(points=types.SimpleNamespace(coords=coords), sums=sums,
+                                   config=types.SimpleNamespace(k=k))
     per_dim = ((pts[None, :, :] >= lo[:, None, :]) & (pts[None, :, :] <= hi[:, None, :])).sum(axis=1)
-    want = (per_dim >= 2).all(axis=1)
-    assert 0 < want.sum() and ((per_dim >= 1).all(axis=1) & ~want).sum() > 10
-    seen = []
-    real = I._inside_bits
-    monkeypatch.setattr(I, "_inside_bits", lambda p, bl, bh: seen.append((bl, bh)) or real(p, bl, bh))
-    I._greedy_cover(pts, lo, hi)
-    (got_lo, got_hi), = seen
-    assert np.array_equal(got_lo, lo[want]) and np.array_equal(got_hi, hi[want])
+    two = (per_dim >= 2).all(axis=1)
+    assert 0 < two.sum() and ((per_dim >= 1).all(axis=1) & ~two).sum() > 10
+    assert (~two & (sums.counts >= 2)).sum() > 10  # the leftover test drops sums of two or more members
+    # every box inside, then a query that cuts some boxes holding two per dimension
+    for qlo, qhi in [(np.full(2, NEG_INF), np.full(2, np.inf)), (np.array([0.0, NEG_INF]), np.array([1.1, 1.1]))]:
+        inside = (sums.counts >= 2) & np.all(lo >= qlo, axis=1) & np.all(hi <= qhi, axis=1)
+        _assert_pool(monkeypatch, struct, sums.inside(qlo, qhi), np.arange(30), np.flatnonzero(two & inside))
+    assert (two & ~inside & (sums.counts >= 2)).sum() > 10
 
 
 def test_query_checks_audits_and_folds_cover_rows(monkeypatch):
@@ -868,7 +960,7 @@ def test_query_checks_audits_and_folds_cover_rows(monkeypatch):
     s = ir.build_ids(pts, 1, ir.ID_SET)
     sums = s.sums
     q = Box((0.1, NEG_INF), (0.9, 0.8))
-    rows = sums.inside(np.asarray(q.lo), np.asarray(q.hi))[:5]
+    rows = _window_rows(sums, sums.inside(np.asarray(q.lo), np.asarray(q.hi)))[:5]
     assert rows.size == 5
     none = np.empty(0, dtype=np.int64)
     monkeypatch.setattr(I, "_cover_pieces", lambda *args: (rows[::-1], none))
@@ -1045,11 +1137,12 @@ def test_nan_point_coordinates_rejected():
 
 @pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2)])
 def test_batched_candidates_match_per_tuple_inside(d, k):
-    """Each tuple's rows from the piece's pool slice and mask equal the rows
-    of its own block scan, in the same order, for every tuple of pairs.
-    Every such row's family index lies in [depth(v), depth(u) + 1] per
-    two-sided dimension (v the piece's child of the split node, u the pair's
-    left node), so a depth filter on the lookup would drop nothing."""
+    """Each tuple's rows from one call over the query's window equal the
+    rows of its own block scan, in the same order, for every tuple of pairs
+    of every piece; a tuple that spans nothing gets the piece's rows inside
+    the query.  Every such row's family index lies in [depth(v), depth(u) +
+    1] per two-sided dimension (v the piece's child of the split node, u the
+    pair's left node), so a depth filter on the lookup would drop nothing."""
     rng = np.random.default_rng(80 + 10 * d + k)
     pts = ir.uniform_random(4096, d, seed=90 + d + k)
     s = ir.build_ids(pts, k, ir.MAX_REAL)
@@ -1057,35 +1150,42 @@ def test_batched_candidates_match_per_tuple_inside(d, k):
     family = np.empty((len(sums.counts), k), dtype=np.int64)
     for (_, index), (start, stop) in sums.blocks.items():
         family[start:stop] = index
-    tuples_seen = rows_seen = narrowed = 0  # narrowed: the tuple's own spans drop slice rows
+    orients = list(itertools.product("LR", repeat=k))  # by orientation number
+    tuples_seen = rows_seen = narrowed = 0  # narrowed: the tuple's own spans drop rows of its piece
     for q in _uniform_queries(rng, d, k, 25):
         pieces, singleton_only = I.decompose_query(s, q)
         if singleton_only:
             continue
         qlo, qhi = np.asarray(q.lo), np.asarray(q.hi)
-        pool = sums.inside(qlo, qhi)
+        cases = []  # (piece, a, b) per tuple, in piece order; a = inf, b = -inf spans nothing
         for piece in pieces:
             # each dimension's u-intervals, by depth, at the depths that have a pair
             dim_spans = [I._side_labels(s, piece, i, np.empty(0))[1] for i in range(k)]
             dim_spans = [sp[~np.isnan(sp[:, 0])] for sp in dim_spans]
             if not all(len(sp) for sp in dim_spans):
                 continue
-            tuples = np.asarray(list(itertools.product(*[range(len(sp)) for sp in dim_spans])))
-            a, b = (np.stack([sp[tuples[:, i], end] for i, sp in enumerate(dim_spans)], axis=1) for end in (0, 1))
-            rows, mask = I._tuple_candidates(sums, pool, piece.orientation, a, b)
+            for t in itertools.product(*[range(len(sp)) for sp in dim_spans]):
+                cases.append((piece, *(np.array([sp[i, end] for i, sp in zip(t, dim_spans)]) for end in (0, 1))))
+            cases.append((piece, np.full(k, np.inf), np.full(k, -np.inf)))
+        codes = np.array([orients.index(piece.orientation) for piece, _, _ in cases], dtype=np.int64)
+        a, b = (np.array([c[i] for c in cases]) for i in (1, 2))
+        tuples, rows = I._tuple_candidates(sums, sums.inside(qlo, qhi), codes, a, b)
+        assert np.all(np.diff(tuples) >= 0)
+        for t, (piece, at, bt) in enumerate(cases):
             in_piece = np.asarray(_scan_rows(sums, qlo, qhi, 1, piece.orientation), dtype=np.int64)
-            assert rows.tolist() == in_piece.tolist()
-            assert rows[mask[0]].tolist() == _scan_rows(sums, qlo, qhi, 1, piece.orientation, (a[0], b[0]))
+            got = rows[tuples == t].tolist()
+            if np.isinf(at[0]):
+                assert got == in_piece.tolist()
+                continue
+            assert got == _scan_rows(sums, qlo, qhi, 1, piece.orientation, (at, bt))
+            spanning = np.all(sums.box_lo[in_piece, :k] <= at, axis=1) & np.all(sums.box_hi[in_piece, :k] >= bt, axis=1)
+            assert got == in_piece[spanning].tolist()  # the block scan's rows that span the tuple
             low = np.asarray([v.depth for v in piece.vnodes])
-            for t in range(len(tuples)):
-                spanning = np.all(sums.box_lo[in_piece, :k] <= a[t], axis=1) & np.all(sums.box_hi[in_piece, :k] >= b[t], axis=1)
-                want = in_piece[spanning].tolist()  # the block scan's rows that span the tuple
-                assert rows[mask[t]].tolist() == want
-                u_depth = np.rint(-np.log2(b[t] - a[t])).astype(np.int64)
-                assert np.all(family[want] >= low) and np.all(family[want] <= np.minimum(u_depth + 1, h))
-                tuples_seen += 1
-                rows_seen += len(want)
-                narrowed += len(want) < rows.size
+            u_depth = np.rint(-np.log2(bt - at)).astype(np.int64)
+            assert np.all(family[got] >= low) and np.all(family[got] <= np.minimum(u_depth + 1, h))
+            tuples_seen += 1
+            rows_seen += len(got)
+            narrowed += len(got) < in_piece.size
     assert tuples_seen > 100 and rows_seen > 0 and narrowed > 0
 
 
