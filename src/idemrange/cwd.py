@@ -64,9 +64,9 @@ def build_cwd_family(N: int, h: int, k: int, d: int) -> CwdFamily:
     ends = np.cumsum(np.bincount(cell, minlength=h**k)).tolist()
     coords, ids, weights = base.coords[order, :d], base.ids[order], base.weights[order]
     cells = itertools.product(range(1, h + 1), repeat=k)
-    sets = {
-        idx: WeightedPointSet(coords[a:b], ids[a:b], weights[a:b]) for idx, a, b in zip(cells, [0, *ends], ends)
-    }
+    # slices of the checked base set: nothing to check again
+    trusted = WeightedPointSet._from_checked
+    sets = {idx: trusted(coords[a:b], ids[a:b], weights[a:b]) for idx, a, b in zip(cells, [0, *ends], ends)}
     return CwdFamily(h=h, k=k, d=d, cell_size=N, sets=sets)
 
 

@@ -17,19 +17,24 @@ pair, and the last d-k dimensions reduce to a dominance cover whose
 leftovers are singletons.
 All pieces of a query are answered in one pass (``_cover_pieces``): one
 dim-0 window of the points (``GridIndex``) tested on the query box's other
-columns, one cover per (dimension, side) that labels only the points on
-its side, and one sort of (point, piece) entries by (piece, label tuple).
-A point on a split midpoint lies on both closed sides and so joins every
-piece that holds it; the cover still lists it, and every used sum, once.
+columns, and one cover per (dimension, side), built before any point is
+labelled and used twice.  Its u-intervals first filter the stored sums
+(``_spanning``): a sum can serve a cover tuple only if it spans one
+u-interval of its own side's cover in every two-sided dimension.  If none
+does, every point of the box is a leftover and the query labels none.
+Otherwise each cover labels only the points on its side, and one sort of
+(point, piece) entries by (piece, label tuple) groups them.  A point on a
+split midpoint lies on both closed sides and so joins every piece that
+holds it; the cover still lists it, and every used sum, once.
 
 The geometry is leaf-rank arithmetic on trees of G = 2^h leaves over [0,
 1].  The split is found in closed form from the clipped bounds' leaf
 ranks (``decompose_query``).  A point's label is the depth of the cover
 pair that holds it: with its leaf rank and the corner's clamped into the
 piece root's leaves, h + 1 - bit_length(rank XOR corner), or -1 (the leaf
-tail) where the two are equal (``_side_labels``).  The same formula
+tail) where the two are equal (``_point_labels``).  The same formula
 serves R and L sides; the pairs of ``balanced_prefix_cover`` and
-``suffix_cover`` only give each depth's u-interval.
+``suffix_cover`` only give each depth's u-interval (``_side_cover``).
 
 All stored sums live in one flat index, ``_SumIndex``, which also keeps
 its non-empty rows sorted by their box's dim-0 high end, with their
@@ -43,14 +48,18 @@ orientation.  It returns the window itself, a slice of the view and a
 mask over it.  A query makes one ``inside`` call over its whole box, and
 every other lookup filters that window in place; only what survives is
 gathered and sorted back into block order, so ties break as a per-block
-scan would break them.  The candidates of every cover tuple of every
-piece come from one (tuple x row) mask over the window's rows inside the
-query, testing each row's orientation number and its bounds in the
-two-sided dimensions against the tuple's spans (``_tuple_candidates``).
-One grouped ``dominance_cover`` call per query then covers every tuple at
-once, each tuple a group, so a target meets only its own tuple's maxima.
-The compression and the exact-cover oracle draw on the window's rows
-with two or more members.
+scan would break them.  When the window holds fewer rows inside the query
+than the box holds points, the covers' u-intervals narrow its mask first
+(one ``searchsorted`` over all covers), and an empty result ends the
+cover step early; the filter is exact and drops no candidate, so costs do
+not change.  The candidates of every cover tuple of every piece come from
+one (tuple x row) mask over the window's rows inside the query, testing
+each row's orientation number and its bounds in the two-sided dimensions
+against the tuple's spans (``_tuple_candidates``).  One grouped
+``dominance_cover`` call per query then covers every tuple at once, each
+tuple a group, so a target meets only its own tuple's maxima.  The
+compression and the exact-cover oracle draw on the window's rows with two
+or more members.
 
 A query computes its cover first, as two arrays: the used sum rows and
 the leftover point indices.  Leftovers that a used sum covers are
@@ -344,33 +353,72 @@ def decompose_query(struct: IdsStructure, q: Box):
     return pieces, False
 
 
-def _side_labels(struct: IdsStructure, piece: AnchoredPiece, i: int, x: np.ndarray):
-    """Cover labels of the coordinates ``x`` on the piece's i-th side, and
-    the u-interval of each label.
+def _side_cover(struct: IdsStructure, piece: AnchoredPiece, i: int):
+    """The cover of the piece's i-th side: (first, last, corner, spans).
 
-    Returns (labels, spans).  The label of a point is the depth of the cover
-    pair whose u-interval holds it, or -1 in the leaf tail (the corner's
-    leaf); row D of ``spans`` is the u-interval [a(u), b(u)] of the pair at
-    depth D (NaN at a depth with no pair).  In leaf ranks, with the corner's
-    and each point's clamped into the root's leaves [first, last], a point
-    and the corner first part at the depth of the highest bit of their XOR,
-    and the pair there holds the point: a prefix cover has a pair at each
-    1 bit of the corner's rank below the root, a suffix cover at each 0 bit.
-    So one formula labels both sides, and the pairs only give the spans.
+    ``first`` and ``last`` are the leaf ranks of the piece root's first and
+    last leaves, and ``corner`` the corner's leaf rank clamped into them;
+    row D of ``spans`` is the u-interval [a(u), b(u)] of the pair at depth D
+    (NaN at a depth with no pair).  A prefix cover has a pair at each 1 bit
+    of the corner's rank below the root, a suffix cover at each 0 bit.
     """
     h = struct.config.h
-    G = 1 << h
     root = piece.vnodes[i]
     right = piece.orientation[i] == _R
     first = root.rank << (h - root.depth)
     last = first + (1 << (h - root.depth)) - 1
-    corner = int(min(max((piece.hi[i] if right else piece.lo[i]) * G, first), last))
+    corner = int(min(max((piece.hi[i] if right else piece.lo[i]) * (1 << h), first), last))
     pairs = (balanced_prefix_cover if right else suffix_cover)(struct.trees[i], Node(h, corner), root=root)
     spans = np.full((h + 1, 2), np.nan)
     for u, _ in pairs:
         spans[u.depth] = u.rank / (1 << u.depth), (u.rank + 1) / (1 << u.depth)
-    xor = np.minimum(np.maximum(x * G, first), last).astype(np.int64) ^ corner
-    return np.where(xor, h + 1 - np.frexp(xor)[1], -1), spans
+    return first, last, corner, spans
+
+
+def _point_labels(h: int, cover, x: np.ndarray) -> np.ndarray:
+    """Cover labels of the coordinates ``x`` under a ``_side_cover``: the
+    depth of the pair whose u-interval holds each, or -1 in the leaf tail
+    (the corner's leaf).  In leaf ranks, with the corner's and each point's
+    clamped into the root's leaves, a point and the corner first part at
+    the depth of the highest bit of their XOR, and the pair there holds the
+    point.  So one formula labels both sides, and the pairs only give the
+    spans."""
+    first, last, corner, _ = cover
+    xor = np.minimum(np.maximum(x * (1 << h), first), last).astype(np.int64) ^ corner
+    return np.where(xor, h + 1 - np.frexp(xor)[1], -1)
+
+
+def _side_labels(struct: IdsStructure, piece: AnchoredPiece, i: int, x: np.ndarray):
+    """Both parts at once: the labels of ``x`` under the piece's i-th side
+    cover, and that cover's spans, as (labels, spans)."""
+    cover = _side_cover(struct, piece, i)
+    return _point_labels(struct.config.h, cover, x), cover[3]
+
+
+def _spanning(sums: _SumIndex, spans: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The positions ``pos`` of ``sums.by_hi0`` whose box spans one
+    u-interval of its own side's cover in every two-sided dimension: no
+    other row can be a cover tuple's candidate.
+
+    ``spans[j, s]`` holds the (dimension j, side s) cover's u-intervals by
+    depth (s = 0 for L, 1 for R; NaN rows where there is no pair); a row's
+    side in dimension j is bit k - 1 - j of its orientation number.  The
+    intervals of one cover are disjoint, so the first that starts at or
+    above a row's low face has the smallest end, and the row spans some
+    interval iff it spans that one.  Every box's two-sided bounds lie in
+    [0, 1], as do the intervals, so shifting cover (j, s) and its rows by
+    2 (2j + s) puts every cover in one sorted table, searched once for all
+    dimensions; its NaN rows sort last and compare false.
+    """
+    _, bounds, _, code = sums.by_hi0
+    k = spans.shape[0]
+    d = len(bounds) // 2
+    shift = 2.0 * np.arange(2 * k).reshape(k, 2)
+    table = (spans + shift[:, :, None, None]).reshape(-1, 2)
+    table = table[table[:, 0].argsort()]
+    own = shift[:, :1] + 2.0 * ((code[pos] >> np.arange(k - 1, -1, -1)[:, None]) & 1)  # (k, rows)
+    at = table[:, 0].searchsorted(bounds[:k, pos] + own)
+    return pos[np.logical_and.reduce(table[at, 1] <= bounds[d : d + k, pos] + own, axis=0)]
 
 
 def _tuple_candidates(sums: _SumIndex, window, codes: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -406,9 +454,18 @@ def _tuple_candidates(sums: _SumIndex, window, codes: np.ndarray, a: np.ndarray,
 _NONE = np.empty(0, dtype=np.int64)
 
 
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Whether each entry of the sorted ``a`` starts a run of equal ones."""
+    first = np.empty(a.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return first
+
+
 def _first_uses(a: np.ndarray) -> np.ndarray:
     """The distinct entries of ``a``, each at its first position."""
-    return a[np.sort(np.unique(a, return_index=True)[1])]
+    order = a.argsort(kind="stable")  # each run of equal entries starts at its first position
+    return a[np.sort(order[_run_starts(a[order])])]
 
 
 def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], window, qlo: np.ndarray, qhi: np.ndarray):
@@ -420,29 +477,46 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], window, qlo
     Each is listed once, at its first use, so paid once, though a sum may
     serve several tuples and a midpoint point several pieces.
 
-    One dim-0 window takes the box's points.  Each (dimension, side) cover is
-    built once, if some point lies on that side, and labels only the points
-    on its side (``_side_labels``); a point on a split midpoint lies on both
-    sides, so it joins every piece whose closed side holds it.  Each (point,
-    piece) entry is keyed by (piece, depth label tuple), raveled so that
-    tuples, and with them used sums, run in piece order (that of
-    ``decompose_query``), then tuple order: depth order is the covers' pair
-    order.  One ``_tuple_candidates`` call over the window gives every
-    tuple its candidates, listed in (tuple, block) order, and one
+    One dim-0 window takes the box's points.  Each (dimension, side) cover
+    is built once, before any point is labelled (``_side_cover``).  When the
+    window holds fewer rows inside the box than the box holds points, the
+    covers' u-intervals first narrow it to the rows that could serve some
+    tuple (``_spanning``), an O(rows) test that can spare the O(points)
+    labelling below: if no row survives, no tuple has a candidate, so the
+    cover is no rows and every point of the box, in dim-0 order (the greedy
+    breaks ties on pool order, so costs do not depend on it).  Otherwise
+    each cover labels only the points on its side (``_point_labels``); a
+    point on a split midpoint lies on both sides, so it joins every piece
+    whose closed side holds it.  Each (point, piece) entry is keyed by
+    (piece, depth label tuple), raveled so that tuples, and with them used
+    sums, run in piece order (that of ``decompose_query``), then tuple
+    order: depth order is the covers' pair order.  One ``_tuple_candidates`` call over the (narrowed) window gives
+    every tuple its candidates, listed in (tuple, block) order, and one
     ``dominance_cover`` call takes every tuple as a group: a target meets
     only its own tuple's maxima, and a tuple with no candidates covers none
     of its targets.  The maxima come back in candidate order, so the used
     sums keep their (piece, tuple) order.
     """
-    k = struct.config.k
+    k, h = struct.config.k, struct.config.h
     target_idx = struct.grid.points_in_box(qlo, qhi)
     if target_idx.size == 0:
         return _NONE, _NONE
-    side_piece = {}  # (dim, side) -> a piece on that side
+    covers = {}  # (dim, side) -> (a piece on that side, its cover)
+    spans = np.full((k, 2, h + 1, 2), np.nan)  # [dim, side, depth]: that cover pair's u-interval
     for piece in pieces:
         for i, side in enumerate(piece.orientation):
-            side_piece.setdefault((i, side), piece)
-    spans = np.full((k, 2, struct.config.h + 1, 2), np.nan)  # [dim, side, depth]: that cover pair's u-interval
+            if (i, side) not in covers:
+                cover = _side_cover(struct, piece, i)
+                covers[i, side] = piece, cover
+                spans[i, int(side == _R)] = cover[3]
+    s, ok = window
+    pos = s.start + ok.nonzero()[0]
+    if pos.size < target_idx.size:  # the filter costs O(rows), the labels it may spare O(points)
+        pos = _spanning(struct.sums, spans, pos)
+        if pos.size == 0:
+            return _NONE, target_idx  # no tuple can have a candidate: every point is a leftover
+        ok = np.zeros_like(ok)
+        ok[pos - s.start] = True
     tcoords = struct.points.coords[target_idx]
     ent = np.arange(target_idx.size)  # entry -> target position
     piece_code = np.zeros(target_idx.size, dtype=np.int64)  # bit i: the entry's side in dim i
@@ -450,34 +524,34 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], window, qlo
     for i in range(k):
         x = tcoords[ent, i]
         parts = []
-        for s, side in enumerate((_L, _R)):
-            piece = side_piece.get((i, side))
-            if piece is None:
+        for bit, side in enumerate((_L, _R)):
+            if (i, side) not in covers:
                 continue
+            piece, cover = covers[i, side]
             on = (x <= piece.hi[i] if side == _L else x >= piece.lo[i]).nonzero()[0]  # closed at the split
             if on.size:
-                lab, spans[i, s] = _side_labels(struct, piece, i, x[on])
-                parts.append((on, 2 * piece_code[on] + s, lab))
+                parts.append((on, 2 * piece_code[on] + bit, _point_labels(h, cover, x[on])))
         on, piece_code, lab = (np.concatenate(c) for c in zip(*parts))  # each side keeps its entries' order
         ent = ent[on]
         labels = [c[on] for c in labels] + [lab]
-    singles = np.any(np.stack(labels) == -1, axis=0)
+    singles = np.minimum.reduce(labels) < 0
     leftover = [ent[singles]]  # leaf-tail points, as target positions
-    if singles.all():
+    paired = (~singles).nonzero()[0]
+    if paired.size == 0:
         return _NONE, target_idx[_first_uses(leftover[0])]
-    ent = ent[~singles]
-    dims = (1 << k, *[struct.config.h + 1] * k)
-    keys = np.ravel_multi_index((piece_code[~singles], *(c[~singles] for c in labels)), dims)
+    ent = ent[paired]
+    dims = (1 << k, *[h + 1] * k)
+    keys = np.ravel_multi_index((piece_code[paired], *(c[paired] for c in labels)), dims)
     order = keys.argsort(kind="stable")  # by tuple, each tuple's entries in index order
     ent, keys = ent[order], keys[order]
-    first = np.diff(keys, prepend=-1) != 0
+    first = _run_starts(keys)
     tuples = np.stack(np.unravel_index(keys[first], dims), axis=1)  # piece code, then labels
     codes = tuples[:, 0]
     sides = (codes[:, None] >> np.arange(k - 1, -1, -1)) & 1  # per dimension, 0 for L and 1 for R
     ab = spans[np.arange(k), sides, tuples[:, 1:]]
-    groups, cand = _tuple_candidates(struct.sums, window, codes, ab[..., 0], ab[..., 1])
+    groups, cand = _tuple_candidates(struct.sums, (s, ok), codes, ab[..., 0], ab[..., 1])
     m_idx, covered, took = dominance_cover(
-        struct.sums.box_hi[cand, k:], tcoords[ent, k:], groups, np.cumsum(first) - 1
+        struct.sums.box_hi[cand, k:], tcoords[ent, k:], groups, first.cumsum() - 1
     )
     leftover.append(ent[~covered])
     return _first_uses(cand[m_idx[took]]), target_idx[_first_uses(np.concatenate(leftover))]
@@ -564,21 +638,22 @@ def _greedy_cover(pts: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray):
     """
     m = len(pts)
     bits = _inside_bits(pts, box_lo, box_hi)
-    gains = np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
+    count = np.add.reduce  # the ufunc's own reduce: ndarray.sum runs a Python wrapper first
+    gains = count(np.bitwise_count(bits), axis=1, dtype=np.int64)
     rows = (gains >= 2).nonzero()[0]
     bits, gains = bits[rows], gains[rows]
     alive = np.full(bits.shape[1], np.iinfo(np.uint64).max, dtype=np.uint64)
     alive[-1] >>= np.uint64(-m % 64)  # no padding bits
     picks: list[int] = []
     while gains.size:
-        best = int(np.argmax(gains))
+        best = int(gains.argmax())
         if gains[best] < 2:
             break
         picks.append(int(rows[best]))
         newly = bits[best] & alive
         alive ^= newly
-        w = np.nonzero(newly)[0]
-        gains -= np.bitwise_count(bits[:, w] & newly[w]).sum(axis=1, dtype=np.int64)
+        w = newly.nonzero()[0]
+        gains -= count(np.bitwise_count(bits[:, w] & newly[w]), axis=1, dtype=np.int64)
     return picks, _unpack(alive, m)
 
 

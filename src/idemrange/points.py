@@ -63,6 +63,18 @@ class WeightedPointSet:
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "weights", weights)
 
+    @classmethod
+    def _from_checked(cls, coords: np.ndarray, ids: np.ndarray, weights: np.ndarray) -> "WeightedPointSet":
+        """A set of rows (and leading columns) of an already checked set's
+        arrays, taken as they are: its ids are unique and its coordinates
+        free of NaN already, so the ``np.unique`` and NaN scan are not run
+        again.  Every set from outside goes through the checked constructor."""
+        ps = object.__new__(cls)
+        for name, arr in (("coords", coords), ("ids", ids), ("weights", weights)):
+            arr.setflags(write=False)
+            object.__setattr__(ps, name, arr)
+        return ps
+
     def __len__(self) -> int:
         return self.coords.shape[0]
 

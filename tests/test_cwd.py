@@ -114,3 +114,27 @@ def test_cwd_serialization_roundtrip(tmp_path):
         assert np.array_equal(back.sets[idx].ids, fam.sets[idx].ids)
     manifest = (tmp_path / "fam" / "manifest").read_text().split()
     assert manifest == ["2", "1", "2", "8"]
+
+
+def test_family_sets_trust_the_checked_base(monkeypatch, tmp_path):
+    """Only the base set is checked: each family set is a slice of it, with
+    the checked constructor's dtypes, shape and read-only arrays.  Sets from
+    outside, a union's and a loaded family's, are still checked."""
+    checks = []
+    real = ir.WeightedPointSet.__post_init__
+    monkeypatch.setattr(ir.WeightedPointSet, "__post_init__", lambda self: checks.append(len(self.ids)) or real(self))
+    fam = ir.build_cwd_family(N=16, h=3, k=2, d=2)
+    assert checks == [16 * 9]  # the base set
+    for ps in fam.sets.values():
+        assert (ps.coords.dtype, ps.ids.dtype, ps.weights.dtype) == (np.float64, np.int64, np.float64)
+        assert ps.coords.shape == (len(ps), 2)
+        assert not any(a.flags.writeable for a in (ps.coords, ps.ids, ps.weights))
+    ir.family_union(fam, [(1, 3), (1, 3)])
+    assert checks[1:] == [16 * 9]
+    ir.save_cwd(fam, tmp_path / "fam")
+    path = tmp_path / "fam" / "set_1_2.txt"
+    lines = path.read_text().splitlines()
+    lines[-1] = " ".join(lines[-1].split()[:-1] + lines[1].split()[-1:])  # the first point's id again
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="unique"):
+        ir.load_cwd(tmp_path / "fam")

@@ -1311,3 +1311,192 @@ def test_closed_form_matches_per_node_reference(d, k):
                 seen["l_corner_on_split"] += side == "L" and piece.lo[i] == mid
     assert all(seen.values()), seen
     assert seen["labels"] > 50_000
+
+
+def _query_spans(s, pieces):
+    """Each (dimension, side) cover's u-intervals by depth, as ``_cover_pieces``
+    builds them for ``_spanning``: [dim, side (L, R), depth]."""
+    k, h = s.config.k, s.config.h
+    spans = np.full((k, 2, h + 1, 2), np.nan)
+    for piece in pieces:
+        for i, side in enumerate(piece.orientation):
+            spans[i, "LR".index(side)] = I._side_cover(s, piece, i)[3]
+    return spans
+
+
+def _spanning_reference(sums, spans, pos):
+    """The positions whose box spans some u-interval of its own side's
+    cover in every two-sided dimension, each row and interval compared on
+    its own."""
+    _, bounds, _, code = sums.by_hi0
+    k, d = spans.shape[0], len(bounds) // 2
+    keep = []
+    for p in pos.tolist():
+        ok = True
+        for j in range(k):
+            iv = spans[j, (code[p] >> (k - 1 - j)) & 1]
+            iv = iv[~np.isnan(iv[:, 0])]
+            ok &= bool(np.any((bounds[j, p] <= iv[:, 0]) & (bounds[d + j, p] >= iv[:, 1])))
+        keep.append(ok)
+    return pos[np.array(keep, dtype=bool)]
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2)])
+def test_prefilter_keeps_every_candidate(d, k):
+    """Property: over random queries, ``_spanning`` keeps exactly the window
+    rows that span an interval of their own side's cover in every two-sided
+    dimension, and every row that ``_tuple_candidates`` returns from the
+    unfiltered window, for any tuple of pairs the covers allow, is one of
+    them."""
+    rng = np.random.default_rng(110 + 10 * d + k)
+    s = ir.build_ids(ir.uniform_random(2048, d, seed=120 + d + k), k, ir.MAX_REAL)
+    sums = s.sums
+    orients = list(itertools.product("LR", repeat=k))  # by orientation number
+    kept = dropped = found = 0
+    for q in _uniform_queries(rng, d, k, 40):
+        pieces, singleton_only = I.decompose_query(s, q)
+        if singleton_only:
+            continue
+        spans = _query_spans(s, pieces)
+        window = sums.inside(np.asarray(q.lo), np.asarray(q.hi))
+        pos = window[0].start + window[1].nonzero()[0]
+        survivors = I._spanning(sums, spans, pos)
+        assert survivors.tolist() == _spanning_reference(sums, spans, pos).tolist()
+        codes, a, b = [], [], []
+        for piece in pieces:
+            per_dim = [spans[i, "LR".index(side)] for i, side in enumerate(piece.orientation)]
+            per_dim = [sp[~np.isnan(sp[:, 0])] for sp in per_dim]
+            for t in itertools.product(*[range(len(sp)) for sp in per_dim]):
+                codes.append(orients.index(piece.orientation))
+                a.append([sp[i, 0] for i, sp in zip(t, per_dim)])
+                b.append([sp[i, 1] for i, sp in zip(t, per_dim)])
+        if codes:
+            _, rows = I._tuple_candidates(sums, window, np.array(codes), np.array(a), np.array(b))
+            assert np.isin(rows, sums.by_hi0[0][survivors]).all()
+            found += rows.size
+        kept += survivors.size
+        dropped += pos.size - survivors.size
+    assert kept > 0 and dropped > 0 and found > 0
+
+
+def _run_queries(s, queries):
+    """Each query's (answer, sums used, singletons used, audit boxes)."""
+    out = []
+    for q in queries:
+        ans, audit = ir.query(s, q, return_audit=True)
+        value = ans.value.tolist() if isinstance(ans.value, np.ndarray) else ans.value
+        out.append((value, ans.sums_used, ans.singletons_used, [(bx.lo, bx.hi) for bx in audit]))
+    return out
+
+
+def _spanning_calls(monkeypatch):
+    """Record each ``_spanning`` call's (rows in, rows out)."""
+    calls, real = [], I._spanning
+
+    def spanning(sums, spans, pos):
+        out = real(sums, spans, pos)
+        calls.append((pos.size, out.size))
+        return out
+
+    monkeypatch.setattr(I, "_spanning", spanning)
+    return calls
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2)])
+def test_prefilter_keeps_answers_and_costs(monkeypatch, d, k):
+    """Queries with fewer stored sums inside than points in the box are
+    prefiltered (some end early, some go on with the survivors), the others
+    are not; either way the answers, costs and ordered audits equal those of
+    a run in which the prefilter drops nothing."""
+    rng = np.random.default_rng(130 + 10 * d + k)
+    pts = ir.uniform_random(2048, d, seed=140 + d + k)
+    s = ir.build_ids(pts, k, ir.ID_SET)
+    queries = _uniform_queries(rng, d, k, 60)
+    queries += [Box(q.lo, tuple(q.lo[i] + (q.hi[i] - q.lo[i]) / 8 for i in range(k)) + q.hi[k:]) for q in queries[:30]]
+    # a stored box of one member as the query: at least as many sums inside as points
+    queries += [Box(tuple(s.sums.box_lo[r]), tuple(s.sums.box_hi[r])) for r in np.flatnonzero(s.sums.counts == 1)[:8]]
+    calls = _spanning_calls(monkeypatch)
+    got = _run_queries(s, queries)
+    monkeypatch.setattr(I, "_spanning", lambda sums, spans, pos: pos)
+    assert got == _run_queries(s, queries)
+    for (value, *_), q in zip(got, queries):
+        assert (value or []) == ir.scan_ids(pts, q).tolist()
+    fewer = more = 0  # queries with pieces and points: fewer sums inside than points, or as many or more
+    for q in queries:
+        qlo, qhi = np.asarray(q.lo), np.asarray(q.hi)
+        npts = s.grid.points_in_box(qlo, qhi).size
+        if not I.decompose_query(s, q)[1] and npts:
+            rows = np.count_nonzero(s.sums.inside(qlo, qhi)[1])
+            fewer += rows < npts
+            more += rows >= npts
+    ended = sum(out == 0 for _, out in calls)
+    assert len(calls) == fewer and more > 0  # the prefilter runs on exactly the first kind
+    assert ended > 0 and fewer - ended > 0  # both of its outcomes
+
+
+@pytest.mark.parametrize("d,k,seed", [(2, 1, 61), (3, 2, 62)], ids=["2-1", "3-2"])
+def test_early_out_lists_the_box(monkeypatch, d, k, seed):
+    """A query whose window has no row that could serve a cover tuple
+    returns no rows and exactly the box's points as leftovers, before any
+    label; the full path gives the same answer and cost."""
+    pts, queries = _midpoint_case(d, k, seed)
+    s = ir.build_ids(pts, k, ir.ID_SET)
+    real = I._spanning
+    early = dropped = 0
+    for q in queries:
+        pieces, _ = ir.decompose_query(s, q)
+        qlo, qhi = np.asarray(q.lo), np.asarray(q.hi)
+        window = s.sums.inside(qlo, qhi)
+        pos = window[0].start + window[1].nonzero()[0]
+        if pos.size >= s.grid.points_in_box(qlo, qhi).size or real(s.sums, _query_spans(s, pieces), pos).size:
+            continue
+        early += 1
+        dropped += pos.size  # rows inside the query that can serve no tuple
+        monkeypatch.setattr(I, "_point_labels", None)  # the early out labels no point
+        rows, leftover = I._cover_pieces(s, pieces, window, qlo, qhi)
+        monkeypatch.undo()
+        assert rows.size == 0
+        assert np.array_equal(np.sort(pts.ids[leftover]), ir.scan_ids(pts, q))
+        want = _run_queries(s, [q])
+        monkeypatch.setattr(I, "_spanning", lambda sums, spans, pos: pos)  # the full path
+        full_rows, full_leftover = I._cover_pieces(s, pieces, window, qlo, qhi)
+        assert full_rows.size == 0 and np.array_equal(np.sort(full_leftover), np.sort(leftover))
+        assert _run_queries(s, [q]) == want
+        monkeypatch.undo()
+    assert early >= 2 and dropped > 0
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 2)])
+def test_corner_on_first_leaf_has_no_pairs(monkeypatch, d, k):
+    """A query whose R corner in dim 0 sits on its piece root's first leaf:
+    that cover has no pairs, so no R row in dim 0 survives the prefilter,
+    and the answer and cost are those of the unfiltered path."""
+    pts = ir.uniform_random(1024, d, seed=150 + d)
+    s = ir.build_ids(pts, k, ir.ID_SET)
+    w = 1.0 / (1 << s.config.h)
+    rng = np.random.default_rng(151)
+    queries = []
+    for lo0, hi1 in rng.uniform((0.05, 0.3), (0.45, 1.0), (12, 2)).tolist():
+        lo = (lo0,) + (0.1,) * (k - 1) + (NEG_INF,) * (d - k)
+        hi = (0.5 + 0.5 * w,) + (0.8,) * (k - 1) + (hi1,) * (d - k)
+        queries.append(Box(lo, hi))
+    sums = s.sums
+    r_rows = 0  # queries whose window holds R rows in dim 0, all dropped
+    for q in queries:
+        pieces, singleton_only = ir.decompose_query(s, q)
+        assert not singleton_only
+        spans = _query_spans(s, pieces)
+        assert np.isnan(spans[0, 1]).all()  # dim 0, side R: no pair
+        window = sums.inside(np.asarray(q.lo), np.asarray(q.hi))
+        pos = window[0].start + window[1].nonzero()[0]
+        survivors = I._spanning(sums, spans, pos)
+        assert not np.any((sums.by_hi0[3][survivors] >> (k - 1)) & 1)  # no R row in dim 0
+        r_rows += np.any((sums.by_hi0[3][pos] >> (k - 1)) & 1)
+    assert r_rows > 0
+    calls = _spanning_calls(monkeypatch)
+    got = _run_queries(s, queries)
+    assert len(calls) > 0
+    monkeypatch.setattr(I, "_spanning", lambda sums, spans, pos: pos)
+    assert got == _run_queries(s, queries)
+    for (value, *_), q in zip(got, queries):
+        assert (value or []) == ir.scan_ids(pts, q).tolist()
