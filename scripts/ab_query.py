@@ -14,10 +14,10 @@ It first checks every pair: each query is answered once on each side with
 the audit on, and answers, per-query ``(sums_used, singletons_used)``, the
 ordered audit boxes and ``s_plus`` are compared.  It exits 1 if any pair
 differs, before timing any.  With ``--arrays`` it also compares the stored
-sums array for array: the block map, each row's bounds and count, each
-orientation's row span, and the view of the non-empty rows by dim-0 high
-end (its fields, count and arrays); a field only one side stores is a
-difference.  If every pair is equal, then per pair it
+sums array for array: the block map, each row's bounds and count, and
+the view of the non-empty rows by dim-0 high end (its fields, count and
+arrays, each row's orientation number among them); a field only one side
+stores is a difference.  If every pair is equal, then per pair it
 counts each side's Python function calls per query with ``cProfile`` over
 one untimed pass of every query, times every query on both sides,
 alternating which side goes first per query, over ``--passes`` passes, and
@@ -113,7 +113,7 @@ def array_differences(sides) -> list[str]:
     b, c = (struct.sums for _, struct, _ in sides)
     return [
         f"stored {n} differ"
-        for n in ("blocks", "box_lo", "box_hi", "counts", "orient_span", "by_hi0")
+        for n in ("blocks", "box_lo", "box_hi", "counts", "by_hi0")
         if not (hasattr(b, n) and hasattr(c, n) and _same_field(getattr(b, n), getattr(c, n)))
     ]
 

@@ -38,10 +38,6 @@ class CwdFamily:
     cell_size: int  # requested per-cell count N
     sets: dict  # index tuple in {1..h}^k -> WeightedPointSet
 
-    @property
-    def indices(self):
-        return sorted(self.sets)
-
     def total_points(self) -> int:
         return sum(len(ps) for ps in self.sets.values())
 

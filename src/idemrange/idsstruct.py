@@ -44,27 +44,26 @@ finds the non-empty sums inside a box: as every box has lo <= hi, a box
 inside [qlo, qhi] has its dim-0 high end in [qlo0, qhi0], so one
 contiguous window of that view (two ``searchsorted`` calls), tested one
 column at a time, is an exact filtering search, whatever the box's
-orientation.  It returns the window itself, a slice of the view and a
-mask over it.  A query makes one ``inside`` call over its whole box, and
-every other lookup filters that window in place; only what survives is
-gathered and sorted back into block order, so ties break as a per-block
-scan would break them.  When the window holds fewer rows inside the query
-than the box holds points, the covers' u-intervals narrow its mask first
-(one ``searchsorted`` over all covers), and an empty result ends the
-cover step early; the filter is exact and drops no candidate, so costs do
-not change.  The candidates of every cover tuple of every piece come from
-one (tuple x row) mask over the window's rows inside the query, testing
-each row's orientation number and its bounds in the two-sided dimensions
-against the tuple's spans (``_tuple_candidates``).  One grouped
-``dominance_cover`` call per query then covers every tuple at once, each
-tuple a group, so a target meets only its own tuple's maxima.  The
-compression and the exact-cover oracle draw on the window's rows with two
-or more members.
+orientation.  It returns the ascending positions in the view of the rows
+that pass.  A query makes one ``inside`` call over its whole box, and
+every later step takes that position array and narrows it; only what
+survives is gathered and sorted back into block order, so ties break as a
+per-block scan would break them.  When the query holds fewer such rows
+than points, the covers' u-intervals narrow the positions first (one
+``searchsorted`` over all covers), and an empty result ends the cover
+step early; the filter is exact and drops no candidate, so costs do not
+change.  The candidates of every cover tuple of every piece come from one
+(tuple x row) mask over those positions, testing each row's orientation
+number and its bounds in the two-sided dimensions against the tuple's
+spans (``_tuple_candidates``).  One grouped ``dominance_cover`` call per
+query then covers every tuple at once, each tuple a group, so a target
+meets only its own tuple's maxima.  The compression and the exact-cover
+oracle draw on the positions' rows with two or more members.
 
 A query computes its cover first, as two arrays: the used sum rows and
 the leftover point indices.  Leftovers that a used sum covers are
 dropped, and a greedy reuses stored sums that absorb two or more of the
-rest (``_compress``), its pool the window's boxes that hold two or more
+rest (``_compress``), its pool the query's sums that hold two or more
 leftovers in every single dimension.  Both steps test containment as
 uint64 bit rows (``_inside_bits``).  These come from rank space: per
 dimension, a table whose row r holds the bits of the r smallest points,
@@ -146,46 +145,41 @@ class _SumIndex:
 
     Rows are in block order: (orientation, then family index), then the
     dim-0 point coordinate; ``blocks`` maps each non-empty block's
-    (orientation, index) to its row range (start, stop), and ``orient_span``
-    each orientation to the row range [start, stop) of all its blocks.
-    ``box_lo`` and ``box_hi`` hold each box's bounds (its family point is
-    ``box_hi`` in the one-sided dimensions); ``counts`` and ``values`` hold
-    the number and the semigroup sum of the input points inside each box,
-    from one ``box_sums`` call: ``sg.reduce(values[rows])`` is the sum of
-    the boxes ``rows``.  ``by_hi0`` is (rows, bounds, multi, code): the rows
+    (orientation, index) to its row range (start, stop).  ``box_lo`` and
+    ``box_hi`` hold each box's bounds (its family point is ``box_hi`` in the
+    one-sided dimensions); ``counts`` and ``values`` hold the number and
+    the semigroup sum of the input points inside each box, from one
+    ``box_sums`` call: ``sg.reduce(values[rows])`` is the sum of the boxes
+    ``rows``.  ``by_hi0`` is (rows, bounds, multi, code): the rows
     that hold a point, in ``box_hi[:, 0]`` order, with their [lo | hi]
     bounds copied dimension-major, whether each holds two or more points,
-    and each one's orientation number, its orientation's index in
-    ``itertools.product((L, R), repeat=k)`` (the order of
-    ``decompose_query``'s pieces).
+    and each one's orientation number from ``code`` (one per row), its
+    orientation's index in ``itertools.product((L, R), repeat=k)`` (the
+    order of ``decompose_query``'s pieces).
     """
 
-    def __init__(self, blocks: dict, box_lo, box_hi, orient_span: dict, point_coords, w, sg: Semigroup):
-        self.blocks, self.orient_span = blocks, orient_span
+    def __init__(self, blocks: dict, box_lo, box_hi, code, point_coords, w, sg: Semigroup):
+        self.blocks = blocks
         self.box_lo, self.box_hi = box_lo, box_hi
         self.counts, self.values = box_sums(point_coords, w, sg, box_lo, box_hi)
         rows = np.flatnonzero(self.counts >= 1)
         rows = rows[np.argsort(box_hi[rows, 0], kind="stable")]
-        code = np.empty(len(self.counts), dtype=np.int64)
-        for orient, (start, stop) in orient_span.items():
-            code[start:stop] = sum(1 << i for i, side in enumerate(reversed(orient)) if side == _R)
         bounds = np.hstack((box_lo[rows], box_hi[rows])).T.copy()
         self.by_hi0 = rows, bounds, self.counts[rows] >= _MIN_MEMBERS, code[rows]
 
     def inside(self, qlo, qhi):
-        """The window of ``by_hi0`` that holds the sums inside the closed box
-        [qlo, qhi]: (s, ok), a slice of the view and a mask over it, so the
-        rows are ``by_hi0[0][s][ok]``."""
+        """The positions in ``by_hi0`` of the sums inside the closed box
+        [qlo, qhi], ascending int64: the rows are ``by_hi0[0][pos]``."""
         # every box has lo <= hi, so one inside has hi0 in [qlo0, qhi0]: that
         # window of the view, tested on its other 2d - 1 bounds, is exact
         d = len(qlo)
         bounds = self.by_hi0[1]
-        s = slice(bounds[d].searchsorted(qlo[0]), bounds[d].searchsorted(qhi[0], side="right"))
-        ok = bounds[0, s] >= qlo[0]
+        start, stop = bounds[d].searchsorted(qlo[0]), bounds[d].searchsorted(qhi[0], side="right")
+        ok = bounds[0, start:stop] >= qlo[0]
         for c in range(1, d):
-            ok &= bounds[c, s] >= qlo[c]
-            ok &= bounds[d + c, s] <= qhi[c]
-        return s, ok
+            ok &= bounds[c, start:stop] >= qlo[c]
+            ok &= bounds[d + c, start:stop] <= qhi[c]
+        return start + ok.nonzero()[0]
 
 
 def box_of(x, index, orientation, trees: list[DyadicTree]) -> Box | None:
@@ -214,7 +208,8 @@ def box_of(x, index, orientation, trees: list[DyadicTree]) -> Box | None:
 
 def _anchored_boxes(family: CwdFamily, k: int):
     """Every block's ``box_of`` boxes in a fixed number of array passes:
-    (blocks, box_lo, box_hi, orient_span) as ``_SumIndex`` takes them.
+    (blocks, box_lo, box_hi, code) as ``_SumIndex`` takes them, ``code``
+    each box's orientation number.
 
     The family sets are concatenated and sorted once by (set number, dim
     0), ties in family order: that is block order within any orientation.
@@ -228,7 +223,7 @@ def _anchored_boxes(family: CwdFamily, k: int):
     coords, set_no = coords[order], set_no[order]
     spans = (1 << np.asarray(keys, dtype=np.int64))[set_no]
     ranks = np.minimum((coords[:, :k] * spans).astype(np.int64), spans - 1)
-    blocks, orient_span, parts, start = {}, {}, [], 0
+    blocks, parts, start = {}, [], 0
     for orient in itertools.product((_R, _L), repeat=k):
         defined = np.ones(len(coords), dtype=bool)
         for j in range(k):
@@ -242,14 +237,13 @@ def _anchored_boxes(family: CwdFamily, k: int):
             else:
                 box_lo[:, j] = pts[:, j]
                 box_hi[:, j] = (r[:, j] + 2) * w[:, j]  # anchor
-        parts.append((box_lo, box_hi))
+        code = sum(1 << i for i, side in enumerate(reversed(orient)) if side == _R)
+        parts.append((box_lo, box_hi, np.full(len(pts), code, dtype=np.int64)))
         sizes = np.bincount(set_no[defined], minlength=len(keys)).tolist()
         ends = (start + np.cumsum(sizes)).tolist()
         blocks.update(((orient, idx), (e - n, e)) for idx, n, e in zip(keys, sizes, ends) if n)
-        orient_span[orient] = (start, start + len(pts))
         start += len(pts)
-    box_lo, box_hi = (np.concatenate(c) for c in zip(*parts))
-    return blocks, box_lo, box_hi, orient_span
+    return blocks, *(np.concatenate(c) for c in zip(*parts))
 
 
 class IdsStructure:
@@ -261,13 +255,8 @@ class IdsStructure:
         self.trees = [build_dyadic_tree(0.0, 1.0, config.h) for _ in range(config.k)]
         self.family: CwdFamily = build_cwd_family(config.N, config.h, config.k, config.d)
         self.grid = GridIndex(points.coords)
-        self._build_blocks()
-
-    # -- construction -----------------------------------------------------
-
-    def _build_blocks(self) -> None:
-        boxes = _anchored_boxes(self.family, self.config.k)  # its temporaries are gone before box_sums runs
-        self.sums = _SumIndex(*boxes, self.points.coords, self._w, self.sg)
+        boxes = _anchored_boxes(self.family, config.k)  # its temporaries are gone before box_sums runs
+        self.sums = _SumIndex(*boxes, points.coords, self._w, sg)
         self.blocks = self.sums.blocks
         self.num_boxes = len(self.sums.counts)
 
@@ -388,13 +377,6 @@ def _point_labels(h: int, cover, x: np.ndarray) -> np.ndarray:
     return np.where(xor, h + 1 - np.frexp(xor)[1], -1)
 
 
-def _side_labels(struct: IdsStructure, piece: AnchoredPiece, i: int, x: np.ndarray):
-    """Both parts at once: the labels of ``x`` under the piece's i-th side
-    cover, and that cover's spans, as (labels, spans)."""
-    cover = _side_cover(struct, piece, i)
-    return _point_labels(struct.config.h, cover, x), cover[3]
-
-
 def _spanning(sums: _SumIndex, spans: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """The positions ``pos`` of ``sums.by_hi0`` whose box spans one
     u-interval of its own side's cover in every two-sided dimension: no
@@ -421,26 +403,25 @@ def _spanning(sums: _SumIndex, spans: np.ndarray, pos: np.ndarray) -> np.ndarray
     return pos[np.logical_and.reduce(table[at, 1] <= bounds[d : d + k, pos] + own, axis=0)]
 
 
-def _tuple_candidates(sums: _SumIndex, window, codes: np.ndarray, a: np.ndarray, b: np.ndarray):
+def _tuple_candidates(sums: _SumIndex, pos: np.ndarray, codes: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Usable stored sums of every cover-pair tuple of a query.
 
-    ``window`` is the query's ``inside`` window (s, ok) of ``sums.by_hi0``.
-    Tuple t belongs to the piece whose orientation number is ``codes[t]``,
-    and row t of ``a`` and ``b`` holds its u-interval ends, one column per
-    two-sided dimension.  A sum inside the query works for a tuple iff it
-    has the tuple's orientation and its box spans the tuple's interval in
-    every two-sided dimension; coverage of a target then reduces to
-    dominance in the remaining dimensions.
+    ``pos`` holds positions in ``sums.by_hi0`` of sums inside the query
+    (its ``inside`` result, or a part of it).  Tuple t belongs to the piece
+    whose orientation number is ``codes[t]``, and row t of ``a`` and ``b``
+    holds its u-interval ends, one column per two-sided dimension.  A sum
+    inside the query works for a tuple iff it has the tuple's orientation
+    and its box spans the tuple's interval in every two-sided dimension;
+    coverage of a target then reduces to dominance in the remaining
+    dimensions.
 
-    One (tuple x row) mask over the window's rows inside the query tests the
-    orientation numbers and the bound columns, and only its hits are sorted
-    back to (tuple, block) order.  Returns (tuples, rows): tuple t's
-    candidates are ``rows[tuples == t]``, in block order.
+    One (tuple x position) mask tests the orientation numbers and the bound
+    columns, and only its hits are sorted back to (tuple, block) order.
+    Returns (tuples, rows): tuple t's candidates are ``rows[tuples == t]``,
+    in block order.
     """
-    s, ok = window
     rows, bounds, _, by_code = sums.by_hi0
     d = len(bounds) // 2
-    pos = s.start + ok.nonzero()[0]
     mask = by_code[pos] == codes[:, None]
     for j in range(a.shape[1]):
         mask &= bounds[j, pos] <= a[:, j, None]
@@ -468,34 +449,35 @@ def _first_uses(a: np.ndarray) -> np.ndarray:
     return a[np.sort(order[_run_starts(a[order])])]
 
 
-def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], window, qlo: np.ndarray, qhi: np.ndarray):
+def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], pos: np.ndarray, qlo: np.ndarray, qhi: np.ndarray):
     """Dominance covers of every cover-pair tuple of all anchored pieces in
     one pass (no compression yet).  The pieces tile the containment box
-    [qlo, qhi], and ``window`` is its ``_SumIndex.inside`` window.  Returns
-    (rows, leftover): the used sum rows, in
-    (piece, tuple) order, and the indices of the points no used sum covers.
-    Each is listed once, at its first use, so paid once, though a sum may
-    serve several tuples and a midpoint point several pieces.
+    [qlo, qhi], and ``pos`` is its ``_SumIndex.inside`` result.  Returns
+    (rows, leftover): the used sum rows, in (piece, tuple) order, and the
+    indices of the points no used sum covers.  Each is listed once, at its
+    first use, so paid once, though a sum may serve several tuples and a
+    midpoint point several pieces.
 
     One dim-0 window takes the box's points.  Each (dimension, side) cover
-    is built once, before any point is labelled (``_side_cover``).  When the
-    window holds fewer rows inside the box than the box holds points, the
-    covers' u-intervals first narrow it to the rows that could serve some
-    tuple (``_spanning``), an O(rows) test that can spare the O(points)
-    labelling below: if no row survives, no tuple has a candidate, so the
-    cover is no rows and every point of the box, in dim-0 order (the greedy
-    breaks ties on pool order, so costs do not depend on it).  Otherwise
+    is built once, before any point is labelled (``_side_cover``).  When
+    ``pos`` holds fewer sums than the box holds points, the covers'
+    u-intervals first narrow it to the rows that could serve some tuple
+    (``_spanning``), an O(rows) test that can spare the O(points) labelling
+    below: if no row survives, no tuple has a candidate, so the cover is no
+    rows and every point of the box, in dim-0 order (the greedy breaks ties
+    on pool order, so costs do not depend on it).  Otherwise
     each cover labels only the points on its side (``_point_labels``); a
     point on a split midpoint lies on both sides, so it joins every piece
     whose closed side holds it.  Each (point, piece) entry is keyed by
     (piece, depth label tuple), raveled so that tuples, and with them used
     sums, run in piece order (that of ``decompose_query``), then tuple
-    order: depth order is the covers' pair order.  One ``_tuple_candidates`` call over the (narrowed) window gives
-    every tuple its candidates, listed in (tuple, block) order, and one
-    ``dominance_cover`` call takes every tuple as a group: a target meets
-    only its own tuple's maxima, and a tuple with no candidates covers none
-    of its targets.  The maxima come back in candidate order, so the used
-    sums keep their (piece, tuple) order.
+    order: depth order is the covers' pair order.  One ``_tuple_candidates``
+    call over the (narrowed) positions gives every tuple its candidates,
+    listed in (tuple, block) order, and one ``dominance_cover`` call takes
+    every tuple as a group: a target meets only its own tuple's maxima, and
+    a tuple with no candidates covers none of its targets.  The maxima come
+    back in candidate order, so the used sums keep their (piece, tuple)
+    order.
     """
     k, h = struct.config.k, struct.config.h
     target_idx = struct.grid.points_in_box(qlo, qhi)
@@ -509,14 +491,10 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], window, qlo
                 cover = _side_cover(struct, piece, i)
                 covers[i, side] = piece, cover
                 spans[i, int(side == _R)] = cover[3]
-    s, ok = window
-    pos = s.start + ok.nonzero()[0]
     if pos.size < target_idx.size:  # the filter costs O(rows), the labels it may spare O(points)
         pos = _spanning(struct.sums, spans, pos)
         if pos.size == 0:
             return _NONE, target_idx  # no tuple can have a candidate: every point is a leftover
-        ok = np.zeros_like(ok)
-        ok[pos - s.start] = True
     tcoords = struct.points.coords[target_idx]
     ent = np.arange(target_idx.size)  # entry -> target position
     piece_code = np.zeros(target_idx.size, dtype=np.int64)  # bit i: the entry's side in dim i
@@ -549,7 +527,7 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], window, qlo
     codes = tuples[:, 0]
     sides = (codes[:, None] >> np.arange(k - 1, -1, -1)) & 1  # per dimension, 0 for L and 1 for R
     ab = spans[np.arange(k), sides, tuples[:, 1:]]
-    groups, cand = _tuple_candidates(struct.sums, (s, ok), codes, ab[..., 0], ab[..., 1])
+    groups, cand = _tuple_candidates(struct.sums, pos, codes, ab[..., 0], ab[..., 1])
     m_idx, covered, took = dominance_cover(
         struct.sums.box_hi[cand, k:], tcoords[ent, k:], groups, first.cumsum() - 1
     )
@@ -657,24 +635,23 @@ def _greedy_cover(pts: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray):
     return picks, _unpack(alive, m)
 
 
-def _compress(struct: IdsStructure, window, rows: np.ndarray, leftover: np.ndarray):
+def _compress(struct: IdsStructure, pos: np.ndarray, rows: np.ndarray, leftover: np.ndarray):
     """Resolve leftovers: drop those a used sum ``rows`` already covers,
-    reuse any sum of the query's ``inside`` window that absorbs two or more
-    of the rest (``_greedy_cover``), then fall back to singletons.  Returns
-    the cover (rows, leftover): ``rows`` followed by the greedy's picks, and
-    the points left as singletons.
+    reuse any sum at the query's ``inside`` positions ``pos`` that absorbs
+    two or more of the rest (``_greedy_cover``), then fall back to
+    singletons.  Returns the cover (rows, leftover): ``rows`` followed by
+    the greedy's picks, and the points left as singletons.
 
-    The greedy's pool is filtered from the window in place: the
-    sub-window whose dim-0 high end reaches the second-smallest leftover
-    x0, its rows of two or more members inside the query, and of those the
-    boxes that hold two or more leftovers in every single dimension (no
-    other box can hold two).  A one-sided dimension, whose low faces are
-    all -inf, takes one compare with the second-smallest leftover; a
-    two-sided one a ``searchsorted`` of the low faces into the sorted
-    leftovers, whose next one must lie at or below the high face.  Only
-    the survivors are gathered.  Strictly reduces cost; exactness and
-    containment are unaffected because absorption is a full-coordinate box
-    test against sums already known to sit inside the query.
+    The greedy's pool narrows ``pos`` to its rows of two or more members,
+    and of those to the boxes that hold two or more leftovers in every
+    single dimension (no other box can hold two).  A one-sided dimension,
+    whose low faces are all -inf, takes one compare with the
+    second-smallest leftover; a two-sided one a ``searchsorted`` of the low
+    faces into the sorted leftovers, whose next one must lie at or below
+    the high face.  Only the survivors' rows are gathered and sorted.
+    Strictly reduces cost; exactness and containment are unaffected because
+    absorption is a full-coordinate box test against sums already known to
+    sit inside the query.
     """
     pts = struct.points.coords[leftover]
     sums = struct.sums
@@ -689,16 +666,14 @@ def _compress(struct: IdsStructure, window, rows: np.ndarray, leftover: np.ndarr
     srt = np.full((m + 2, d), np.nan)  # two NaN rows: they sort last and compare false
     srt[:m] = pts
     srt[:m].sort(axis=0)
-    # a box holding two leftovers has hi0 >= their second-smallest x0: a sub-window
-    s, ok = window
-    start = max(s.start, bounds[d].searchsorted(srt[1, 0]))
-    keep = ok[start - s.start :] & multi[start : s.stop]
+    # take and compress: on 10^4 positions about twice as fast as [] indexing (numpy 2.4, Xeon)
+    keep = multi.take(pos)
     for j in range(k, d):  # lo = -inf: two leftovers iff hi >= the second-smallest
-        keep &= bounds[d + j, start : s.stop] >= srt[1, j]
-    pos = start + keep.nonzero()[0]
+        keep &= bounds[d + j].take(pos) >= srt[1, j]
+    pos = pos.compress(keep)
     for j in range(k):  # two leftovers iff the second at or above lo lies at or below hi
         col = srt[:, j]
-        pos = pos[col[col.searchsorted(bounds[j, pos]) + 1] <= bounds[d + j, pos]]
+        pos = pos.compress(col.take(col.searchsorted(bounds[j].take(pos)) + 1) <= bounds[d + j].take(pos))
     pool = np.sort(view[pos])  # block order, so the greedy breaks ties as a block scan would
     picks, uncovered = _greedy_cover(pts, sums.box_lo[pool], sums.box_hi[pool])
     return np.concatenate((rows, pool[picks])), leftover[uncovered]
@@ -718,9 +693,9 @@ def usable_sums(struct: IdsStructure, q: Box):
     """Stored sums of two or more members whose box sits inside q, as
     (value, box, count) triples: the exact-cover oracle's available sums."""
     sums = struct.sums
-    s, ok = sums.inside(np.asarray(q.lo), np.asarray(q.hi))
+    pos = sums.inside(np.asarray(q.lo), np.asarray(q.hi))
     rows, _, multi, _ = sums.by_hi0
-    rows = np.sort(rows[s][ok & multi[s]])
+    rows = np.sort(rows[pos[multi[pos]]])
     reduce, lo, hi = struct.sg.reduce, sums.box_lo, sums.box_hi
     return [(reduce(sums.values[[r]]), Box(tuple(lo[r]), tuple(hi[r])), int(sums.counts[r])) for r in rows.tolist()]
 
@@ -739,8 +714,8 @@ def query(struct: IdsStructure, q: Box, return_audit: bool = False):
     if singleton_only:
         rows, leftover = _NONE, struct.grid.points_in_box(qlo, qhi)
     else:
-        window = struct.sums.inside(qlo, qhi)
-        rows, leftover = _compress(struct, window, *_cover_pieces(struct, pieces, window, qlo, qhi))
+        pos = struct.sums.inside(qlo, qhi)
+        rows, leftover = _compress(struct, pos, *_cover_pieces(struct, pieces, pos, qlo, qhi))
     lo, hi = struct.sums.box_lo[rows], struct.sums.box_hi[rows]
     if np.any(lo < qlo) or np.any(hi > qhi):
         raise AssertionError("used sum escapes the query box")

@@ -82,9 +82,6 @@ class WeightedPointSet:
     def d(self) -> int:
         return self.coords.shape[1]
 
-    def subset(self, index) -> "WeightedPointSet":
-        return WeightedPointSet(self.coords[index], self.ids[index], self.weights[index])
-
     def with_weights(self, weights) -> "WeightedPointSet":
         return WeightedPointSet(self.coords, self.ids, np.asarray(weights, dtype=np.float64))
 

@@ -88,10 +88,6 @@ def test_stored_boxes_match_box_of(monkeypatch, d, k, n):
     assert row == s.num_boxes and nonempty == len(s.blocks)
     assert dyadic_boundary > 0 and left_out > 0
     assert 0 < np.count_nonzero(sums.counts == 0) < len(sums.counts)
-    assert list(sums.orient_span) == list(itertools.product("RL", repeat=k))
-    for orient, span in sums.orient_span.items():
-        in_orient = [r for (o, _), (a, b) in s.blocks.items() if o == orient for r in range(a, b)]
-        assert in_orient == list(range(*span))
     rows, bounds, multi, code = sums.by_hi0
     held = np.flatnonzero(sums.counts >= 1).tolist()  # an empty box is never indexed
     assert rows.tolist() == sorted(held, key=lambda r: sums.box_hi[r, 0])  # stable: block order on ties
@@ -99,7 +95,7 @@ def test_stored_boxes_match_box_of(monkeypatch, d, k, n):
     assert multi.tolist() == [sums.counts[r] >= 2 for r in rows.tolist()]
     assert 0 < multi.sum() < multi.size
     pieces = list(itertools.product("LR", repeat=k))  # decompose_query's piece order
-    orient_of = {r: o for o, span in sums.orient_span.items() for r in range(*span)}
+    orient_of = {r: o for (o, _), (a, b) in s.blocks.items() for r in range(a, b)}
     assert code.tolist() == [pieces.index(orient_of[r]) for r in rows.tolist()]
 
 
@@ -203,8 +199,8 @@ def _answer_piece(s, piece):
     piece itself as containment box (query() uses the whole query box
     instead, letting sums straddle the split), then the fold."""
     lo, hi = np.asarray(piece.lo), np.asarray(piece.hi)
-    window = s.sums.inside(lo, hi)
-    rows, leftover = I._compress(s, window, *I._cover_pieces(s, [piece], window, lo, hi))
+    pos = s.sums.inside(lo, hi)
+    rows, leftover = I._compress(s, pos, *I._cover_pieces(s, [piece], pos, lo, hi))
     assert np.all(s.sums.box_lo[rows] >= lo) and np.all(s.sums.box_hi[rows] <= hi)
     return I._evaluate(s, rows, leftover)
 
@@ -484,10 +480,9 @@ def _scan_rows(sums, qlo, qhi, min_count=1, orient=None, spans=None):
     return keep
 
 
-def _window_rows(sums, window):
-    """The rows of an ``inside`` window, in block order."""
-    s, ok = window
-    return np.sort(sums.by_hi0[0][s][ok])
+def _window_rows(sums, pos):
+    """The rows at ``inside`` positions, in block order."""
+    return np.sort(sums.by_hi0[0][pos])
 
 
 def _two_per_dim(sums, rows, pts):
@@ -500,24 +495,25 @@ def _two_per_dim(sums, rows, pts):
     return rows[(per_dim >= 2).all(axis=1)]
 
 
-def _compress_pool(monkeypatch, s, window, leftover):
+def _compress_pool(monkeypatch, s, pos, leftover):
     """The boxes ``_compress`` hands to its greedy for these leftovers."""
     seen = []
     real = I._greedy_cover
     monkeypatch.setattr(I, "_greedy_cover", lambda p, bl, bh: seen.append((bl, bh)) or real(p, bl, bh))
-    I._compress(s, window, I._NONE, leftover)
+    I._compress(s, pos, I._NONE, leftover)
     monkeypatch.setattr(I, "_greedy_cover", real)
     return seen
 
 
-def _assert_pool(monkeypatch, s, window, leftover, want):
-    (got_lo, got_hi), = _compress_pool(monkeypatch, s, window, leftover)
+def _assert_pool(monkeypatch, s, pos, leftover, want):
+    (got_lo, got_hi), = _compress_pool(monkeypatch, s, pos, leftover)
     assert np.array_equal(got_lo, s.sums.box_lo[want]) and np.array_equal(got_hi, s.sums.box_hi[want])
 
 
 def test_sum_index_matches_block_scan(monkeypatch):
-    """The ``inside`` window and every lookup filtered from it (the cover
-    tuples' candidates, the compression pool) equal the block scan's rows."""
+    """The ``inside`` positions and every lookup narrowed from them (the
+    cover tuples' candidates, the compression pool) equal the block scan's
+    rows."""
     pts = ir.uniform_random(256, 3, seed=22)
     s = ir.build_ids(pts, 2, ir.ID_SET)
     sums = s.sums
@@ -526,14 +522,14 @@ def test_sum_index_matches_block_scan(monkeypatch):
     found = compressed = narrowed = 0
     for q in _uniform_queries(rng, 3, 2, 30):
         qlo, qhi = np.asarray(q.lo), np.asarray(q.hi)
-        window = sums.inside(qlo, qhi)
-        assert _window_rows(sums, window).tolist() == _scan_rows(sums, qlo, qhi)
+        pos = sums.inside(qlo, qhi)
+        assert _window_rows(sums, pos).tolist() == _scan_rows(sums, qlo, qhi)
         inner = s.grid.points_in_box(qlo, qhi)
         multi = _scan_rows(sums, qlo, qhi, 2)
         for size in (max(2, inner.size // 2), min(3, inner.size)) if inner.size >= 2 else ():  # many, then few
             leftover = rng.choice(inner, size, replace=False)
             want = _two_per_dim(sums, multi, pts.coords[leftover])
-            _assert_pool(monkeypatch, s, window, leftover, want)
+            _assert_pool(monkeypatch, s, pos, leftover, want)
             compressed += len(want)
             narrowed += len(multi) - len(want)
         # every orientation against one span pair at a time, all in one call
@@ -546,7 +542,7 @@ def test_sum_index_matches_block_scan(monkeypatch):
         cases = [(code, a, b) for a, b in spans for code in range(len(orients))]
         codes = np.array([code for code, _, _ in cases])
         a, b = (np.array([c[i] for c in cases]) for i in (1, 2))
-        tuples, rows = I._tuple_candidates(sums, window, codes, a, b)
+        tuples, rows = I._tuple_candidates(sums, pos, codes, a, b)
         assert np.all(np.diff(tuples) >= 0)
         for t, (code, a, b) in enumerate(cases):
             want = _scan_rows(sums, qlo, qhi, 1, orients[code], None if np.isinf(a[0]) else (a, b))
@@ -577,7 +573,7 @@ def test_sum_index_edge_layouts():
     lo = np.vstack((lo, [(0.45, NEG_INF), (0.5, NEG_INF), (0.55, NEG_INF)]))
     hi = np.vstack((hi, [(0.6, 1.0), (0.5, 1.0), (0.75, 1.0)]))
     pts = np.vstack((pts, [(0.5, 0.25), (0.5, 0.3), (0.7, 0.25)]))
-    sums = I._SumIndex(blocks, lo, hi, {("R",): (0, 0), ("L",): (0, 39)}, pts, np.arange(67), ir.ID_SET)
+    sums = I._SumIndex(blocks, lo, hi, np.zeros(39, dtype=np.int64), pts, np.arange(67), ir.ID_SET)  # all L
     assert np.all(sums.counts[36:] >= 1)
     x0 = sums.box_hi[:, 0]  # the view's key
     assert np.unique(x0[:12]).size < 12 and np.intersect1d(x0[:12], x0[12:24]).size  # tied within and across blocks
@@ -590,12 +586,14 @@ def test_sum_index_edge_layouts():
     queries += [(np.array([a, NEG_INF]), np.array([a + w, 1.0])) for a, w in rng.random((20, 2)).tolist()]
     anything = np.array([[np.inf]] * 2), np.array([[-np.inf]] * 2)  # spans every box
     for qlo, qhi in queries:
-        window = sums.inside(qlo, qhi)
-        got = _window_rows(sums, window).tolist()
+        pos = sums.inside(qlo, qhi)
+        assert pos.dtype == np.int64 and np.all(np.diff(pos) > 0)  # strictly ascending
+        got = _window_rows(sums, pos).tolist()
         assert got == _scan_rows(sums, qlo, qhi)
-        tuples, rows = I._tuple_candidates(sums, window, np.array([0, 1]), *anything)  # L, then R
+        tuples, rows = I._tuple_candidates(sums, pos, np.array([0, 1]), *anything)  # L, then R
         assert rows.tolist() == got and not tuples.any()  # no R row: the R tuple has none
-    assert _window_rows(sums, sums.inside(*queries[1])).size == 0
+    empty = sums.inside(*queries[1])
+    assert empty.dtype == np.int64 and empty.size == 0
     edges = _window_rows(sums, sums.inside(*queries[3])).tolist()
     assert 36 not in edges and 37 in edges and 38 in edges
     held = np.flatnonzero(sums.counts >= 1)
@@ -617,7 +615,7 @@ def test_compression_pool_edge_cases(monkeypatch):
         ((0.5, np.inf, 1.0), True),  # B4: the +inf leftover is the second in dim 0
         ((0.7, np.inf, 1.0), False),  # B5: hi0 = +inf and one leftover above lo0
         ((0.1, 0.2, 0.5), True),  # B6: tied on hi0 with B1
-        ((0.0, 0.19, 1.0), False),  # B7: hi0 below the sub-window
+        ((0.0, 0.19, 1.0), False),  # B7: hi0 below the second-smallest leftover x0
         ((NEG_INF, 0.2, 1.0), True),  # B8: a -inf face holds the -inf leftover
         ((0.2, 0.4, 0.35), False),  # B9: two per dimension, but one input point inside
         ((0.4, 0.6, 0.5), True),  # B10: leftovers on both dim-0 faces
@@ -625,7 +623,7 @@ def test_compression_pool_edge_cases(monkeypatch):
     lo = np.array([(b[0], NEG_INF) for b, _ in boxes])
     hi = np.array([(b[1], b[2]) for b, _ in boxes])
     coords = np.array(leftovers + extras)
-    sums = I._SumIndex({(("L",), (1,)): (0, len(boxes))}, lo, hi, {("R",): (0, 0), ("L",): (0, len(boxes))},
+    sums = I._SumIndex({(("L",), (1,)): (0, len(boxes))}, lo, hi, np.zeros(len(boxes), dtype=np.int64),
                        coords, np.arange(len(coords)), ir.ID_SET)
     assert (sums.counts >= 2).tolist() == [i != 8 for i in range(len(boxes))]
     struct = types.SimpleNamespace(points=types.SimpleNamespace(coords=coords), sums=sums,
@@ -654,12 +652,12 @@ def test_one_sum_lookup_per_query(monkeypatch, d, k):
     real = I._SumIndex.inside
 
     def inside(self, qlo, qhi):
-        window = real(self, qlo, qhi)
-        rows = _window_rows(self, window)
+        pos = real(self, qlo, qhi)
+        rows = _window_rows(self, pos)
         assert np.all(self.counts[rows] >= 1)
         assert np.all(self.box_lo[rows] >= qlo) and np.all(self.box_hi[rows] <= qhi)
         calls.append(rows.size)
-        return window
+        return pos
 
     monkeypatch.setattr(I._SumIndex, "inside", inside)
     rng = np.random.default_rng(51)
@@ -799,8 +797,8 @@ def _covers(monkeypatch, s, queries):
     covers, folds, shared = {}, [], set()
     real_cover, real_eval, real_cand = I._cover_pieces, I._evaluate, I._tuple_candidates
 
-    def tuple_candidates(sums, window, codes, a, b):
-        tuples, rows = real_cand(sums, window, codes, a, b)
+    def tuple_candidates(sums, pos, codes, a, b):
+        tuples, rows = real_cand(sums, pos, codes, a, b)
         uses = np.unique(np.stack((codes[tuples], rows)), axis=1, return_counts=True)[1]  # per (piece, row)
         if np.any(uses >= 2):
             shared.add(len(folds))
@@ -940,8 +938,8 @@ def _check_prefilter(monkeypatch, k):
     if k == 1:
         lo[:, 1] = NEG_INF
     coords = np.vstack((pts, rng.random((2000, 2)) * 1.2 - 0.1))  # the leftovers, then other input points
-    span = {("R",) * k: (0, 0), ("L",) * k: (0, 300)}
-    sums = I._SumIndex({(("L",) * k, (1,) * k): (0, 300)}, lo, hi, span, coords, np.arange(2030), ir.ID_SET)
+    code = np.zeros(300, dtype=np.int64)  # all L
+    sums = I._SumIndex({(("L",) * k, (1,) * k): (0, 300)}, lo, hi, code, coords, np.arange(2030), ir.ID_SET)
     struct = types.SimpleNamespace(points=types.SimpleNamespace(coords=coords), sums=sums,
                                    config=types.SimpleNamespace(k=k))
     per_dim = ((pts[None, :, :] >= lo[:, None, :]) & (pts[None, :, :] <= hi[:, None, :])).sum(axis=1)
@@ -1137,7 +1135,7 @@ def test_nan_point_coordinates_rejected():
 
 @pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2)])
 def test_batched_candidates_match_per_tuple_inside(d, k):
-    """Each tuple's rows from one call over the query's window equal the
+    """Each tuple's rows from one call over the query's positions equal the
     rows of its own block scan, in the same order, for every tuple of pairs
     of every piece; a tuple that spans nothing gets the piece's rows inside
     the query.  Every such row's family index lies in [depth(v), depth(u) +
@@ -1160,7 +1158,7 @@ def test_batched_candidates_match_per_tuple_inside(d, k):
         cases = []  # (piece, a, b) per tuple, in piece order; a = inf, b = -inf spans nothing
         for piece in pieces:
             # each dimension's u-intervals, by depth, at the depths that have a pair
-            dim_spans = [I._side_labels(s, piece, i, np.empty(0))[1] for i in range(k)]
+            dim_spans = [I._side_cover(s, piece, i)[3] for i in range(k)]
             dim_spans = [sp[~np.isnan(sp[:, 0])] for sp in dim_spans]
             if not all(len(sp) for sp in dim_spans):
                 continue
@@ -1265,9 +1263,9 @@ def _closed_form_queries(rng, d, k, g):
 @pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2)])
 def test_closed_form_matches_per_node_reference(d, k):
     """``decompose_query``'s split equals a midpoint walk down the tree, and
-    ``_side_labels`` gives each coordinate on a piece's side the depth of
+    ``_point_labels`` gives each coordinate on a piece's side the depth of
     the cover pair whose u-slab holds it, or -1 in the corner's leaf, with
-    that pair's ``tree.interval`` at its depth in the spans."""
+    that pair's ``tree.interval`` at its depth in ``_side_cover``'s spans."""
     rng = np.random.default_rng(100 + 10 * d + k)
     s = ir.build_ids(ir.uniform_random(256, d, seed=7), k, ir.ID_SET)
     h, trees = s.config.h, s.trees
@@ -1298,7 +1296,8 @@ def test_closed_form_matches_per_node_reference(d, k):
                 x = x[(x >= piece.lo[i]) & (x <= piece.hi[i])]
                 corner = piece.hi[i] if side == "R" else piece.lo[i]
                 want, pairs = _reference_labels(tree, piece.vnodes[i], corner, side == "R", x)
-                got, spans = I._side_labels(s, piece, i, x)
+                cover = I._side_cover(s, piece, i)
+                got, spans = I._point_labels(h, cover, x), cover[3]
                 assert got.tolist() == want.tolist()
                 depths = [p.u.depth for p in pairs]
                 assert spans.shape == (h + 1, 2)
@@ -1343,11 +1342,11 @@ def _spanning_reference(sums, spans, pos):
 
 @pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2)])
 def test_prefilter_keeps_every_candidate(d, k):
-    """Property: over random queries, ``_spanning`` keeps exactly the window
-    rows that span an interval of their own side's cover in every two-sided
-    dimension, and every row that ``_tuple_candidates`` returns from the
-    unfiltered window, for any tuple of pairs the covers allow, is one of
-    them."""
+    """Property: over random queries, ``_spanning`` keeps exactly the
+    ``inside`` rows that span an interval of their own side's cover in every
+    two-sided dimension, and every row that ``_tuple_candidates`` returns
+    from the unfiltered positions, for any tuple of pairs the covers allow,
+    is one of them."""
     rng = np.random.default_rng(110 + 10 * d + k)
     s = ir.build_ids(ir.uniform_random(2048, d, seed=120 + d + k), k, ir.MAX_REAL)
     sums = s.sums
@@ -1358,8 +1357,7 @@ def test_prefilter_keeps_every_candidate(d, k):
         if singleton_only:
             continue
         spans = _query_spans(s, pieces)
-        window = sums.inside(np.asarray(q.lo), np.asarray(q.hi))
-        pos = window[0].start + window[1].nonzero()[0]
+        pos = sums.inside(np.asarray(q.lo), np.asarray(q.hi))
         survivors = I._spanning(sums, spans, pos)
         assert survivors.tolist() == _spanning_reference(sums, spans, pos).tolist()
         codes, a, b = [], [], []
@@ -1371,7 +1369,7 @@ def test_prefilter_keeps_every_candidate(d, k):
                 a.append([sp[i, 0] for i, sp in zip(t, per_dim)])
                 b.append([sp[i, 1] for i, sp in zip(t, per_dim)])
         if codes:
-            _, rows = I._tuple_candidates(sums, window, np.array(codes), np.array(a), np.array(b))
+            _, rows = I._tuple_candidates(sums, pos, np.array(codes), np.array(a), np.array(b))
             assert np.isin(rows, sums.by_hi0[0][survivors]).all()
             found += rows.size
         kept += survivors.size
@@ -1426,7 +1424,7 @@ def test_prefilter_keeps_answers_and_costs(monkeypatch, d, k):
         qlo, qhi = np.asarray(q.lo), np.asarray(q.hi)
         npts = s.grid.points_in_box(qlo, qhi).size
         if not I.decompose_query(s, q)[1] and npts:
-            rows = np.count_nonzero(s.sums.inside(qlo, qhi)[1])
+            rows = s.sums.inside(qlo, qhi).size
             fewer += rows < npts
             more += rows >= npts
     ended = sum(out == 0 for _, out in calls)
@@ -1446,20 +1444,19 @@ def test_early_out_lists_the_box(monkeypatch, d, k, seed):
     for q in queries:
         pieces, _ = ir.decompose_query(s, q)
         qlo, qhi = np.asarray(q.lo), np.asarray(q.hi)
-        window = s.sums.inside(qlo, qhi)
-        pos = window[0].start + window[1].nonzero()[0]
+        pos = s.sums.inside(qlo, qhi)
         if pos.size >= s.grid.points_in_box(qlo, qhi).size or real(s.sums, _query_spans(s, pieces), pos).size:
             continue
         early += 1
         dropped += pos.size  # rows inside the query that can serve no tuple
         monkeypatch.setattr(I, "_point_labels", None)  # the early out labels no point
-        rows, leftover = I._cover_pieces(s, pieces, window, qlo, qhi)
+        rows, leftover = I._cover_pieces(s, pieces, pos, qlo, qhi)
         monkeypatch.undo()
         assert rows.size == 0
         assert np.array_equal(np.sort(pts.ids[leftover]), ir.scan_ids(pts, q))
         want = _run_queries(s, [q])
         monkeypatch.setattr(I, "_spanning", lambda sums, spans, pos: pos)  # the full path
-        full_rows, full_leftover = I._cover_pieces(s, pieces, window, qlo, qhi)
+        full_rows, full_leftover = I._cover_pieces(s, pieces, pos, qlo, qhi)
         assert full_rows.size == 0 and np.array_equal(np.sort(full_leftover), np.sort(leftover))
         assert _run_queries(s, [q]) == want
         monkeypatch.undo()
@@ -1487,8 +1484,7 @@ def test_corner_on_first_leaf_has_no_pairs(monkeypatch, d, k):
         assert not singleton_only
         spans = _query_spans(s, pieces)
         assert np.isnan(spans[0, 1]).all()  # dim 0, side R: no pair
-        window = sums.inside(np.asarray(q.lo), np.asarray(q.hi))
-        pos = window[0].start + window[1].nonzero()[0]
+        pos = sums.inside(np.asarray(q.lo), np.asarray(q.hi))
         survivors = I._spanning(sums, spans, pos)
         assert not np.any((sums.by_hi0[3][survivors] >> (k - 1)) & 1)  # no R row in dim 0
         r_rows += np.any((sums.by_hi0[3][pos] >> (k - 1)) & 1)
