@@ -14,12 +14,14 @@ It first checks every pair: each query is answered once on each side with
 the audit on, and answers, per-query ``(sums_used, singletons_used)``, the
 ordered audit boxes and ``s_plus`` are compared.  It exits 1 if any pair
 differs, before timing any.  With ``--arrays`` it also compares the stored
-sums array for array: the block map, each row's bounds and count, and
-the view of the non-empty rows by dim-0 high end (its fields, count and
-arrays, each row's orientation number among them); a field only one side
-stores is a difference.  If every pair is equal, then per pair it
-counts each side's Python function calls per query with ``cProfile`` over
-one untimed pass of every query, times every query on both sides,
+sums array for array: the structure's block map and the orientation
+number of each row of its view, then each row's bounds and count, and the
+view of the non-empty rows by dim-0 high end (its fields, count and
+arrays); a field only one side stores is a difference.  If every pair is
+equal, then per pair it counts each side's Python function calls per query
+with ``cProfile`` over one untimed pass of every query (numpy's ``take``
+and ``compress`` are calls, ``[]`` indexing is not, so the count can move
+while the work does not), times every query on both sides,
 alternating which side goes first per query, over ``--passes`` passes, and
 prints the change/base ratios of the calls per query and of the p50, p95
 and mean query time.  So a perf change can show both its speed and that
@@ -109,12 +111,15 @@ def _same_field(x, y) -> bool:
 
 def array_differences(sides) -> list[str]:
     """The stored-sum fields in which the two sides' structures differ,
-    counting a field that only one side has."""
-    b, c = (struct.sums for _, struct, _ in sides)
+    counting a field that only one side has: the block map and the view's
+    orientation numbers on the structure, the rest on its ``_SumIndex``."""
+    (_, b, _), (_, c, _) = sides
+    fields = [(b, c, n) for n in ("blocks", "codes")]
+    fields += [(b.sums, c.sums, n) for n in ("box_lo", "box_hi", "counts", "by_hi0")]
     return [
         f"stored {n} differ"
-        for n in ("blocks", "box_lo", "box_hi", "counts", "by_hi0")
-        if not (hasattr(b, n) and hasattr(c, n) and _same_field(getattr(b, n), getattr(c, n)))
+        for x, y, n in fields
+        if not (hasattr(x, n) and hasattr(y, n) and _same_field(getattr(x, n), getattr(y, n)))
     ]
 
 

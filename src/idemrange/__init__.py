@@ -35,14 +35,17 @@ from .points import (
 )
 from .cwd import CwdFamily, CwdReport, build_cwd_family, family_union, load_cwd, save_cwd, verify_cwd
 from .dyadic import DyadicTree, Node, PrefixCoverPair, balanced_prefix_cover, build_dyadic_tree, suffix_cover
-from .dominance import DominanceStructure, build_dominance, dominance_cover, dominance_query, maxima
+from .dominance import dominance_cover, maxima
 from .idsstruct import (
     AnchoredPiece,
+    DominanceStructure,
     IdsConfig,
     IdsStructure,
     box_of,
+    build_dominance,
     build_ids,
     decompose_query,
+    dominance_query,
     query,
     usable_sums,
 )

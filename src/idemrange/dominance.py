@@ -1,24 +1,22 @@
-"""Sampled dominance-sum structure.
+"""The dominance cover step that both structures share.
 
-Stores, for each sample point, the semigroup sum of the input points it
-dominates.  A dominance query takes the maxima of the dominated samples,
-uses their stored sums, and covers the leftover staircase region with
-singletons.  Lookup bookkeeping (the targets' dim-0 window, sorting) is
-free in the cost model; only semigroup additions count.
+Given candidate corners and target points, ``dominance_cover`` takes the
+maxima of the candidates (``maxima``) and marks the targets some maximum
+dominates, group by group.  A stored sum whose box is (-inf, corner] in the
+compared dimensions then holds every target its corner dominates, so the
+maxima's sums plus the uncovered targets as singletons answer a dominance
+query.  The sampled dominance structure (``idsstruct.DominanceStructure``)
+calls it once per query over its live samples, and the (d+k)-sided
+structure once per query over every cover tuple's candidates, each tuple a
+group.  Sorting and comparing are free in the cost model; only semigroup
+additions count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import MalformedQuery
-from .geometry import QueryAnswer
-from .gridindex import GridIndex
-from .points import WeightedPointSet, hammersley_wd
-from .rangetree import box_sums
-from .semigroup import Semigroup, fold_values, singleton_value
-
-__all__ = ["maxima", "DominanceStructure", "build_dominance", "dominance_query", "dominance_cover"]
+__all__ = ["maxima", "dominance_cover"]
 
 
 def _generic_maxima(coords: np.ndarray) -> list[int]:
@@ -86,69 +84,3 @@ def dominance_cover(cand: np.ndarray, targets: np.ndarray, cand_groups=None, tar
     for j in range(cand.shape[1]):
         covmat &= targets[:, j] <= tops[:, j, None]
     return m_idx, covmat.any(axis=0), covmat.any(axis=1)
-
-
-class DominanceStructure:
-    """Immutable after build; queries are pure."""
-
-    def __init__(self, points: WeightedPointSet, sg: Semigroup, samples: np.ndarray, weights):
-        self.points = points
-        self.sg = sg
-        self.samples = samples
-        self.sample_cols = np.ascontiguousarray(samples.T)  # one contiguous array per dimension
-        self._w = weights  # sg.weights: ids themselves for idset
-        self.grid = GridIndex(points.coords)
-        self.counts, self.values = box_sums(points.coords, self._w, sg, np.full_like(samples, -np.inf), samples)
-
-    @property
-    def num_sums(self) -> int:
-        return len(self.samples)
-
-    @property
-    def s_plus(self) -> int:
-        """Storage: stored sums holding at least two points."""
-        return int(np.sum(self.counts >= 2))
-
-
-def build_dominance(
-    points: WeightedPointSet,
-    s: int,
-    sg: Semigroup,
-    *,
-    samples: np.ndarray | None = None,
-    weights=None,
-) -> DominanceStructure:
-    """Sample sums built by one batched ``box_sums``; default samples are a Hammersley set."""
-    if not 1 <= s <= len(points):
-        raise ValueError(f"sample count {s} outside 1..{len(points)}")
-    if samples is None:
-        samples = hammersley_wd(s, points.d).coords
-    else:
-        samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-        if len(samples) != s or samples.shape[1] != points.d:
-            raise ValueError("samples shape must be (s, d)")
-    return DominanceStructure(points, sg, samples, sg.weights(points, weights))
-
-
-def dominance_query(ds: DominanceStructure, q) -> QueryAnswer:
-    """Answer the dominance range (-inf, q_1] x ... x (-inf, q_d]."""
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (ds.points.d,):
-        raise MalformedQuery(f"query has shape {q.shape}, structure has {ds.points.d} dims")
-    if np.isnan(q).any():
-        raise MalformedQuery("query bounds must not be NaN")
-    target_idx = ds.grid.points_in_box(np.full(ds.points.d, -np.inf), q)
-    if target_idx.size == 0:
-        return QueryAnswer(None, 0, 0)
-    live = ds.counts >= 1
-    for col, b in zip(ds.sample_cols, q):
-        live &= col <= b
-    live = np.flatnonzero(live)
-    m_idx, covered, used = dominance_cover(ds.samples[live], ds.points.coords[target_idx])
-    used_global = live[m_idx]
-    parts = [ds.sg.reduce(ds.values[used_global])] if used_global.size else []  # one gather for every used sum
-    residual = target_idx[~covered]
-    if residual.size:
-        parts.append(singleton_value(ds.sg, residual, ds._w))
-    value = fold_values(parts, ds.sg)
-    return QueryAnswer(value, sums_used=int(len(used_global)), singletons_used=int(residual.size))

@@ -1,14 +1,20 @@
-"""Linear-storage structure for (d+k)-sided queries over idempotent semigroups.
+"""Stored-sum structures over idempotent semigroups: the linear-storage
+structure for (d+k)-sided queries (``IdsStructure``) and the sampled
+dominance structure (``DominanceStructure``).  Both keep their stored sums
+in one ``_SumIndex``, find the sums inside a box with its ``inside``, and
+fold a cover with ``_evaluate``; both reduce the last dimensions to the
+cover step of ``dominance.dominance_cover``.
 
-Queries are two-sided in the first k dimensions and upper-bounded in the
-rest.  Each point of a collectively well-distributed family, indexed by a
-depth tuple in {1..h}^k, is turned into an anchored box whose j-th side
-runs from the left boundary of the depth-i_j tree neighbor to the point
-(mirrored per orientation); the stored sum is the input weight inside that
-box.  Construction makes a fixed number of array passes, none per block
-or family index: the family sets are concatenated and sorted once by
-(set number, dim 0); each of the 2^k orientations then masks the points
-that have their neighbor and computes all their boxes at once.  One
+Queries of the (d+k)-sided structure are two-sided in the first k
+dimensions and upper-bounded in the rest.  Each point of a collectively
+well-distributed family, indexed by a depth tuple in {1..h}^k, is turned
+into an anchored box whose j-th side runs from the left boundary of the
+depth-i_j tree neighbor to the point (mirrored per orientation); the
+stored sum is the input weight inside that box.  Construction makes a
+fixed number of array passes, none per block or family index: the family
+sets are concatenated and sorted once by (set number, dim 0); each of the
+2^k orientations then masks the points that have their neighbor and
+computes all their boxes at once.  One
 batched ``rangetree.box_sums`` call fills the count and value (an
 id-set's on demand) of every box.  A query splits at tree midpoints
 into up to 2^k anchored pieces; each piece is tiled by
@@ -38,8 +44,9 @@ serves R and L sides; the pairs of ``balanced_prefix_cover`` and
 
 All stored sums live in one flat index, ``_SumIndex``, which also keeps
 its non-empty rows sorted by their box's dim-0 high end, with their
-bounds dimension-major, a flag for the rows of two or more members and
-each row's orientation number.  Its one primitive, ``inside(qlo, qhi)``,
+bounds dimension-major and a flag for the rows of two or more members;
+the structure keeps each such row's orientation number beside it
+(``codes``).  Its one primitive, ``inside(qlo, qhi)``,
 finds the non-empty sums inside a box: as every box has lo <= hi, a box
 inside [qlo, qhi] has its dim-0 high end in [qlo0, qhi0], so one
 contiguous window of that view (two ``searchsorted`` calls), tested one
@@ -87,6 +94,13 @@ Every candidate passes an explicit box-within-query filter before use.  The
 construction almost guarantees containment, but a candidate whose tree node
 is leftmost inside the piece's subtree can anchor one slab too far left;
 the filter drops it and singletons pick up the slack.
+
+The dominance structure stores, for each sample point s, the sum of the
+input points it dominates, as the box (-inf, s].  A dominance query
+(-inf, q] takes its live samples from one ``inside`` call, sorted back to
+sample order, covers the points of the query with their maxima
+(``dominance_cover``) and folds the maxima's sums and the uncovered points
+with ``_evaluate``.
 """
 
 from __future__ import annotations
@@ -103,7 +117,7 @@ from .dyadic import DyadicTree, Node, balanced_prefix_cover, build_dyadic_tree, 
 from .errors import MalformedQuery
 from .geometry import NEG_INF, Box, QueryAnswer
 from .gridindex import GridIndex
-from .points import WeightedPointSet
+from .points import WeightedPointSet, hammersley_wd
 from .rangetree import box_sums
 from .semigroup import Semigroup, fold_values, singleton_value
 
@@ -111,29 +125,36 @@ __all__ = [
     "IdsConfig",
     "IdsStructure",
     "AnchoredPiece",
+    "DominanceStructure",
     "box_of",
+    "build_dominance",
     "build_ids",
     "decompose_query",
+    "dominance_query",
     "query",
 ]
 
 _R, _L = "R", "L"
 
 
+def _check_k(k: int, d: int) -> None:
+    if not 1 <= k <= d - 1:
+        raise ValueError(f"need 1 <= k <= d-1, got k={k}, d={d}")
+
+
 @dataclass(frozen=True)
 class IdsConfig:
-    n: int
-    d: int
+    """The structure's parameters; the points it is built on give d."""
+
     k: int
     h: int  # ceil(log2 n)
     N: int  # max(1, n // h**k)
 
     @staticmethod
     def for_input(n: int, d: int, k: int) -> "IdsConfig":
-        if not 1 <= k <= d - 1:
-            raise ValueError(f"need 1 <= k <= d-1, got k={k}, d={d}")
+        _check_k(k, d)
         h = max(1, math.ceil(math.log2(n)))
-        return IdsConfig(n=n, d=d, k=k, h=h, N=max(1, n // h**k))
+        return IdsConfig(k=k, h=h, N=max(1, n // h**k))
 
 
 # sums of fewer members never beat singletons
@@ -141,31 +162,31 @@ _MIN_MEMBERS = 2
 
 
 class _SumIndex:
-    """Every stored sum in one structure of arrays.
+    """A structure's stored sums, one closed box each, in one structure of
+    arrays.
 
-    Rows are in block order: (orientation, then family index), then the
-    dim-0 point coordinate; ``blocks`` maps each non-empty block's
-    (orientation, index) to its row range (start, stop).  ``box_lo`` and
-    ``box_hi`` hold each box's bounds (its family point is ``box_hi`` in the
-    one-sided dimensions); ``counts`` and ``values`` hold the number and
-    the semigroup sum of the input points inside each box, from one
+    ``box_lo`` and ``box_hi`` hold each box's bounds, in the row order the
+    structure gives them; ``counts`` and ``values`` hold the number and the
+    semigroup sum of the input points inside each box, from one
     ``box_sums`` call: ``sg.reduce(values[rows])`` is the sum of the boxes
-    ``rows``.  ``by_hi0`` is (rows, bounds, multi, code): the rows
-    that hold a point, in ``box_hi[:, 0]`` order, with their [lo | hi]
-    bounds copied dimension-major, whether each holds two or more points,
-    and each one's orientation number from ``code`` (one per row), its
-    orientation's index in ``itertools.product((L, R), repeat=k)`` (the
-    order of ``decompose_query``'s pieces).
+    ``rows``.  ``by_hi0`` is (rows, bounds, multi): the rows that hold a
+    point, in ``box_hi[:, 0]`` order (ties in row order), with their [lo |
+    hi] bounds copied dimension-major, and whether each holds two or more
+    points.
     """
 
-    def __init__(self, blocks: dict, box_lo, box_hi, code, point_coords, w, sg: Semigroup):
-        self.blocks = blocks
+    def __init__(self, box_lo, box_hi, point_coords, w, sg: Semigroup):
         self.box_lo, self.box_hi = box_lo, box_hi
         self.counts, self.values = box_sums(point_coords, w, sg, box_lo, box_hi)
         rows = np.flatnonzero(self.counts >= 1)
         rows = rows[np.argsort(box_hi[rows, 0], kind="stable")]
         bounds = np.hstack((box_lo[rows], box_hi[rows])).T.copy()
-        self.by_hi0 = rows, bounds, self.counts[rows] >= _MIN_MEMBERS, code[rows]
+        self.by_hi0 = rows, bounds, self.counts[rows] >= _MIN_MEMBERS
+
+    @property
+    def s_plus(self) -> int:
+        """Storage: stored sums holding at least two points."""
+        return int(np.count_nonzero(self.counts >= _MIN_MEMBERS))
 
     def inside(self, qlo, qhi):
         """The positions in ``by_hi0`` of the sums inside the closed box
@@ -208,8 +229,12 @@ def box_of(x, index, orientation, trees: list[DyadicTree]) -> Box | None:
 
 def _anchored_boxes(family: CwdFamily, k: int):
     """Every block's ``box_of`` boxes in a fixed number of array passes:
-    (blocks, box_lo, box_hi, code) as ``_SumIndex`` takes them, ``code``
-    each box's orientation number.
+    (blocks, box_lo, box_hi, code).  Rows are in block order: (orientation,
+    then family index), then the dim-0 point coordinate; ``blocks`` maps
+    each non-empty block's (orientation, index) to its row range (start,
+    stop), and ``code`` holds each box's orientation number, its
+    orientation's index in ``itertools.product((L, R), repeat=k)`` (the
+    order of ``decompose_query``'s pieces).
 
     The family sets are concatenated and sorted once by (set number, dim
     0), ties in family order: that is block order within any orientation.
@@ -247,25 +272,29 @@ def _anchored_boxes(family: CwdFamily, k: int):
 
 
 class IdsStructure:
+    """The anchored boxes' sums in a ``_SumIndex``, in ``_anchored_boxes``'
+    row order, with its block map (``blocks``) and, per ``by_hi0`` row, its
+    box's orientation number (``codes``)."""
+
     def __init__(self, points: WeightedPointSet, sg: Semigroup, config: IdsConfig, weights=None):
+        _check_k(config.k, points.d)
         self.points = points
         self.sg = sg
         self.config = config
         self._w = sg.weights(points, weights)
         self.trees = [build_dyadic_tree(0.0, 1.0, config.h) for _ in range(config.k)]
-        self.family: CwdFamily = build_cwd_family(config.N, config.h, config.k, config.d)
+        self.family: CwdFamily = build_cwd_family(config.N, config.h, config.k, points.d)
         self.grid = GridIndex(points.coords)
-        boxes = _anchored_boxes(self.family, config.k)  # its temporaries are gone before box_sums runs
-        self.sums = _SumIndex(*boxes, points.coords, self._w, sg)
-        self.blocks = self.sums.blocks
+        self.blocks, box_lo, box_hi, code = _anchored_boxes(self.family, config.k)  # its temporaries are freed here
+        self.sums = _SumIndex(box_lo, box_hi, points.coords, self._w, sg)
+        self.codes = code[self.sums.by_hi0[0]]
         self.num_boxes = len(self.sums.counts)
 
     # -- reporting ---------------------------------------------------------
 
     @property
     def s_plus(self) -> int:
-        """Storage: materialized sums with at least two member points."""
-        return int(np.sum(self.sums.counts >= 2))
+        return self.sums.s_plus
 
     def query(self, q: Box, return_audit: bool = False):
         return query(self, q, return_audit=return_audit)
@@ -289,15 +318,15 @@ class AnchoredPiece:
 
 
 def _validate_query(struct: IdsStructure, q: Box):
-    cfg = struct.config
-    if q.dims != cfg.d:
-        raise MalformedQuery(f"query has {q.dims} dims, structure has {cfg.d}")
+    k, d = struct.config.k, struct.points.d
+    if q.dims != d:
+        raise MalformedQuery(f"query has {q.dims} dims, structure has {d}")
     if any(math.isnan(v) for v in q.lo + q.hi):
         raise MalformedQuery("query bounds must not be NaN")
-    for i in range(cfg.k):
+    for i in range(k):
         if q.lo[i] == NEG_INF:
             raise MalformedQuery(f"dimension {i} must be two-sided")
-    for i in range(cfg.k, cfg.d):
+    for i in range(k, d):
         if q.lo[i] != NEG_INF:
             raise MalformedQuery(f"dimension {i} must be upper-bounded only")
 
@@ -377,14 +406,15 @@ def _point_labels(h: int, cover, x: np.ndarray) -> np.ndarray:
     return np.where(xor, h + 1 - np.frexp(xor)[1], -1)
 
 
-def _spanning(sums: _SumIndex, spans: np.ndarray, pos: np.ndarray) -> np.ndarray:
+def _spanning(sums: _SumIndex, codes: np.ndarray, spans: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """The positions ``pos`` of ``sums.by_hi0`` whose box spans one
     u-interval of its own side's cover in every two-sided dimension: no
     other row can be a cover tuple's candidate.
 
     ``spans[j, s]`` holds the (dimension j, side s) cover's u-intervals by
     depth (s = 0 for L, 1 for R; NaN rows where there is no pair); a row's
-    side in dimension j is bit k - 1 - j of its orientation number.  The
+    side in dimension j is bit k - 1 - j of its orientation number, which
+    ``codes`` holds per position (``IdsStructure.codes``).  The
     intervals of one cover are disjoint, so the first that starts at or
     above a row's low face has the smallest end, and the row spans some
     interval iff it spans that one.  Every box's two-sided bounds lie in
@@ -392,23 +422,26 @@ def _spanning(sums: _SumIndex, spans: np.ndarray, pos: np.ndarray) -> np.ndarray
     2 (2j + s) puts every cover in one sorted table, searched once for all
     dimensions; its NaN rows sort last and compare false.
     """
-    _, bounds, _, code = sums.by_hi0
+    bounds = sums.by_hi0[1]
     k = spans.shape[0]
     d = len(bounds) // 2
     shift = 2.0 * np.arange(2 * k).reshape(k, 2)
     table = (spans + shift[:, :, None, None]).reshape(-1, 2)
     table = table[table[:, 0].argsort()]
-    own = shift[:, :1] + 2.0 * ((code[pos] >> np.arange(k - 1, -1, -1)[:, None]) & 1)  # (k, rows)
+    own = shift[:, :1] + 2.0 * ((codes[pos] >> np.arange(k - 1, -1, -1)[:, None]) & 1)  # (k, rows)
     at = table[:, 0].searchsorted(bounds[:k, pos] + own)
     return pos[np.logical_and.reduce(table[at, 1] <= bounds[d : d + k, pos] + own, axis=0)]
 
 
-def _tuple_candidates(sums: _SumIndex, pos: np.ndarray, codes: np.ndarray, a: np.ndarray, b: np.ndarray):
+def _tuple_candidates(
+    sums: _SumIndex, codes: np.ndarray, pos: np.ndarray, tuple_codes: np.ndarray, a: np.ndarray, b: np.ndarray
+):
     """Usable stored sums of every cover-pair tuple of a query.
 
     ``pos`` holds positions in ``sums.by_hi0`` of sums inside the query
-    (its ``inside`` result, or a part of it).  Tuple t belongs to the piece
-    whose orientation number is ``codes[t]``, and row t of ``a`` and ``b``
+    (its ``inside`` result, or a part of it), and ``codes`` each position's
+    orientation number.  Tuple t belongs to the piece whose orientation
+    number is ``tuple_codes[t]``, and row t of ``a`` and ``b``
     holds its u-interval ends, one column per two-sided dimension.  A sum
     inside the query works for a tuple iff it has the tuple's orientation
     and its box spans the tuple's interval in every two-sided dimension;
@@ -420,9 +453,9 @@ def _tuple_candidates(sums: _SumIndex, pos: np.ndarray, codes: np.ndarray, a: np
     Returns (tuples, rows): tuple t's candidates are ``rows[tuples == t]``,
     in block order.
     """
-    rows, bounds, _, by_code = sums.by_hi0
+    rows, bounds, _ = sums.by_hi0
     d = len(bounds) // 2
-    mask = by_code[pos] == codes[:, None]
+    mask = codes[pos] == tuple_codes[:, None]
     for j in range(a.shape[1]):
         mask &= bounds[j, pos] <= a[:, j, None]
         mask &= bounds[d + j, pos] >= b[:, j, None]
@@ -492,7 +525,7 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], pos: np.nda
                 covers[i, side] = piece, cover
                 spans[i, int(side == _R)] = cover[3]
     if pos.size < target_idx.size:  # the filter costs O(rows), the labels it may spare O(points)
-        pos = _spanning(struct.sums, spans, pos)
+        pos = _spanning(struct.sums, struct.codes, spans, pos)
         if pos.size == 0:
             return _NONE, target_idx  # no tuple can have a candidate: every point is a leftover
     tcoords = struct.points.coords[target_idx]
@@ -527,7 +560,7 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], pos: np.nda
     codes = tuples[:, 0]
     sides = (codes[:, None] >> np.arange(k - 1, -1, -1)) & 1  # per dimension, 0 for L and 1 for R
     ab = spans[np.arange(k), sides, tuples[:, 1:]]
-    groups, cand = _tuple_candidates(struct.sums, pos, codes, ab[..., 0], ab[..., 1])
+    groups, cand = _tuple_candidates(struct.sums, struct.codes, pos, codes, ab[..., 0], ab[..., 1])
     m_idx, covered, took = dominance_cover(
         struct.sums.box_hi[cand, k:], tcoords[ent, k:], groups, first.cumsum() - 1
     )
@@ -661,7 +694,7 @@ def _compress(struct: IdsStructure, pos: np.ndarray, rows: np.ndarray, leftover:
     m = leftover.size
     if m < 2:
         return rows, leftover
-    view, bounds, multi, _ = sums.by_hi0
+    view, bounds, multi = sums.by_hi0
     d, k = pts.shape[1], struct.config.k
     srt = np.full((m + 2, d), np.nan)  # two NaN rows: they sort last and compare false
     srt[:m] = pts
@@ -679,9 +712,10 @@ def _compress(struct: IdsStructure, pos: np.ndarray, rows: np.ndarray, leftover:
     return np.concatenate((rows, pool[picks])), leftover[uncovered]
 
 
-def _evaluate(struct: IdsStructure, rows: np.ndarray, leftover: np.ndarray) -> QueryAnswer:
-    """Fold a cover: one ``reduce`` of the stored sums ``rows`` (one gather
-    of their weights), one of the singletons ``leftover``, then the two."""
+def _evaluate(struct, rows: np.ndarray, leftover: np.ndarray) -> QueryAnswer:
+    """Fold a cover of either structure: one ``reduce`` of the stored sums
+    ``rows`` (one gather of their weights), one of the singletons
+    ``leftover``, then the two."""
     parts = [struct.sg.reduce(struct.sums.values[rows])] if rows.size else []
     if leftover.size:
         parts.append(singleton_value(struct.sg, leftover, struct._w))
@@ -694,7 +728,7 @@ def usable_sums(struct: IdsStructure, q: Box):
     (value, box, count) triples: the exact-cover oracle's available sums."""
     sums = struct.sums
     pos = sums.inside(np.asarray(q.lo), np.asarray(q.hi))
-    rows, _, multi, _ = sums.by_hi0
+    rows, _, multi = sums.by_hi0
     rows = np.sort(rows[pos[multi[pos]]])
     reduce, lo, hi = struct.sg.reduce, sums.box_lo, sums.box_hi
     return [(reduce(sums.values[[r]]), Box(tuple(lo[r]), tuple(hi[r])), int(sums.counts[r])) for r in rows.tolist()]
@@ -723,3 +757,58 @@ def query(struct: IdsStructure, q: Box, return_audit: bool = False):
     if not return_audit:
         return ans
     return ans, [Box(tuple(a), tuple(b)) for a, b in zip(lo.tolist(), hi.tolist())]
+
+
+class DominanceStructure:
+    """Sampled dominance sums: sample s stores the sum of the input points
+    it dominates, as the box (-inf, s] of a ``_SumIndex`` (row i is sample
+    i).  Immutable after build; queries are pure."""
+
+    def __init__(self, points: WeightedPointSet, sg: Semigroup, samples: np.ndarray, weights):
+        self.points = points
+        self.sg = sg
+        self.samples = samples
+        self._w = weights  # sg.weights: ids themselves for idset
+        self.grid = GridIndex(points.coords)
+        self.sums = _SumIndex(np.full_like(samples, NEG_INF), samples, points.coords, weights, sg)
+
+    @property
+    def num_sums(self) -> int:
+        return len(self.samples)
+
+    @property
+    def s_plus(self) -> int:
+        return self.sums.s_plus
+
+
+def build_dominance(points: WeightedPointSet, s: int, sg: Semigroup, *, samples=None, weights=None) -> DominanceStructure:
+    """Sample sums built by one batched ``box_sums``; default samples are a Hammersley set."""
+    if not 1 <= s <= len(points):
+        raise ValueError(f"sample count {s} outside 1..{len(points)}")
+    if samples is None:
+        samples = hammersley_wd(s, points.d).coords
+    else:
+        samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+        if len(samples) != s or samples.shape[1] != points.d:
+            raise ValueError("samples shape must be (s, d)")
+        if np.isnan(samples).any():
+            raise ValueError("samples must not be NaN")
+    return DominanceStructure(points, sg, samples, sg.weights(points, weights))
+
+
+def dominance_query(ds: DominanceStructure, q) -> QueryAnswer:
+    """Answer the dominance range (-inf, q_1] x ... x (-inf, q_d]: the
+    maxima of the live samples (those inside it with a point) use their
+    sums, and the targets no maximum dominates are singletons."""
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape != (ds.points.d,):
+        raise MalformedQuery(f"query has shape {q.shape}, structure has {ds.points.d} dims")
+    if np.isnan(q).any():
+        raise MalformedQuery("query bounds must not be NaN")
+    qlo = np.full(ds.points.d, NEG_INF)
+    target_idx = ds.grid.points_in_box(qlo, q)
+    if target_idx.size == 0:
+        return QueryAnswer(None, 0, 0)
+    live = np.sort(ds.sums.by_hi0[0][ds.sums.inside(qlo, q)])  # sample order: maxima break ties on it
+    m_idx, covered, _ = dominance_cover(ds.samples[live], ds.points.coords[target_idx])
+    return _evaluate(ds, live[m_idx], target_idx[~covered])

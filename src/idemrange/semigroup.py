@@ -90,14 +90,20 @@ def _cast_weights(dtype):
 
     One weight per point is required.  NaN is refused: it compares false
     with everything, so a max over it depends on the order of the operands.
+    Floats cast to an integer ``dtype`` must be whole numbers in its range,
+    which the cast keeps exactly (it would wrap -1.0 and truncate 0.5).
     """
+    info = np.iinfo(dtype) if np.dtype(dtype).kind in "iu" else None
 
     def cast(points, weights=None):
         w = np.asarray(points.weights if weights is None else weights)
         if w.shape != (len(points),):
             raise ValueError(f"weights must have shape ({len(points)},), got {w.shape}")
-        if w.dtype.kind == "f" and np.isnan(w).any():
-            raise ValueError("weights must not be NaN")
+        if w.dtype.kind == "f":
+            if np.isnan(w).any():
+                raise ValueError("weights must not be NaN")
+            if info is not None and not np.all((w >= info.min) & (w < info.max + 1) & (np.floor(w) == w)):
+                raise ValueError(f"{info.dtype} weights must be whole numbers in [{info.min}, {info.max + 1})")
         return w.astype(dtype)
 
     return cast

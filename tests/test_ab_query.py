@@ -106,7 +106,7 @@ def test_arrays_compares_the_stored_sums(monkeypatch, capsys):
 
     def build_ids(*args, **kwargs):
         struct = real(*args, **kwargs)
-        struct.sums.blocks = dict(reversed(struct.sums.blocks.items()))  # queries never read it
+        struct.blocks = dict(reversed(struct.blocks.items()))  # queries never read it
         return struct
 
     monkeypatch.setattr(idemrange, "build_ids", build_ids)

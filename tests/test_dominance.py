@@ -93,10 +93,10 @@ def test_build_stored_values_match_scan():
     for s_idx in range(2):
         dominated = np.all(pts.coords <= ds.samples[s_idx], axis=1)
         if dominated.any():
-            got = ds.sg.reduce(ds.values[[s_idx]])
+            got = ds.sg.reduce(ds.sums.values[[s_idx]])
             assert got == pytest.approx(float(pts.weights[dominated].max())) and type(got) is float
         else:
-            assert ds.counts[s_idx] == 0
+            assert ds.sums.counts[s_idx] == 0
 
 
 @pytest.mark.parametrize("name", ["max", "or", "idset"])
@@ -109,9 +109,9 @@ def test_stored_values_and_answers_match_scan_value(name):
     for i, corner in enumerate(corners):
         want = ir.scan_value(pts, ir.Box((ir.NEG_INF, ir.NEG_INF), tuple(corner)), sg, weights)
         if i < ds.num_sums and want is None:
-            assert ds.counts[i] == 0
+            assert ds.sums.counts[i] == 0
             continue
-        got = sg.reduce(ds.values[[i]]) if i < ds.num_sums else ir.dominance_query(ds, corner).value
+        got = sg.reduce(ds.sums.values[[i]]) if i < ds.num_sums else ir.dominance_query(ds, corner).value
         if want is None:
             assert got is None
         else:
@@ -126,6 +126,15 @@ def test_build_sample_count_guards():
         ir.build_dominance(pts, 5, ir.MAX_REAL)
     one = ir.build_dominance(pts, 1, ir.MAX_REAL)
     assert one.num_sums == 1
+
+
+def test_nan_samples_are_refused():
+    # a NaN sample would store a sum no query can use, and count it in s_plus
+    pts = ir.uniform_random(64, 2, seed=10)
+    with pytest.raises(ValueError, match="NaN"):
+        ir.build_dominance(pts, 2, ir.ID_SET, samples=[[0.5, np.nan], [0.9, 0.9]])
+    ds = ir.build_dominance(pts, 2, ir.ID_SET, samples=[[np.inf, np.inf], [0.9, 0.9]])  # infinities are corners
+    assert ds.sums.counts[0] == 64 and ir.dominance_query(ds, (np.inf, np.inf)).total_cost == 1
 
 
 def test_query_hand_example_full_corner():
@@ -167,7 +176,7 @@ def test_used_sums_regions_inside_query():
     rng = np.random.default_rng(9)
     for _ in range(200):
         q = rng.random(2)
-        live = np.nonzero(np.all(ds.samples <= q, axis=1) & (ds.counts >= 1))[0]
+        live = np.nonzero(np.all(ds.samples <= q, axis=1) & (ds.sums.counts >= 1))[0]
         m_idx, _, _ = ir.dominance_cover(ds.samples[live], pts.coords[:0])
         for s_idx in live[m_idx]:
             assert np.all(ds.samples[s_idx] <= q)

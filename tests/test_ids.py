@@ -88,7 +88,7 @@ def test_stored_boxes_match_box_of(monkeypatch, d, k, n):
     assert row == s.num_boxes and nonempty == len(s.blocks)
     assert dyadic_boundary > 0 and left_out > 0
     assert 0 < np.count_nonzero(sums.counts == 0) < len(sums.counts)
-    rows, bounds, multi, code = sums.by_hi0
+    rows, bounds, multi = sums.by_hi0
     held = np.flatnonzero(sums.counts >= 1).tolist()  # an empty box is never indexed
     assert rows.tolist() == sorted(held, key=lambda r: sums.box_hi[r, 0])  # stable: block order on ties
     assert bounds.tobytes() == np.hstack((sums.box_lo[rows], sums.box_hi[rows])).T.tobytes()
@@ -96,7 +96,7 @@ def test_stored_boxes_match_box_of(monkeypatch, d, k, n):
     assert 0 < multi.sum() < multi.size
     pieces = list(itertools.product("LR", repeat=k))  # decompose_query's piece order
     orient_of = {r: o for (o, _), (a, b) in s.blocks.items() for r in range(a, b)}
-    assert code.tolist() == [pieces.index(orient_of[r]) for r in rows.tolist()]
+    assert s.codes.tolist() == [pieces.index(orient_of[r]) for r in rows.tolist()]
 
 
 def test_build_input_guards():
@@ -105,6 +105,21 @@ def test_build_input_guards():
         ir.build_ids(pts3, 3, ir.MAX_REAL)  # k >= d
     with pytest.raises(ValueError):
         ir.build_ids(ir.uniform_random(2, 2, seed=0), 1, ir.MAX_REAL)
+
+
+def test_structure_takes_d_from_its_points():
+    """A config made for more dimensions than the points have builds a
+    structure of the points' d, which refuses a query of the config's d
+    rather than drop its last bound; a k the points' d cannot have fails at
+    build."""
+    pts = ir.uniform_random(256, 2, seed=1)
+    s = ir.IdsStructure(pts, ir.ID_SET, ir.IdsConfig.for_input(256, 3, 1))
+    with pytest.raises(ir.MalformedQuery, match="3 dims"):
+        ir.query(s, Box((0.2, NEG_INF, NEG_INF), (0.8, 0.5, 0.1)))
+    q = Box((0.2, NEG_INF), (0.8, 0.5))
+    assert ir.query(s, q).value.tolist() == ir.scan_ids(pts, q).tolist()
+    with pytest.raises(ValueError, match="k=2, d=2"):
+        ir.IdsStructure(pts, ir.ID_SET, ir.IdsConfig.for_input(256, 3, 2))
 
 
 def _check_blocks_against_scan(pts, s):
@@ -462,13 +477,13 @@ def test_greedy_cover_matches_dense_reference(monkeypatch, m, d):
         assert np.array_equal(alive, want_alive)
 
 
-def _scan_rows(sums, qlo, qhi, min_count=1, orient=None, spans=None):
-    """Reference for every stored-sum lookup: each block's rows tested in
-    block order.  Keeps the sums of at least ``min_count`` members inside
+def _scan_rows(blocks, sums, qlo, qhi, min_count=1, orient=None, spans=None):
+    """Reference for every stored-sum lookup: each of the ``blocks``' rows
+    tested in block order.  Keeps the sums of at least ``min_count`` members inside
     [qlo, qhi]; ``orient`` keeps one orientation, and ``spans`` = (a, b) the
     boxes with lo <= a and hi >= b in the first len(a) dims."""
     keep = []
-    for (o, _), (start, stop) in sums.blocks.items():
+    for (o, _), (start, stop) in blocks.items():
         if orient is not None and o != orient:
             continue
         lo, hi = sums.box_lo[start:stop], sums.box_hi[start:stop]
@@ -523,9 +538,9 @@ def test_sum_index_matches_block_scan(monkeypatch):
     for q in _uniform_queries(rng, 3, 2, 30):
         qlo, qhi = np.asarray(q.lo), np.asarray(q.hi)
         pos = sums.inside(qlo, qhi)
-        assert _window_rows(sums, pos).tolist() == _scan_rows(sums, qlo, qhi)
+        assert _window_rows(sums, pos).tolist() == _scan_rows(s.blocks, sums, qlo, qhi)
         inner = s.grid.points_in_box(qlo, qhi)
-        multi = _scan_rows(sums, qlo, qhi, 2)
+        multi = _scan_rows(s.blocks, sums, qlo, qhi, 2)
         for size in (max(2, inner.size // 2), min(3, inner.size)) if inner.size >= 2 else ():  # many, then few
             leftover = rng.choice(inner, size, replace=False)
             want = _two_per_dim(sums, multi, pts.coords[leftover])
@@ -542,10 +557,10 @@ def test_sum_index_matches_block_scan(monkeypatch):
         cases = [(code, a, b) for a, b in spans for code in range(len(orients))]
         codes = np.array([code for code, _, _ in cases])
         a, b = (np.array([c[i] for c in cases]) for i in (1, 2))
-        tuples, rows = I._tuple_candidates(sums, pos, codes, a, b)
+        tuples, rows = I._tuple_candidates(sums, s.codes, pos, codes, a, b)
         assert np.all(np.diff(tuples) >= 0)
         for t, (code, a, b) in enumerate(cases):
-            want = _scan_rows(sums, qlo, qhi, 1, orients[code], None if np.isinf(a[0]) else (a, b))
+            want = _scan_rows(s.blocks, sums, qlo, qhi, 1, orients[code], None if np.isinf(a[0]) else (a, b))
             assert rows[tuples == t].tolist() == want
             found += len(want)
     assert found > 15 and compressed > 15 and narrowed > 15
@@ -573,7 +588,8 @@ def test_sum_index_edge_layouts():
     lo = np.vstack((lo, [(0.45, NEG_INF), (0.5, NEG_INF), (0.55, NEG_INF)]))
     hi = np.vstack((hi, [(0.6, 1.0), (0.5, 1.0), (0.75, 1.0)]))
     pts = np.vstack((pts, [(0.5, 0.25), (0.5, 0.3), (0.7, 0.25)]))
-    sums = I._SumIndex(blocks, lo, hi, np.zeros(39, dtype=np.int64), pts, np.arange(67), ir.ID_SET)  # all L
+    sums = I._SumIndex(lo, hi, pts, np.arange(67), ir.ID_SET)
+    codes = np.zeros(sums.by_hi0[0].size, dtype=np.int64)  # all L
     assert np.all(sums.counts[36:] >= 1)
     x0 = sums.box_hi[:, 0]  # the view's key
     assert np.unique(x0[:12]).size < 12 and np.intersect1d(x0[:12], x0[12:24]).size  # tied within and across blocks
@@ -589,8 +605,8 @@ def test_sum_index_edge_layouts():
         pos = sums.inside(qlo, qhi)
         assert pos.dtype == np.int64 and np.all(np.diff(pos) > 0)  # strictly ascending
         got = _window_rows(sums, pos).tolist()
-        assert got == _scan_rows(sums, qlo, qhi)
-        tuples, rows = I._tuple_candidates(sums, pos, np.array([0, 1]), *anything)  # L, then R
+        assert got == _scan_rows(blocks, sums, qlo, qhi)
+        tuples, rows = I._tuple_candidates(sums, codes, pos, np.array([0, 1]), *anything)  # L, then R
         assert rows.tolist() == got and not tuples.any()  # no R row: the R tuple has none
     empty = sums.inside(*queries[1])
     assert empty.dtype == np.int64 and empty.size == 0
@@ -623,22 +639,22 @@ def test_compression_pool_edge_cases(monkeypatch):
     lo = np.array([(b[0], NEG_INF) for b, _ in boxes])
     hi = np.array([(b[1], b[2]) for b, _ in boxes])
     coords = np.array(leftovers + extras)
-    sums = I._SumIndex({(("L",), (1,)): (0, len(boxes))}, lo, hi, np.zeros(len(boxes), dtype=np.int64),
-                       coords, np.arange(len(coords)), ir.ID_SET)
+    blocks = {(("L",), (1,)): (0, len(boxes))}
+    sums = I._SumIndex(lo, hi, coords, np.arange(len(coords)), ir.ID_SET)
     assert (sums.counts >= 2).tolist() == [i != 8 for i in range(len(boxes))]
     struct = types.SimpleNamespace(points=types.SimpleNamespace(coords=coords), sums=sums,
                                    config=types.SimpleNamespace(k=1))
     qlo, qhi = np.full(2, NEG_INF), np.full(2, np.inf)
     leftover = np.arange(len(leftovers))
     want = [r for r, (_, two) in enumerate(boxes) if two]
-    ref = _two_per_dim(sums, _scan_rows(sums, qlo, qhi, 2), coords[leftover])
+    ref = _two_per_dim(sums, _scan_rows(blocks, sums, qlo, qhi, 2), coords[leftover])
     assert ref.tolist() == want
     _assert_pool(monkeypatch, struct, sums.inside(qlo, qhi), leftover, want)
     # the same boxes against every pair of the leftovers, and against a query that cuts B4, B5 and B8
     for pair in itertools.combinations(leftover, 2):
         pair = np.array(pair)
         for qlo, qhi in [(np.full(2, NEG_INF), np.full(2, np.inf)), (np.array([0.0, NEG_INF]), np.array([0.9, 1.0]))]:
-            want = _two_per_dim(sums, _scan_rows(sums, qlo, qhi, 2), coords[pair])
+            want = _two_per_dim(sums, _scan_rows(blocks, sums, qlo, qhi, 2), coords[pair])
             _assert_pool(monkeypatch, struct, sums.inside(qlo, qhi), pair, want)
 
 
@@ -797,8 +813,8 @@ def _covers(monkeypatch, s, queries):
     covers, folds, shared = {}, [], set()
     real_cover, real_eval, real_cand = I._cover_pieces, I._evaluate, I._tuple_candidates
 
-    def tuple_candidates(sums, pos, codes, a, b):
-        tuples, rows = real_cand(sums, pos, codes, a, b)
+    def tuple_candidates(sums, row_codes, pos, codes, a, b):
+        tuples, rows = real_cand(sums, row_codes, pos, codes, a, b)
         uses = np.unique(np.stack((codes[tuples], rows)), axis=1, return_counts=True)[1]  # per (piece, row)
         if np.any(uses >= 2):
             shared.add(len(folds))
@@ -938,8 +954,7 @@ def _check_prefilter(monkeypatch, k):
     if k == 1:
         lo[:, 1] = NEG_INF
     coords = np.vstack((pts, rng.random((2000, 2)) * 1.2 - 0.1))  # the leftovers, then other input points
-    code = np.zeros(300, dtype=np.int64)  # all L
-    sums = I._SumIndex({(("L",) * k, (1,) * k): (0, 300)}, lo, hi, code, coords, np.arange(2030), ir.ID_SET)
+    sums = I._SumIndex(lo, hi, coords, np.arange(2030), ir.ID_SET)
     struct = types.SimpleNamespace(points=types.SimpleNamespace(coords=coords), sums=sums,
                                    config=types.SimpleNamespace(k=k))
     per_dim = ((pts[None, :, :] >= lo[:, None, :]) & (pts[None, :, :] <= hi[:, None, :])).sum(axis=1)
@@ -1146,7 +1161,7 @@ def test_batched_candidates_match_per_tuple_inside(d, k):
     s = ir.build_ids(pts, k, ir.MAX_REAL)
     sums, h = s.sums, s.config.h
     family = np.empty((len(sums.counts), k), dtype=np.int64)
-    for (_, index), (start, stop) in sums.blocks.items():
+    for (_, index), (start, stop) in s.blocks.items():
         family[start:stop] = index
     orients = list(itertools.product("LR", repeat=k))  # by orientation number
     tuples_seen = rows_seen = narrowed = 0  # narrowed: the tuple's own spans drop rows of its piece
@@ -1167,15 +1182,19 @@ def test_batched_candidates_match_per_tuple_inside(d, k):
             cases.append((piece, np.full(k, np.inf), np.full(k, -np.inf)))
         codes = np.array([orients.index(piece.orientation) for piece, _, _ in cases], dtype=np.int64)
         a, b = (np.array([c[i] for c in cases]) for i in (1, 2))
-        tuples, rows = I._tuple_candidates(sums, sums.inside(qlo, qhi), codes, a, b)
+        tuples, rows = I._tuple_candidates(sums, s.codes, sums.inside(qlo, qhi), codes, a, b)
         assert np.all(np.diff(tuples) >= 0)
+        piece_rows = {  # per piece, its rows inside the query: the same for each of its tuples
+            o: np.asarray(_scan_rows(s.blocks, sums, qlo, qhi, 1, o), dtype=np.int64)
+            for o in {piece.orientation for piece, _, _ in cases}
+        }
         for t, (piece, at, bt) in enumerate(cases):
-            in_piece = np.asarray(_scan_rows(sums, qlo, qhi, 1, piece.orientation), dtype=np.int64)
+            in_piece = piece_rows[piece.orientation]
             got = rows[tuples == t].tolist()
             if np.isinf(at[0]):
                 assert got == in_piece.tolist()
                 continue
-            assert got == _scan_rows(sums, qlo, qhi, 1, piece.orientation, (at, bt))
+            assert got == _scan_rows(s.blocks, sums, qlo, qhi, 1, piece.orientation, (at, bt))
             spanning = np.all(sums.box_lo[in_piece, :k] <= at, axis=1) & np.all(sums.box_hi[in_piece, :k] >= bt, axis=1)
             assert got == in_piece[spanning].tolist()  # the block scan's rows that span the tuple
             low = np.asarray([v.depth for v in piece.vnodes])
@@ -1323,11 +1342,11 @@ def _query_spans(s, pieces):
     return spans
 
 
-def _spanning_reference(sums, spans, pos):
+def _spanning_reference(sums, code, spans, pos):
     """The positions whose box spans some u-interval of its own side's
     cover in every two-sided dimension, each row and interval compared on
     its own."""
-    _, bounds, _, code = sums.by_hi0
+    bounds = sums.by_hi0[1]
     k, d = spans.shape[0], len(bounds) // 2
     keep = []
     for p in pos.tolist():
@@ -1358,8 +1377,8 @@ def test_prefilter_keeps_every_candidate(d, k):
             continue
         spans = _query_spans(s, pieces)
         pos = sums.inside(np.asarray(q.lo), np.asarray(q.hi))
-        survivors = I._spanning(sums, spans, pos)
-        assert survivors.tolist() == _spanning_reference(sums, spans, pos).tolist()
+        survivors = I._spanning(sums, s.codes, spans, pos)
+        assert survivors.tolist() == _spanning_reference(sums, s.codes, spans, pos).tolist()
         codes, a, b = [], [], []
         for piece in pieces:
             per_dim = [spans[i, "LR".index(side)] for i, side in enumerate(piece.orientation)]
@@ -1369,7 +1388,7 @@ def test_prefilter_keeps_every_candidate(d, k):
                 a.append([sp[i, 0] for i, sp in zip(t, per_dim)])
                 b.append([sp[i, 1] for i, sp in zip(t, per_dim)])
         if codes:
-            _, rows = I._tuple_candidates(sums, pos, np.array(codes), np.array(a), np.array(b))
+            _, rows = I._tuple_candidates(sums, s.codes, pos, np.array(codes), np.array(a), np.array(b))
             assert np.isin(rows, sums.by_hi0[0][survivors]).all()
             found += rows.size
         kept += survivors.size
@@ -1391,8 +1410,8 @@ def _spanning_calls(monkeypatch):
     """Record each ``_spanning`` call's (rows in, rows out)."""
     calls, real = [], I._spanning
 
-    def spanning(sums, spans, pos):
-        out = real(sums, spans, pos)
+    def spanning(sums, codes, spans, pos):
+        out = real(sums, codes, spans, pos)
         calls.append((pos.size, out.size))
         return out
 
@@ -1415,7 +1434,7 @@ def test_prefilter_keeps_answers_and_costs(monkeypatch, d, k):
     queries += [Box(tuple(s.sums.box_lo[r]), tuple(s.sums.box_hi[r])) for r in np.flatnonzero(s.sums.counts == 1)[:8]]
     calls = _spanning_calls(monkeypatch)
     got = _run_queries(s, queries)
-    monkeypatch.setattr(I, "_spanning", lambda sums, spans, pos: pos)
+    monkeypatch.setattr(I, "_spanning", lambda sums, codes, spans, pos: pos)
     assert got == _run_queries(s, queries)
     for (value, *_), q in zip(got, queries):
         assert (value or []) == ir.scan_ids(pts, q).tolist()
@@ -1445,7 +1464,8 @@ def test_early_out_lists_the_box(monkeypatch, d, k, seed):
         pieces, _ = ir.decompose_query(s, q)
         qlo, qhi = np.asarray(q.lo), np.asarray(q.hi)
         pos = s.sums.inside(qlo, qhi)
-        if pos.size >= s.grid.points_in_box(qlo, qhi).size or real(s.sums, _query_spans(s, pieces), pos).size:
+        spans = _query_spans(s, pieces)
+        if pos.size >= s.grid.points_in_box(qlo, qhi).size or real(s.sums, s.codes, spans, pos).size:
             continue
         early += 1
         dropped += pos.size  # rows inside the query that can serve no tuple
@@ -1455,7 +1475,7 @@ def test_early_out_lists_the_box(monkeypatch, d, k, seed):
         assert rows.size == 0
         assert np.array_equal(np.sort(pts.ids[leftover]), ir.scan_ids(pts, q))
         want = _run_queries(s, [q])
-        monkeypatch.setattr(I, "_spanning", lambda sums, spans, pos: pos)  # the full path
+        monkeypatch.setattr(I, "_spanning", lambda sums, codes, spans, pos: pos)  # the full path
         full_rows, full_leftover = I._cover_pieces(s, pieces, pos, qlo, qhi)
         assert full_rows.size == 0 and np.array_equal(np.sort(full_leftover), np.sort(leftover))
         assert _run_queries(s, [q]) == want
@@ -1485,14 +1505,14 @@ def test_corner_on_first_leaf_has_no_pairs(monkeypatch, d, k):
         spans = _query_spans(s, pieces)
         assert np.isnan(spans[0, 1]).all()  # dim 0, side R: no pair
         pos = sums.inside(np.asarray(q.lo), np.asarray(q.hi))
-        survivors = I._spanning(sums, spans, pos)
-        assert not np.any((sums.by_hi0[3][survivors] >> (k - 1)) & 1)  # no R row in dim 0
-        r_rows += np.any((sums.by_hi0[3][pos] >> (k - 1)) & 1)
+        survivors = I._spanning(sums, s.codes, spans, pos)
+        assert not np.any((s.codes[survivors] >> (k - 1)) & 1)  # no R row in dim 0
+        r_rows += np.any((s.codes[pos] >> (k - 1)) & 1)
     assert r_rows > 0
     calls = _spanning_calls(monkeypatch)
     got = _run_queries(s, queries)
     assert len(calls) > 0
-    monkeypatch.setattr(I, "_spanning", lambda sums, spans, pos: pos)
+    monkeypatch.setattr(I, "_spanning", lambda sums, codes, spans, pos: pos)
     assert got == _run_queries(s, queries)
     for (value, *_), q in zip(got, queries):
         assert (value or []) == ir.scan_ids(pts, q).tolist()

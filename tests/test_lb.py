@@ -228,6 +228,24 @@ def test_eligible_sums_partial_mode():
     assert 2 not in got and 4 not in got
 
 
+def test_eligible_sums_partial_mode_exclusions():
+    """Partial mode drops an on-path sum that sticks out of the query and
+    one that falls short of the subproblem slab; full mode keeps both."""
+    tree = ir.build_dyadic_tree(0.0, 1.0, 5)
+    hq = ir.HardQuery(trees=(tree,), x=(0.97,), z=(0.99,), y=0.9, nodes=(Node(1, 1),))
+    sub = ir.subproblem(hq, (3,))
+    assert sub.defined and sub.nodes == (Node(4, 14),)  # u = [0.875, 0.9375]; path (1,1), (2,3), (3,7)
+    boxes = [
+        Box((0.7, NEG_INF), (0.9, 0.5)),  # inside [x', x] = [0.5, 0.97], reaches u's slab
+        Box((0.8, NEG_INF), (0.98, 0.5)),  # hi above x: sticks out of the query
+        Box((0.6, NEG_INF), (0.8, 0.5)),  # hi below a(u) = 0.875: cannot reach the slab
+    ]
+    placed = ir.place_sums(boxes, (tree,))
+    assert [ps.nodes for ps in placed] == [(Node(1, 1),), (Node(2, 3),), (Node(1, 1),)]  # all on the path
+    assert ir.eligible_sums(placed, hq, sub, t=1).tolist() == [0]
+    assert ir.eligible_sums(placed, hq, sub).tolist() == [0, 1, 2]
+
+
 def test_eligible_sums_undefined_subproblem_empty():
     placed, hq, _ = _hand_eligibility_instance()
     bad = ir.subproblem(hq, (9,))

@@ -37,6 +37,22 @@ def test_hammersley_distinct_and_deterministic():
         assert np.unique(a.coords[:, j]).size == 200
 
 
+def test_hammersley_breaks_radical_inverse_ties(monkeypatch):
+    """Radical inverses cut to a 1/8 grid tie in groups: the fix-up still
+    gives distinct columns in [0, 1], each value within a grid step of its
+    own, the same on every call."""
+    real = P._radical_inverse_array
+    monkeypatch.setattr(P, "_radical_inverse_array", lambda idx, base: np.floor(real(idx, base) * 8) / 8)
+    a, b = ir.hammersley_wd(64, 3), ir.hammersley_wd(64, 3)
+    assert np.array_equal(a.coords, b.coords)
+    for j in (1, 2):
+        raw = np.floor(real(np.arange(64), P._PRIMES[j - 1]) * 8) / 8
+        assert np.unique(raw).size <= 8
+        col = a.coords[:, j]
+        assert np.unique(col).size == 64
+        assert np.all((col >= 0) & (col <= 1)) and np.all((col >= raw) & (col < raw + 1 / 8))
+
+
 def test_hammersley_d_guard():
     with pytest.raises(ir.Unsupported):
         ir.hammersley_wd(10, 7)

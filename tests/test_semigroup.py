@@ -142,6 +142,27 @@ def test_nan_weights_are_refused():
     assert ir.scan_value(pts, ir.Box((0.0, ir.NEG_INF), (1.0, 1.0)), ir.MAX_REAL, w) == np.inf
 
 
+@pytest.mark.parametrize("bad", [0.5, -1.0, np.inf, -np.inf, 2.0**64], ids=["fraction", "negative", "inf", "-inf", "2^64"])
+def test_or_weights_the_cast_would_change_are_refused(bad):
+    # the uint64 cast would make 0.5 into 0, -1.0 into 2^64 - 1 and inf into 0
+    pts = ir.uniform_random(16, 2, seed=5)
+    w = np.arange(16.0)
+    w[3] = bad
+    with pytest.raises(ValueError, match="whole numbers"):
+        ir.BIT_OR64.weights(pts, w)
+    with pytest.raises(ValueError, match="whole numbers"):
+        ir.build_ids(pts, 1, ir.BIT_OR64, weights=w)
+    assert ir.MAX_REAL.weights(pts, w)[3] == bad  # max reads floats as they are
+
+
+def test_whole_or_weights_cast_exactly():
+    pts = ir.uniform_random(4, 2, seed=5)
+    whole = np.array([0.0, 1.0, 2.0**63, 2.0**64 - 2048])  # the largest float below 2^64
+    assert ir.BIT_OR64.weights(pts, whole).tolist() == [0, 1, 2**63, 2**64 - 2048]
+    top = np.array([0, 1, 2, 2**64 - 1], dtype=np.uint64)  # integer inputs are not checked
+    assert ir.BIT_OR64.weights(pts, top).tolist() == top.tolist()
+
+
 @pytest.mark.parametrize("sg", [ir.MAX_REAL, ir.BIT_OR64], ids=["max", "or"])
 @pytest.mark.parametrize("weights", [np.ones(10), np.arange(100.0), np.ones((64, 1)), np.ones((2, 64))], ids=["short", "long", "column", "2-d"])
 def test_weights_of_the_wrong_shape_are_refused(sg, weights):
