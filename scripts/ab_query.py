@@ -18,13 +18,15 @@ sums array for array: the structure's block map and the orientation
 number of each row of its view, then each row's bounds and count, and the
 view of the non-empty rows by dim-0 high end (its fields, count and
 arrays); a field only one side stores is a difference.  If every pair is
-equal, then per pair it counts each side's Python function calls per query
-with ``cProfile`` over one untimed pass of every query (numpy's ``take``
-and ``compress`` are calls, ``[]`` indexing is not, so the count can move
-while the work does not), times every query on both sides,
-alternating which side goes first per query, over ``--passes`` passes, and
-prints the change/base ratios of the calls per query and of the p50, p95
-and mean query time.  So a perf change can show both its speed and that
+equal, then per pair it counts each side's calls per query with
+``cProfile`` over one untimed pass of every query, as two counts: calls
+of Python functions (entries with a code object) and calls of builtins
+(C functions and methods, numpy's ``take`` and ``compress`` among them;
+``[]`` indexing is no call, so swapping it for ``take`` moves only the
+builtin count).  It then times every query on both sides, alternating
+which side goes first per query, over ``--passes`` passes, and prints the
+change/base ratios of both call counts and of the p50, p95 and mean query
+time.  So a perf change can show both its speed and that
 its answers and costs are the base's.  Structures are rebuilt for the
 timing, so only one pair's are held at a time.
 """
@@ -38,6 +40,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -123,18 +126,22 @@ def array_differences(sides) -> list[str]:
     ]
 
 
-def calls_per_query(side) -> float:
-    """Python function calls ``cProfile`` counts per ``query`` over one pass
-    of the side's queries.  The profiler's raw entries are summed, one per
-    function: ``pstats`` would keep one of the functions that share a
-    (file, line, name) label, as every namedtuple ``__new__`` does."""
+def calls_per_query(side) -> tuple[float, float]:
+    """Calls ``cProfile`` counts per ``query`` over one pass of the side's
+    queries: (Python function calls, builtin calls).  The profiler's raw
+    entries are summed, one per function, and split by whether the entry
+    has a code object: ``pstats`` would keep one of the functions that
+    share a (file, line, name) label, as every namedtuple ``__new__`` does."""
     pkg, struct, qs = side
     prof = cProfile.Profile()
     prof.enable()
     for q in qs:
         pkg.query(struct, q)
     prof.disable()
-    return sum(e.callcount for e in prof.getstats()) / len(qs)
+    counts = [0, 0]
+    for e in prof.getstats():
+        counts[not isinstance(e.code, types.CodeType)] += e.callcount
+    return counts[0] / len(qs), counts[1] / len(qs)
 
 
 def timed(sides, passes: int) -> np.ndarray:
@@ -182,8 +189,8 @@ def main(argv=None) -> int:
             for workload, seed in cases:
                 pair = build_pair(base, workload, seed, args)
                 print(f"\n{workload} seed {seed}: {len(pair[0][2])} queries x {args.passes} passes")
-                b, c = (calls_per_query(side) for side in pair)
-                print(f"calls per query  base {b:.1f}  change {c:.1f}  ratio {c / b:.3f}")
+                for kind, b, c in zip(("python", "builtin"), *(calls_per_query(side) for side in pair)):
+                    print(f"{kind} calls per query  base {b:.1f}  change {c:.1f}  ratio {c / b:.3f}")
                 t_base, t_change = timed(pair, args.passes)
                 for name, stat in (("p50", np.median), ("p95", lambda a: np.percentile(a, 95)), ("mean", np.mean)):
                     b, c = stat(t_base) * 1e3, stat(t_change) * 1e3

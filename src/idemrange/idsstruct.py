@@ -27,20 +27,29 @@ columns, and one cover per (dimension, side), built before any point is
 labelled and used twice.  Its u-intervals first filter the stored sums
 (``_spanning``): a sum can serve a cover tuple only if it spans one
 u-interval of its own side's cover in every two-sided dimension.  If none
-does, every point of the box is a leftover and the query labels none.
-Otherwise each cover labels only the points on its side, and one sort of
-(point, piece) entries by (piece, label tuple) groups them.  A point on a
-split midpoint lies on both closed sides and so joins every piece that
-holds it; the cover still lists it, and every used sum, once.
+does, every point of the box is a leftover and the query places none.
+Otherwise dimension 0 needs no per-point work: a side's u-intervals are
+consecutive dim-0 intervals, one per depth, and the window lists the box's
+points in dim-0 order, so each (side, depth) tile holds one run of them,
+and one ``searchsorted`` of the tiles' starts per side gives every run and
+the leaf tail.  At k = 1 these runs, L's reversed, are the cover tuples in
+order.  In dimensions 1..k-1 each cover labels the run entries on its
+side, and one sort of (point, piece) entries by (piece, label tuple)
+groups them.  A point on a split midpoint lies on both closed sides and
+so joins every piece that holds it; the cover still lists it, and every
+used sum, once.
 
 The geometry is leaf-rank arithmetic on trees of G = 2^h leaves over [0,
 1].  The split is found in closed form from the clipped bounds' leaf
-ranks (``decompose_query``).  A point's label is the depth of the cover
-pair that holds it: with its leaf rank and the corner's clamped into the
-piece root's leaves, h + 1 - bit_length(rank XOR corner), or -1 (the leaf
-tail) where the two are equal (``_point_labels``).  The same formula
-serves R and L sides; the pairs of ``balanced_prefix_cover`` and
-``suffix_cover`` only give each depth's u-interval (``_side_cover``).
+ranks (``decompose_query``).  A point's label in dimensions 1..k-1 is the
+depth of the cover pair that holds it: with its leaf rank and the
+corner's clamped into the piece root's leaves, h + 1 - bit_length(rank
+XOR corner), or -1 (the leaf tail) where the two are equal
+(``_point_labels``).  The same formula serves R and L sides, and in
+dimension 0 the runs are exactly its classes: a tile starts at r/2^D, and
+x * 2^h >= r * 2^(h-D) holds exactly when x >= r/2^D.  The pairs of
+``balanced_prefix_cover`` and ``suffix_cover`` only give each depth's
+u-interval (``_side_cover``).
 
 All stored sums live in one flat index, ``_SumIndex``, which also keeps
 its non-empty rows sorted by their box's dim-0 high end, with their
@@ -400,7 +409,9 @@ def _point_labels(h: int, cover, x: np.ndarray) -> np.ndarray:
     clamped into the root's leaves, a point and the corner first part at
     the depth of the highest bit of their XOR, and the pair there holds the
     point.  So one formula labels both sides, and the pairs only give the
-    spans."""
+    spans.  ``_cover_pieces`` labels dimensions 1..k-1 with it; dimension 0
+    takes the same classes as runs of its sorted points, and the tests
+    check those runs against these labels."""
     first, last, corner, _ = cover
     xor = np.minimum(np.maximum(x * (1 << h), first), last).astype(np.int64) ^ corner
     return np.where(xor, h + 1 - np.frexp(xor)[1], -1)
@@ -491,26 +502,38 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], pos: np.nda
     first use, so paid once, though a sum may serve several tuples and a
     midpoint point several pieces.
 
-    One dim-0 window takes the box's points.  Each (dimension, side) cover
-    is built once, before any point is labelled (``_side_cover``).  When
-    ``pos`` holds fewer sums than the box holds points, the covers'
-    u-intervals first narrow it to the rows that could serve some tuple
-    (``_spanning``), an O(rows) test that can spare the O(points) labelling
-    below: if no row survives, no tuple has a candidate, so the cover is no
-    rows and every point of the box, in dim-0 order (the greedy breaks ties
-    on pool order, so costs do not depend on it).  Otherwise
-    each cover labels only the points on its side (``_point_labels``); a
-    point on a split midpoint lies on both sides, so it joins every piece
-    whose closed side holds it.  Each (point, piece) entry is keyed by
-    (piece, depth label tuple), raveled so that tuples, and with them used
-    sums, run in piece order (that of ``decompose_query``), then tuple
-    order: depth order is the covers' pair order.  One ``_tuple_candidates``
-    call over the (narrowed) positions gives every tuple its candidates,
-    listed in (tuple, block) order, and one ``dominance_cover`` call takes
-    every tuple as a group: a target meets only its own tuple's maxima, and
-    a tuple with no candidates covers none of its targets.  The maxima come
-    back in candidate order, so the used sums keep their (piece, tuple)
-    order.
+    One dim-0 window takes the box's points, in dim-0 order.  Each
+    (dimension, side) cover is built once, before any point is placed in a
+    tile (``_side_cover``).  When ``pos`` holds fewer sums than the box
+    holds points, the covers' u-intervals first narrow it to the rows that
+    could serve some tuple (``_spanning``), an O(rows) test that can spare
+    the O(points) work below: if no row survives, no tuple has a candidate,
+    so the cover is no rows and every point of the box, in dim-0 order (the
+    greedy breaks ties on pool order, so costs do not depend on it).
+
+    Otherwise dimension 0 takes no labels.  A side's u-intervals are
+    consecutive dim-0 intervals, one per depth, so each holds one run of
+    the box's points, and one ``searchsorted`` of their starts gives every
+    run: a start is r/2^D, and x * 2^h >= r * 2^(h-D) holds exactly when x
+    >= r/2^D, so the runs are exactly the label classes.  On the L side the
+    depth falls as x0 rises, from the corner's leaf (the leaf tail) up to
+    the split; on the R side it rises from the split up to the corner's
+    leaf.  Both sides hold the split (L by a ``side="right"`` search), so a
+    point on it joins both; points beyond [0, 1] fall in the end runs, as
+    the clamp of ``_point_labels`` puts them.  The non-empty runs, L's
+    reversed, are the tuples of dimension 0 in (side, depth) order, which
+    at k = 1 is (piece, tuple) order.  In dimensions 1..k-1 each cover
+    labels the run entries on its side (``_point_labels``), and one stable
+    sort of the (point, piece) entries by (piece, depth label tuple),
+    raveled, groups them: tuples, and with them used sums, run in piece
+    order (that of ``decompose_query``), then tuple order, as depth order
+    is the covers' pair order.  Either way a tuple's entries keep dim-0
+    order.  One ``_tuple_candidates`` call over the (narrowed) positions
+    gives every tuple its candidates, listed in (tuple, block) order, and
+    one ``dominance_cover`` call takes every tuple as a group: a target
+    meets only its own tuple's maxima, and a tuple with no candidates
+    covers none of its targets.  The maxima come back in candidate order,
+    so the used sums keep their (piece, tuple) order.
     """
     k, h = struct.config.k, struct.config.h
     target_idx = struct.grid.points_in_box(qlo, qhi)
@@ -528,42 +551,67 @@ def _cover_pieces(struct: IdsStructure, pieces: list[AnchoredPiece], pos: np.nda
         pos = _spanning(struct.sums, struct.codes, spans, pos)
         if pos.size == 0:
             return _NONE, target_idx  # no tuple can have a candidate: every point is a leftover
-    tcoords = struct.points.coords[target_idx]
-    ent = np.arange(target_idx.size)  # entry -> target position
-    piece_code = np.zeros(target_idx.size, dtype=np.int64)  # bit i: the entry's side in dim i
-    labels: list = []  # per dimension, the entries' depth labels
-    for i in range(k):
-        x = tcoords[ent, i]
-        parts = []
-        for bit, side in enumerate((_L, _R)):
-            if (i, side) not in covers:
-                continue
-            piece, cover = covers[i, side]
-            on = (x <= piece.hi[i] if side == _L else x >= piece.lo[i]).nonzero()[0]  # closed at the split
-            if on.size:
-                parts.append((on, 2 * piece_code[on] + bit, _point_labels(h, cover, x[on])))
-        on, piece_code, lab = (np.concatenate(c) for c in zip(*parts))  # each side keeps its entries' order
-        ent = ent[on]
-        labels = [c[on] for c in labels] + [lab]
-    singles = np.minimum.reduce(labels) < 0
-    leftover = [ent[singles]]  # leaf-tail points, as target positions
-    paired = (~singles).nonzero()[0]
-    if paired.size == 0:
-        return _NONE, target_idx[_first_uses(leftover[0])]
-    ent = ent[paired]
-    dims = (1 << k, *[h + 1] * k)
-    keys = np.ravel_multi_index((piece_code[paired], *(c[paired] for c in labels)), dims)
-    order = keys.argsort(kind="stable")  # by tuple, each tuple's entries in index order
-    ent, keys = ent[order], keys[order]
-    first = _run_starts(keys)
-    tuples = np.stack(np.unravel_index(keys[first], dims), axis=1)  # piece code, then labels
-    codes = tuples[:, 0]
+    coords = struct.points.coords
+    x0 = coords[target_idx, 0]  # ascending: the box's points come in dim-0 order
+    lo, stop, depths, leftover = [], [], [], []  # per side: its tiles' runs of target positions, and its leaf tail
+    nl = 0  # L runs, which come first
+    for side in (_L, _R):
+        if (0, side) not in covers:
+            continue
+        piece, (_, _, corner, sp) = covers[0, side]
+        depth = (~np.isnan(sp[:, 0])).nonzero()[0]  # its pairs' depths, ascending
+        if side == _L:  # x0 rises from the corner's leaf through the tiles, deepest first, to the split
+            end = x0.searchsorted(piece.hi[0], side="right")  # L holds the split
+            cut = np.concatenate((x0.searchsorted(sp[depth[::-1], 0]), (end,)))
+            leftover.append(np.arange(cut[0]))
+            lo.append(cut[-2::-1])
+            stop.append(cut[:0:-1])
+            nl = depth.size
+        else:  # x0 rises from the split, where the shallowest tile starts, through the tiles to the corner's leaf
+            cut = x0.searchsorted(np.concatenate((sp[depth, 0], (corner / (1 << h),))))
+            leftover.append(np.arange(cut[-1], x0.size))
+            lo.append(cut[:-1])
+            stop.append(cut[1:])
+        depths.append(depth)
+    lo, stop, depth = np.concatenate(lo), np.concatenate(stop), np.concatenate(depths)
+    codes = np.zeros(lo.size, dtype=np.int64)  # each run's piece code
+    codes[nl:] = 1
+    runs = (stop > lo).nonzero()[0]  # the tuples: (side, depth) order
+    lo, lens, codes, labels = lo[runs], stop[runs] - lo[runs], codes[runs], depth[runs, None]
+    ent = np.arange(np.add.reduce(lens)) + (lo + lens - lens.cumsum()).repeat(lens)  # entry -> target position
+    group = np.arange(runs.size).repeat(lens)  # entry -> tuple
+    if k > 1 and ent.size:  # dims 1..k-1: label each entry, then one sort by (piece, label tuple)
+        piece_code, labels = codes[group], [labels[group, 0]]
+        for i in range(1, k):
+            x = coords[target_idx[ent], i]
+            parts = []
+            for bit, side in enumerate((_L, _R)):
+                if (i, side) not in covers:
+                    continue
+                piece, cover = covers[i, side]
+                on = (x <= piece.hi[i] if side == _L else x >= piece.lo[i]).nonzero()[0]  # closed at the split
+                if on.size:
+                    parts.append((on, 2 * piece_code[on] + bit, _point_labels(h, cover, x[on])))
+            on, piece_code, lab = (np.concatenate(c) for c in zip(*parts))  # each side keeps its entries' order
+            ent = ent[on]
+            labels = [c[on] for c in labels] + [lab]
+        singles = np.minimum.reduce(labels[1:]) < 0
+        leftover.append(ent[singles])  # leaf-tail points
+        paired = (~singles).nonzero()[0]
+        dims = (1 << k, *[h + 1] * k)
+        keys = np.ravel_multi_index((piece_code[paired], *(c[paired] for c in labels)), dims)
+        order = keys.argsort(kind="stable")  # by tuple, each tuple's entries in index order
+        ent, keys = ent[paired[order]], keys[order]
+        first = _run_starts(keys)
+        codes, *labels = np.unravel_index(keys[first], dims)
+        labels = np.stack(labels, axis=1)
+        group = first.cumsum() - 1
+    if ent.size == 0:
+        return _NONE, target_idx[_first_uses(np.concatenate(leftover))]
     sides = (codes[:, None] >> np.arange(k - 1, -1, -1)) & 1  # per dimension, 0 for L and 1 for R
-    ab = spans[np.arange(k), sides, tuples[:, 1:]]
+    ab = spans[np.arange(k), sides, labels]
     groups, cand = _tuple_candidates(struct.sums, struct.codes, pos, codes, ab[..., 0], ab[..., 1])
-    m_idx, covered, took = dominance_cover(
-        struct.sums.box_hi[cand, k:], tcoords[ent, k:], groups, first.cumsum() - 1
-    )
+    m_idx, covered, took = dominance_cover(struct.sums.box_hi[cand, k:], coords[target_idx[ent], k:], groups, group)
     leftover.append(ent[~covered])
     return _first_uses(cand[m_idx[took]]), target_idx[_first_uses(np.concatenate(leftover))]
 

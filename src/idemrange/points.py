@@ -108,11 +108,18 @@ def _radical_inverse_array(indices: np.ndarray, base: int) -> np.ndarray:
 
 
 def _force_distinct(col: np.ndarray, step: float) -> np.ndarray:
+    """``col`` with its ties broken: the r-th later copy of a value moves up
+    by r * step, clamped at 1.0, until no two values are equal.  Copies that
+    meet at 1.0 would stay tied under the clamp, so from then on every tie
+    left is broken by a few floats instead, at or below 1.0
+    (``_walk_down``)."""
     # vdC columns are injective over indices; this only fires on rounding ties.
     while True:
-        _, inverse, counts = np.unique(col, return_inverse=True, return_counts=True)
+        values, inverse, counts = np.unique(col, return_inverse=True, return_counts=True)
         if counts.max(initial=1) <= 1:
             return col
+        if counts[values == 1.0].max(initial=1) > 1:
+            return _walk_down(col)
         col = col.copy()
         seen: dict[int, int] = {}
         for i, g in enumerate(inverse):
@@ -120,6 +127,24 @@ def _force_distinct(col: np.ndarray, step: float) -> np.ndarray:
             seen[g] = r + 1
             if r:
                 col[i] = min(1.0, col[i] + r * step)
+
+
+def _walk_down(col: np.ndarray) -> np.ndarray:
+    """``col`` with no two values equal and none above 1.0: in sorted order
+    (ties in index order), each value is raised to at least the float just
+    above the one before it, then, from the top, lowered to at most the
+    float just below the one after it.  Only ties and values within a few
+    floats of them move, and values in [0, 1] stay there."""
+    order = col.argsort(kind="stable")
+    x = col[order].tolist()
+    for i in range(1, len(x)):
+        x[i] = max(x[i], math.nextafter(x[i - 1], math.inf))
+    x[-1] = min(x[-1], 1.0)
+    for i in range(len(x) - 2, -1, -1):
+        x[i] = min(x[i], math.nextafter(x[i + 1], -math.inf))
+    out = np.empty_like(col)
+    out[order] = x
+    return out
 
 
 def hammersley_wd(n: int, d: int) -> WeightedPointSet:

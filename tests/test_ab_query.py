@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -62,14 +63,35 @@ def test_tiny_run_against_head(workload, capsys):
 
 
 def test_calls_per_query_line(monkeypatch, capsys):
-    """Each pair's timing block starts with both sides' Python calls per
-    query; the same package on both sides makes the same calls."""
+    """Each pair's timing block starts with both sides' Python-level and
+    builtin calls per query; the same package on both sides makes the
+    same calls."""
     monkeypatch.setattr(ab_query, "import_base", _import_working_tree)
     assert ab_query.main([*TINY, "--workload", "uniform-3d-k2", "uniform-2d", "--seed", "3"]) == 0
-    lines = re.findall(r"^calls per query  base (\S+)  change (\S+)  ratio (\S+)$", capsys.readouterr().out, re.M)
-    assert len(lines) == 2
-    for base, change, ratio in lines:
-        assert float(base) > 100 and float(change) == float(base) and ratio == "1.000"
+    out = capsys.readouterr().out
+    lines = re.findall(r"^(python|builtin) calls per query  base (\S+)  change (\S+)  ratio (\S+)$", out, re.M)
+    assert [kind for kind, *_ in lines] == ["python", "builtin"] * 2
+    for _, base, change, ratio in lines:
+        assert float(base) > 50 and float(change) == float(base) and ratio == "1.000"
+
+
+def test_calls_split_python_from_builtin():
+    """A ``[]`` gather swapped for ``take`` moves the builtin count by one
+    call per query and leaves the Python-level count alone."""
+    args = argparse.Namespace(log2_n=8, queries=4)
+    pkg, struct, qs = ab_query.build_pair(idemrange, "uniform-2d", 3, args)[1]
+    x = np.arange(8.0)
+
+    def with_index(struct, q):
+        return pkg.query(struct, q), x[[1, 2]]
+
+    def with_take(struct, q):
+        return pkg.query(struct, q), x.take([1, 2])
+
+    py_index, bi_index = ab_query.calls_per_query((types.SimpleNamespace(query=with_index), struct, qs))
+    py_take, bi_take = ab_query.calls_per_query((types.SimpleNamespace(query=with_take), struct, qs))
+    assert py_take == py_index and py_index > 10
+    assert bi_take == bi_index + 1
 
 
 def test_several_workloads_and_seeds_checked_before_timing(capsys):
@@ -79,7 +101,7 @@ def test_several_workloads_and_seeds_checked_before_timing(capsys):
     assert [line.split(",")[0] for line in checked] == [
         "uniform-2d seed 3", "uniform-2d seed 4", "uniform-3d-k2 seed 3", "uniform-3d-k2 seed 4"
     ]
-    assert out.count("ratio") == 4 * 4  # calls per query, p50, p95 and mean per pair
+    assert out.count("ratio") == 4 * 5  # two call counts, p50, p95 and mean per pair
     assert out.rindex(EQUAL) < out.index("ratio")
 
 

@@ -1516,3 +1516,141 @@ def test_corner_on_first_leaf_has_no_pairs(monkeypatch, d, k):
     assert got == _run_queries(s, queries)
     for (value, *_), q in zip(got, queries):
         assert (value or []) == ir.scan_ids(pts, q).tolist()
+
+
+def _labelled_cover_reference(s, pieces, pos, qlo, qhi):
+    """``_cover_pieces`` by labels alone, with no prefilter: every (point,
+    piece) entry takes a ``_point_labels`` label in every two-sided
+    dimension, and one stable sort by (piece, label tuple) groups them.
+    Returns (rows, leftover) as ``_cover_pieces`` does."""
+    k, h = s.config.k, s.config.h
+    target_idx = s.grid.points_in_box(qlo, qhi)
+    if target_idx.size == 0:
+        return I._NONE, I._NONE
+    covers = {}
+    spans = np.full((k, 2, h + 1, 2), np.nan)
+    for piece in pieces:
+        for i, side in enumerate(piece.orientation):
+            if (i, side) not in covers:
+                covers[i, side] = piece, I._side_cover(s, piece, i)
+                spans[i, "LR".index(side)] = covers[i, side][1][3]
+    tcoords = s.points.coords[target_idx]
+    ent = np.arange(target_idx.size)
+    piece_code = np.zeros(target_idx.size, dtype=np.int64)
+    labels = []
+    for i in range(k):
+        x = tcoords[ent, i]
+        parts = []
+        for bit, side in enumerate("LR"):
+            if (i, side) not in covers:
+                continue
+            piece, cover = covers[i, side]
+            on = np.flatnonzero(x <= piece.hi[i] if side == "L" else x >= piece.lo[i])
+            parts.append((on, 2 * piece_code[on] + bit, I._point_labels(h, cover, x[on])))
+        on, piece_code, lab = (np.concatenate(c) for c in zip(*parts))
+        ent = ent[on]
+        labels = [c[on] for c in labels] + [lab]
+    singles = np.minimum.reduce(labels) < 0
+    leftover = [ent[singles]]
+    paired = np.flatnonzero(~singles)
+    if paired.size == 0:
+        return I._NONE, target_idx[I._first_uses(leftover[0])]
+    ent = ent[paired]
+    dims = (1 << k, *[h + 1] * k)
+    keys = np.ravel_multi_index((piece_code[paired], *(c[paired] for c in labels)), dims)
+    order = keys.argsort(kind="stable")
+    ent, keys = ent[order], keys[order]
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+    tuples = np.stack(np.unravel_index(keys[first], dims), axis=1)
+    codes = tuples[:, 0]
+    sides = (codes[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    ab = spans[np.arange(k), sides, tuples[:, 1:]]
+    groups, cand = I._tuple_candidates(s.sums, s.codes, pos, codes, ab[..., 0], ab[..., 1])
+    m_idx, covered, took = I.dominance_cover(s.sums.box_hi[cand, k:], tcoords[ent, k:], groups, first.cumsum() - 1)
+    leftover.append(ent[~covered])
+    return I._first_uses(cand[m_idx[took]]), target_idx[I._first_uses(np.concatenate(leftover))]
+
+
+def _run_case(d, k, seed):
+    """512 points mixing uniform ones with two-sided coordinates on the
+    trees' leaf boundaries j/2^h, on multiples of 1/16 (split midpoints of
+    wide queries), in [-0.3, 1.3], and on another point's x0; queries with
+    bounds of the same kinds, then some of them again with the dim-0 corner
+    moved onto the R root's first leaf or the L root's last leaf (that
+    side has no pairs), or with the high dim-0 bound at the end of its leaf
+    (the deepest R tiles can then have candidates)."""
+    rng = np.random.default_rng(seed)
+    n = 512
+    g = 1 << math.ceil(math.log2(n))
+    coords = rng.random((n, d))
+    kind = rng.integers(0, 5, n)
+    for c, draw in enumerate((
+        lambda m: rng.integers(0, g + 1, (m, k)) / g,
+        lambda m: rng.integers(1, 16, (m, k)) / 16,
+        lambda m: rng.uniform(-0.3, 1.3, (m, k)),
+    ), start=1):
+        coords[kind == c, :k] = draw(int(np.sum(kind == c)))
+    coords[kind == 4, 0] = coords[rng.integers(0, n, int(np.sum(kind == 4))), 0]
+    pts = ir.WeightedPointSet(coords, np.arange(n), np.ones(n))
+    s = ir.build_ids(pts, k, ir.ID_SET)
+    snap = (lambda v: v, lambda v: np.round(v * g) / g, lambda v: np.round(v * 16) / 16)
+    queries = []
+    for _ in range(96):
+        a, b = np.sort(snap[rng.integers(3)](rng.uniform(-0.2, 1.2, (2, k))), axis=0)
+        queries.append(Box(tuple(a) + (NEG_INF,) * (d - k), tuple(b) + tuple(rng.uniform(0.2, 1.2, d - k))))
+    for q in queries[:48]:
+        pieces, singleton_only = I.decompose_query(s, q)
+        if singleton_only:
+            continue
+        mid = pieces[-1].lo[0]  # the all-R piece starts at the dim-0 split
+        queries.append(Box(q.lo, (mid + 0.5 / g,) + q.hi[1:]))  # R corner on its root's first leaf
+        queries.append(Box(q.lo, (np.nextafter((math.floor(q.hi[0] * g) + 1) / g, 0),) + q.hi[1:]))  # its leaf's end
+        queries.append(Box((mid - 0.5 / g,) + q.lo[1:], q.hi))  # L corner on its root's last leaf
+    return pts, s, queries
+
+
+@pytest.mark.parametrize("d,k,seed", [(2, 1, 171), (3, 2, 172)], ids=["2-1", "3-2"])
+def test_dim0_runs_match_labelled_cover(monkeypatch, d, k, seed):
+    """Dimension 0's tiles as runs of the box's dim-0-sorted points give the
+    labelled cover's used rows, in order, and its leftovers, as a set, with
+    or without the prefilter; the cases cover points on tile starts, on the
+    split, beyond [0, 1] and tied on x0, and sides with no pairs."""
+    pts, s, queries = _run_case(d, k, seed)
+    seen = dict.fromkeys(("split", "start", "off_cube", "tie", "no_pairs_L", "no_pairs_R", "rows"), 0)
+    for q in queries:
+        pieces, singleton_only = I.decompose_query(s, q)
+        if singleton_only:
+            continue
+        qlo, qhi = np.asarray(q.lo), np.asarray(q.hi)
+        pos = s.sums.inside(qlo, qhi)
+        rows, leftover = _labelled_cover_reference(s, pieces, pos, qlo, qhi)
+        got = [I._cover_pieces(s, pieces, pos, qlo, qhi)]
+        with monkeypatch.context() as m:
+            m.setattr(I, "_spanning", lambda sums, codes, spans, pos: pos)  # every query takes the runs
+            got.append(I._cover_pieces(s, pieces, pos, qlo, qhi))
+        for got_rows, got_leftover in got:
+            assert got_rows.tolist() == rows.tolist()
+            assert got_leftover.size == leftover.size
+            assert set(got_leftover.tolist()) == set(leftover.tolist())
+        x0 = pts.coords[s.grid.points_in_box(qlo, qhi), 0]
+        spans = _query_spans(s, pieces)[0]
+        starts = spans[:, :, 0][~np.isnan(spans[:, :, 0])]
+        seen["split"] += int(np.sum(x0 == pieces[-1].lo[0]))
+        seen["start"] += int(np.isin(x0, starts).sum())
+        seen["off_cube"] += int(np.sum((x0 < 0) | (x0 > 1)))
+        seen["tie"] += x0.size - np.unique(x0).size
+        seen["no_pairs_L"] += bool(np.isnan(spans[0]).all())
+        seen["no_pairs_R"] += bool(np.isnan(spans[1]).all())
+        seen["rows"] += rows.size
+    assert all(seen.values()), seen
+
+
+def test_dim0_runs_answer_without_labels(monkeypatch):
+    """At k = 1 no query labels a point: with ``_point_labels`` gone, every
+    query still answers exactly, with the prefilter and without it."""
+    pts, s, queries = _run_case(2, 1, 173)
+    monkeypatch.setattr(I, "_point_labels", None)
+    want = [ir.scan_ids(pts, q).tolist() for q in queries]
+    for spanning in (I._spanning, lambda sums, codes, spans, pos: pos):
+        monkeypatch.setattr(I, "_spanning", spanning)
+        assert [(value or []) for value, *_ in _run_queries(s, queries)] == want

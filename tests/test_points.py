@@ -1,4 +1,9 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +40,64 @@ def test_hammersley_distinct_and_deterministic():
     assert np.array_equal(a.coords, b.coords)
     for j in range(4):
         assert np.unique(a.coords[:, j]).size == 200
+
+
+def _clamped_bumps(col, step):
+    """The tie fix-up without its way out of ties at 1.0: it returns on
+    every column given here."""
+    while True:
+        _, inverse, counts = np.unique(col, return_inverse=True, return_counts=True)
+        if counts.max(initial=1) <= 1:
+            return col
+        col = col.copy()
+        seen = {}
+        for i, g in enumerate(inverse):
+            r = seen.get(g, 0)
+            seen[g] = r + 1
+            if r:
+                col[i] = min(1.0, col[i] + r * step)
+
+
+def test_force_distinct_keeps_clamped_bumps_that_end():
+    """Columns whose upward bumps end in distinct values, one of them
+    clamped at 1.0, come out bit for bit as those bumps leave them."""
+    rng = np.random.default_rng(3)
+    cases = [(np.array([0.2, 0.995, 0.995]), 0.01), (np.array([0.5, 0.5, 0.5, 0.999]), 1e-4)]
+    cases += [(rng.integers(0, 32, 200) / 64, 1e-4) for _ in range(5)]  # ties below 1/2: no clamp
+    for col, step in cases:
+        want = _clamped_bumps(col, step)
+        got = P._force_distinct(col, step)
+        assert got.tobytes() == want.tobytes()
+    assert P._force_distinct(*cases[0]).tolist() == [0.2, 0.995, 1.0]
+
+
+def test_force_distinct_ends_on_ties_at_one():
+    """Copies that meet at 1.0 stay tied under the upward clamp: the fix-up
+    still returns, with distinct values in [0, 1].  Run in a child process
+    with a timeout, so a fix-up that never returns fails the test."""
+    cases = [
+        ([0.2, 1.0, 1.0], 0.01),
+        ([1.0, 1.0, 1.0, 1.0], 0.01),
+        ([0.98, 0.99, 0.99, 0.99], 0.01),  # three ties within 2 steps of 1.0
+        ([np.nextafter(1.0, 0.0), 1.0, 1.0, 0.3, 0.3], 1e-3),
+    ]
+    code = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from idemrange import points\n"
+        "cases = json.loads(sys.stdin.read())\n"
+        "print(json.dumps([points._force_distinct(np.array(c), s).tolist() for c, s in cases]))\n"
+    )
+    src = str(Path(P.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    run = subprocess.run(
+        [sys.executable, "-c", code], input=json.dumps(cases), capture_output=True, text=True, timeout=60, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    for (col, _), got in zip(cases, json.loads(run.stdout)):
+        assert len(got) == len(col) and len(set(got)) == len(got)
+        assert all(0.0 <= v <= 1.0 for v in got)
+    assert json.loads(run.stdout)[0][0] == 0.2  # a value below every tie does not move
 
 
 def test_hammersley_breaks_radical_inverse_ties(monkeypatch):
