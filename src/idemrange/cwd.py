@@ -119,15 +119,22 @@ def save_cwd(fam: CwdFamily, dirpath) -> None:
 
 
 def load_cwd(dirpath) -> CwdFamily:
-    with open(os.path.join(dirpath, "manifest")) as fh:
+    """Read ``save_cwd``'s directory.  A malformed manifest, or a set file
+    whose dimension is not the manifest's, raises ``ValueError`` naming it."""
+    manifest = os.path.join(dirpath, "manifest")
+    with open(manifest) as fh:
         line = fh.readline()
     try:
         h, k, d, N = (int(x) for x in line.split())
     except ValueError:
         raise ValueError(f"cwd manifest line must be four integers 'h k d N', got {line.strip()!r}") from None
+    if min(h, k, d, N) < 1:
+        raise ValueError(f"cwd manifest {manifest}: h, k, d and N must be positive, got {line.strip()!r}")
     sets = {}
     for idx in itertools.product(range(1, h + 1), repeat=k):
-        name = "set_" + "_".join(str(i) for i in idx) + ".txt"
-        ps = load_point_set(os.path.join(dirpath, name))
-        sets[idx] = WeightedPointSet(ps.coords[:, :d], ps.ids, ps.weights)
+        path = os.path.join(dirpath, "set_" + "_".join(str(i) for i in idx) + ".txt")
+        ps = load_point_set(path)
+        if ps.d != d:
+            raise ValueError(f"cwd set file {path} has d={ps.d}, its manifest says d={d}")
+        sets[idx] = ps
     return CwdFamily(h=h, k=k, d=d, cell_size=N, sets=sets)

@@ -2,7 +2,9 @@
 
 All comparisons are closed.  Double coverage is legal because only
 idempotent semigroups are supported; generators guarantee pairwise
-distinct coordinates per dimension, so closed/open never changes answers.
+distinct coordinates per dimension (``points.hammersley_wd`` by
+construction, as its docstring shows; ``points.uniform_random`` by
+resampling), so closed/open never changes answers.
 """
 
 from __future__ import annotations

@@ -138,3 +138,12 @@ def test_family_sets_trust_the_checked_base(monkeypatch, tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="unique"):
         ir.load_cwd(tmp_path / "fam")
+
+
+def test_load_cwd_refuses_a_manifest_d_its_sets_do_not_have(tmp_path):
+    """A manifest that gives d=3 over 2-D set files names the first set file
+    whose d differs, instead of loading a 3-D family of 2-D sets."""
+    ir.save_cwd(ir.build_cwd_family(N=8, h=2, k=1, d=2), tmp_path / "fam")
+    (tmp_path / "fam" / "manifest").write_text("2 1 3 8\n")
+    with pytest.raises(ValueError, match=r"set_1\.txt has d=2, its manifest says d=3"):
+        ir.load_cwd(tmp_path / "fam")

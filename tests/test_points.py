@@ -1,9 +1,4 @@
 import itertools
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,78 +37,21 @@ def test_hammersley_distinct_and_deterministic():
         assert np.unique(a.coords[:, j]).size == 200
 
 
-def _clamped_bumps(col, step):
-    """The tie fix-up without its way out of ties at 1.0: it returns on
-    every column given here."""
-    while True:
-        _, inverse, counts = np.unique(col, return_inverse=True, return_counts=True)
-        if counts.max(initial=1) <= 1:
-            return col
-        col = col.copy()
-        seen = {}
-        for i, g in enumerate(inverse):
-            r = seen.get(g, 0)
-            seen[g] = r + 1
-            if r:
-                col[i] = min(1.0, col[i] + r * step)
-
-
-def test_force_distinct_keeps_clamped_bumps_that_end():
-    """Columns whose upward bumps end in distinct values, one of them
-    clamped at 1.0, come out bit for bit as those bumps leave them."""
-    rng = np.random.default_rng(3)
-    cases = [(np.array([0.2, 0.995, 0.995]), 0.01), (np.array([0.5, 0.5, 0.5, 0.999]), 1e-4)]
-    cases += [(rng.integers(0, 32, 200) / 64, 1e-4) for _ in range(5)]  # ties below 1/2: no clamp
-    for col, step in cases:
-        want = _clamped_bumps(col, step)
-        got = P._force_distinct(col, step)
-        assert got.tobytes() == want.tobytes()
-    assert P._force_distinct(*cases[0]).tolist() == [0.2, 0.995, 1.0]
-
-
-def test_force_distinct_ends_on_ties_at_one():
-    """Copies that meet at 1.0 stay tied under the upward clamp: the fix-up
-    still returns, with distinct values in [0, 1].  Run in a child process
-    with a timeout, so a fix-up that never returns fails the test."""
-    cases = [
-        ([0.2, 1.0, 1.0], 0.01),
-        ([1.0, 1.0, 1.0, 1.0], 0.01),
-        ([0.98, 0.99, 0.99, 0.99], 0.01),  # three ties within 2 steps of 1.0
-        ([np.nextafter(1.0, 0.0), 1.0, 1.0, 0.3, 0.3], 1e-3),
-    ]
-    code = (
-        "import json, sys\n"
-        "import numpy as np\n"
-        "from idemrange import points\n"
-        "cases = json.loads(sys.stdin.read())\n"
-        "print(json.dumps([points._force_distinct(np.array(c), s).tolist() for c, s in cases]))\n"
-    )
-    src = str(Path(P.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    run = subprocess.run(
-        [sys.executable, "-c", code], input=json.dumps(cases), capture_output=True, text=True, timeout=60, env=env
-    )
-    assert run.returncode == 0, run.stderr
-    for (col, _), got in zip(cases, json.loads(run.stdout)):
-        assert len(got) == len(col) and len(set(got)) == len(got)
-        assert all(0.0 <= v <= 1.0 for v in got)
-    assert json.loads(run.stdout)[0][0] == 0.2  # a value below every tie does not move
-
-
-def test_hammersley_breaks_radical_inverse_ties(monkeypatch):
-    """Radical inverses cut to a 1/8 grid tie in groups: the fix-up still
-    gives distinct columns in [0, 1], each value within a grid step of its
-    own, the same on every call."""
-    real = P._radical_inverse_array
-    monkeypatch.setattr(P, "_radical_inverse_array", lambda idx, base: np.floor(real(idx, base) * 8) / 8)
-    a, b = ir.hammersley_wd(64, 3), ir.hammersley_wd(64, 3)
-    assert np.array_equal(a.coords, b.coords)
-    for j in (1, 2):
-        raw = np.floor(real(np.arange(64), P._PRIMES[j - 1]) * 8) / 8
-        assert np.unique(raw).size <= 8
-        col = a.coords[:, j]
-        assert np.unique(col).size == 64
-        assert np.all((col >= 0) & (col <= 1)) and np.all((col >= raw) & (col < raw + 1 / 8))
+def test_hammersley_columns_distinct_by_construction():
+    """At n = 2^20, d = 6 every column is strictly distinct in [0, 1), the
+    first axis is (i + 0.5)/n and each radical column's smallest gap is at
+    least 1/(b*n) for its base b.  A radical column does not depend on n,
+    so every smaller n is covered as well."""
+    n = 2**20
+    coords = ir.hammersley_wd(n, 6).coords
+    assert np.array_equal(coords[:, 0], (np.arange(n) + 0.5) / n)
+    for j in range(6):
+        col = np.sort(coords[:, j])
+        assert col[0] >= 0.0 and col[-1] < 1.0
+        gap = np.diff(col).min()
+        assert gap > 0
+        if j:
+            assert gap >= 1 / (P._PRIMES[j - 1] * n)
 
 
 def test_hammersley_d_guard():
@@ -294,8 +232,11 @@ def test_point_set_roundtrip(tmp_path):
         pytest.param("pts.txt", "# d=2 n=3\n0.1 0.2 0\n0.3 0.4 1\n", r"ends after 2 of its n=3 points", id="short"),
         pytest.param("pts.txt", "# d=2 n=2\n0.1 0.2 0\n0.3 0.4\n", r"line 3: expected 2 coordinates", id="no-id"),
         pytest.param("pts.txt", "# d=2 n=1\n0.1 zero 0\n", r"line 2: not numbers", id="not-numbers"),
+        pytest.param("pts.txt", "# d=2 n=99999999999999\n0.1 0.2 0\n", r"ends after 1 of its n=99999999999999", id="huge-n"),
         pytest.param("manifest", "2 1 2\n", r"cwd manifest line must be four integers", id="manifest-short"),
         pytest.param("manifest", "2 1 2 eight\n", r"cwd manifest line must be four integers", id="manifest-word"),
+        pytest.param("manifest", "0 1 2 4\n", r"cwd manifest .* must be positive", id="manifest-h0"),
+        pytest.param("manifest", "2 -1 2 4\n", r"cwd manifest .* must be positive", id="manifest-negative-k"),
     ],
 )
 def test_malformed_files_fail_naming_the_problem(tmp_path, name, text, match):
